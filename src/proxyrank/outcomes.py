@@ -23,6 +23,7 @@ live on wildly different scales.
 """
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -35,7 +36,9 @@ from .trees import GradientBoostedTrees, RandomForest, RegressionTree
 
 FAMILIES = ("linear_wls", "linear_sgd", "poisson", "svr_linear",
             "tree", "forest", "boosted_trees")
-_TREE_FAMILIES = ("tree", "forest", "boosted_trees")
+_TREE_CLASSES = {"tree": RegressionTree, "forest": RandomForest,
+                 "boosted_trees": GradientBoostedTrees}
+_TREE_FAMILIES = tuple(_TREE_CLASSES)
 
 _LOSS_KIND = {
     "linear_wls": "squared_error",
@@ -142,12 +145,8 @@ class OutcomeModel:
         model = cls(family=d["family"], feature_map=fm, n_features=d["n_features"],
                     params=d["params"], loss_kind=d["loss_kind"],
                     final_loss=d["final_loss"], n_iter=d["n_iter"])
-        if d["family"] == "tree":
-            model._predictor = RegressionTree.from_dict(d["params"])
-        elif d["family"] == "forest":
-            model._predictor = RandomForest.from_dict(d["params"])
-        elif d["family"] == "boosted_trees":
-            model._predictor = GradientBoostedTrees.from_dict(d["params"])
+        if d["family"] in _TREE_CLASSES:
+            model._predictor = _TREE_CLASSES[d["family"]].from_dict(d["params"])
         return model
 
 
@@ -289,6 +288,31 @@ def _fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
     params = {"theta": theta, "y_mean": y_mean, "y_scale": y_scale,
               "epsilon": epsilon, "C": C}
     return params, loss, t
+
+
+_FITTERS = {"linear_wls": _fit_linear_wls, "linear_sgd": _fit_linear_sgd,
+            "poisson": _fit_poisson, "svr_linear": _fit_svr}
+
+
+def check_hyperparams(family: str, hyperparams: dict) -> None:
+    """Raise ModelError unless ``family`` is known and accepts every name in
+    ``hyperparams``. Tree families also check the values, by constructing
+    the estimator."""
+    if family not in FAMILIES:
+        raise ModelError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if not isinstance(hyperparams, dict):
+        raise ModelError(f"{family} hyperparams must be an object, got {hyperparams!r}")
+    if family in _TREE_CLASSES:
+        try:
+            _TREE_CLASSES[family](**hyperparams)
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"bad {family} hyperparams: {exc}") from None
+        return
+    accepted = list(inspect.signature(_FITTERS[family]).parameters)[3:]  # after D, y, w
+    unknown = sorted(set(hyperparams) - set(accepted))
+    if unknown:
+        raise ModelError(f"{family} does not accept hyperparams {unknown}; "
+                         f"it accepts {accepted}")
 
 
 def fit_outcome_model(d: Dataset, weights: np.ndarray | None = None,

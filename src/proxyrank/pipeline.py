@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, analyze_model, prepare_cohort
 from .data import Dataset
-from .outcomes import compute_ite
+from .outcomes import ModelError, check_hyperparams, compute_ite
 from .ranking import rank_rmse, select_top_percentile
 from .rng import derive_seed
 from .sensitivity import (ConfounderConfig, PlaceboResult, SensitivityReport,
@@ -113,6 +113,11 @@ class RunConfig:
                 kwargs["models"] = tuple(ModelSpec(**m) for m in raw["models"])
             except TypeError as exc:
                 raise ConfigError(f"bad model spec: {exc}") from None
+            for spec in kwargs["models"]:
+                try:
+                    check_hyperparams(spec.family, spec.hyperparams)
+                except ModelError as exc:
+                    raise ConfigError(f"bad model spec {spec.name()!r}: {exc}") from None
         if "analysis" in raw:
             acfg = dict(raw["analysis"])
             if acfg.get("report_range") is not None:

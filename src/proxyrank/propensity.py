@@ -201,7 +201,7 @@ def _smd(x1: np.ndarray, x0: np.ndarray,
         m0 = float(np.average(x0, weights=w0))
         v1 = float(np.average((x1 - m1) ** 2, weights=w1))
         v0 = float(np.average((x0 - m0) ** 2, weights=w0))
-    denom = np.sqrt((v1 + v0) / 2.0)
+    denom = float(np.sqrt((v1 + v0) / 2.0))
     if denom == 0.0:
         return 0.0, True
     return abs(m1 - m0) / denom, False

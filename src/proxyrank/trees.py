@@ -3,6 +3,16 @@
 Instance weights enter the split criterion as frequency weights (weighted
 variance reduction) and leaves predict weighted means, so rescaling all
 weights by a constant leaves every fitted tree unchanged.
+
+The split search is exact CART over presorted attribute lists (SLIQ, Mehta
+et al., EDBT 1996). Each fit stable-sorts every feature once; every node
+keeps its rows in that order for each feature, and a split hands the
+children their lists by a stable partition instead of a new sort. A node's
+row set is kept in ascending index order, so the global stable order
+restricted to a node is the order a stable per-node sort would give, and the
+cumulative sums scanned for the best cut add the same numbers in the same
+order. Boosting sorts its design once for all rounds, as XGBoost's exact
+greedy search does (Chen & Guestrin, KDD 2016).
 """
 from __future__ import annotations
 
@@ -13,6 +23,7 @@ import numpy as np
 from .rng import derive_seed, substream
 
 _MIN_GAIN = 1e-12
+_BLOCK = 1 << 16  # gathered elements (features x node rows) scored at once
 
 
 @dataclass
@@ -44,40 +55,143 @@ class _Node:
         return node
 
 
-def _best_split(F: np.ndarray, y: np.ndarray, w: np.ndarray, rows: np.ndarray,
-                features: np.ndarray, min_leaf: int):
-    """Split with the largest weighted-SSE reduction, or None."""
-    best = None
-    yw = y[rows] * w[rows]
-    sw = float(w[rows].sum())
-    swy = float(yw.sum())
-    swyy = float((yw * y[rows]).sum())
+def _sort_column(col: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Stable ascending order of ``col`` and whether any value fails to exceed
+    its predecessor in that order (a tie or a NaN)."""
+    order = np.argsort(col, kind="stable")
+    xs = col[order]
+    return order, not (xs[:-1] < xs[1:]).all()
+
+
+def _presort(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_sort_column`` of every column of ``F``: orders of shape (k, n) int32
+    and tie flags. In an untied column every cut, in every node, separates
+    distinct values."""
+    k = F.shape[1]
+    order = np.empty((k, F.shape[0]), dtype=np.int32)
+    tied = np.empty(k, dtype=bool)
+    for j in range(k):
+        order[j], tied[j] = _sort_column(F[:, j])
+    return order, tied
+
+
+def _presort_sample(Fs: np.ndarray, rows: np.ndarray,
+                    presorted: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``_presort(Fs)`` for the resample ``Fs = F[rows]``, given ``presorted =
+    _presort(F)``.
+
+    In an untied column of F, equal values in Fs are copies of one row, which
+    a stable sort keeps in position order: the order is F's order with each
+    row replaced by its positions in ``rows``. Tied columns are sorted anew.
+    """
+    order, tied = presorted
+    k, n = order.shape
+    m = len(rows)
+    copies = np.argsort(rows, kind="stable")  # positions, grouped by source row
+    count = np.bincount(rows, minlength=n)
+    first = np.cumsum(count) - count
+    out = np.empty((k, m), dtype=np.int32)
+    out_tied = np.full(k, count.max(initial=0) > 1)
+    for j in range(k):
+        if tied[j]:
+            out[j], out_tied[j] = _sort_column(Fs[:, j])
+        else:
+            c = count[order[j]]
+            out[j] = copies[np.repeat(first[order[j]] - np.cumsum(c) + c, c) + np.arange(m)]
+    return out, out_tied
+
+
+def _best_split(F: np.ndarray, w: np.ndarray, wy: np.ndarray, wyy: np.ndarray,
+                order: np.ndarray, tied: np.ndarray, features: np.ndarray,
+                sums: tuple[float, float, float], min_leaf: int):
+    """Split with the largest weighted-SSE reduction, as (gain, feature,
+    threshold), or None.
+
+    ``order[j]`` lists the node's rows sorted by feature j and ``sums`` holds
+    the node's sums of w, w*y and w*y*y. Within a feature the first cut of
+    least SSE wins; across features, taken in ascending order, a later one
+    wins only with a strictly larger gain.
+    """
+    m = order.shape[1]
+    lo, hi = min_leaf - 1, m - min_leaf  # cut after position i, lo <= i < hi
+    sw, swy, swyy = sums
     parent_sse = swyy - swy * swy / sw
-    for j in features:
-        xv = F[rows, j]
-        order = np.argsort(xv, kind="mergesort")
-        xs = xv[order]
-        ws = w[rows][order]
-        ys = y[rows][order]
-        cw = np.cumsum(ws)
-        cwy = np.cumsum(ws * ys)
-        cwyy = np.cumsum(ws * ys * ys)
-        m = len(rows)
-        # candidate cut after position i (left = [:i+1]); values must differ
-        valid = np.flatnonzero(xs[:-1] < xs[1:])
-        valid = valid[(valid + 1 >= min_leaf) & (m - valid - 1 >= min_leaf)]
-        if valid.size == 0:
-            continue
-        lw, lwy, lwyy = cw[valid], cwy[valid], cwyy[valid]
+    best = None
+    step = max(1, _BLOCK // m)
+    for c in range(0, len(features), step):
+        feats = features[c:c + step]
+        idx = order[feats, :hi + 1].astype(np.intp)  # np.take is fastest on intp
+        head = idx[:, :hi]
+        lw = np.cumsum(np.take(w, head), axis=1)[:, lo:]
+        lwy = np.cumsum(np.take(wy, head), axis=1)[:, lo:]
+        lwyy = np.cumsum(np.take(wyy, head), axis=1)[:, lo:]
         rw, rwy, rwyy = sw - lw, swy - lwy, swyy - lwyy
-        sse = (lwyy - lwy * lwy / lw) + (rwyy - rwy * rwy / rw)
-        i = int(np.argmin(sse))
-        gain = parent_sse - float(sse[i])
-        if gain > _MIN_GAIN and (best is None or gain > best[0]):
-            cut = valid[i]
-            thr = 0.5 * (xs[cut] + xs[cut + 1])
-            best = (gain, int(j), float(thr))
+        # sse = (lwyy - lwy * lwy / lw) + (rwyy - rwy * rwy / rw), in place
+        sse = lwy * lwy
+        sse /= lw
+        np.subtract(lwyy, sse, out=sse)
+        rwy *= rwy
+        rwy /= rw
+        np.subtract(rwyy, rwy, out=rwy)
+        sse += rwy
+        t = np.flatnonzero(tied[feats])
+        if t.size:  # a cut must separate distinct values
+            xs = np.take(F, idx[t] * F.shape[1] + feats[t, None])
+            sse[t] = np.where(xs[:, lo:hi] < xs[:, lo + 1:], sse[t], np.inf)
+        cut = np.argmin(sse, axis=1)
+        gain = parent_sse - sse[np.arange(len(feats)), cut]
+        wins = gain > (_MIN_GAIN if best is None else best[0])
+        if wins.any():
+            b = int(np.argmax(np.where(wins, gain, -np.inf)))
+            j, i = int(feats[b]), lo + int(cut[b])
+            best = (float(gain[b]), j, float(0.5 * (F[idx[b, i], j] + F[idx[b, i + 1], j])))
     return best
+
+
+def _grow(F: np.ndarray, y: np.ndarray, w: np.ndarray, order: np.ndarray,
+          tied: np.ndarray, max_depth: int | None, min_leaf: int, mtry: int,
+          rng: np.random.Generator) -> _Node:
+    """Grow one tree depth-first, left subtree first, from the presorted
+    ``order`` of F; the feature subsample of every split node is drawn from
+    ``rng`` in that order."""
+    k, n = order.shape
+    wy = w * y
+    wyy = wy * y
+    goes_left = np.zeros(n, dtype=bool)
+    root = _Node(value=0.0)
+    stack = [(root, np.arange(n), order, 0)]
+    while stack:
+        node, rows, order, depth = stack.pop()
+        sw, swy = float(w[rows].sum()), float(wy[rows].sum())
+        node.value = swy / sw
+        if (max_depth is not None and depth >= max_depth) or len(rows) < 2 * min_leaf:
+            continue
+        feats = np.arange(k) if mtry == k else np.sort(rng.choice(k, mtry, replace=False))
+        best = _best_split(F, w, wy, wyy, order, tied, feats,
+                           (sw, swy, float(wyy[rows].sum())), min_leaf)
+        if best is None:
+            continue
+        _, j, thr = best
+        left = F[rows, j] <= thr
+        goes_left[rows] = left
+        sel = np.take(goes_left, order.ravel())
+        n_left = int(np.count_nonzero(left))
+        node.feature, node.threshold = j, thr
+        node.left, node.right = _Node(value=0.0), _Node(value=0.0)
+        stack.append((node.right, rows[~left],
+                      np.compress(~sel, order).reshape(k, len(rows) - n_left), depth + 1))
+        stack.append((node.left, rows[left],
+                      np.compress(sel, order).reshape(k, n_left), depth + 1))
+    return root
+
+
+def _check_tree_params(max_depth, min_samples_leaf, max_features=None) -> None:
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be None or >= 0, got {max_depth}")
+    if min_samples_leaf < 1:
+        raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+    if max_features is not None and max_features < 1:
+        raise ValueError(f"max_features must be None or >= 1, got {max_features}")
 
 
 @dataclass
@@ -90,47 +204,35 @@ class RegressionTree:
     seed: int = 0
     root: _Node | None = None
 
-    def fit(self, F: np.ndarray, y: np.ndarray, w: np.ndarray) -> "RegressionTree":
-        F = np.asarray(F, dtype=np.float64)
+    def __post_init__(self) -> None:
+        _check_tree_params(self.max_depth, self.min_samples_leaf, self.max_features)
+
+    def fit(self, F: np.ndarray, y: np.ndarray, w: np.ndarray,
+            presorted: tuple[np.ndarray, np.ndarray] | None = None) -> "RegressionTree":
+        """Fit to design ``F``; ``presorted`` is ``_presort(F)`` when the caller
+        already has it (boosting reuses one across its rounds)."""
+        F = np.ascontiguousarray(F, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         w = np.asarray(w, dtype=np.float64)
-        rng = substream(self.seed, "tree-features")
+        order, tied = _presort(F) if presorted is None else presorted
         k = F.shape[1]
         mtry = k if self.max_features is None else min(self.max_features, k)
-
-        def build(rows: np.ndarray, depth: int) -> _Node:
-            value = float(np.average(y[rows], weights=w[rows]))
-            node = _Node(value=value)
-            if (self.max_depth is not None and depth >= self.max_depth) \
-                    or len(rows) < 2 * self.min_samples_leaf:
-                return node
-            feats = np.arange(k) if mtry == k else np.sort(rng.choice(k, mtry, replace=False))
-            best = _best_split(F, y, w, rows, feats, self.min_samples_leaf)
-            if best is None:
-                return node
-            _, j, thr = best
-            mask = F[rows, j] <= thr
-            node.feature, node.threshold = j, thr
-            node.left = build(rows[mask], depth + 1)
-            node.right = build(rows[~mask], depth + 1)
-            return node
-
-        self.root = build(np.arange(len(y)), 0)
+        self.root = _grow(F, y, w, order, tied, self.max_depth, self.min_samples_leaf,
+                          mtry, substream(self.seed, "tree-features"))
         return self
 
     def predict(self, F: np.ndarray) -> np.ndarray:
         F = np.asarray(F, dtype=np.float64)
         out = np.empty(len(F))
-
-        def walk(node: _Node, rows: np.ndarray) -> None:
+        stack = [(self.root, np.arange(len(F)))]
+        while stack:
+            node, rows = stack.pop()
             if node.is_leaf:
                 out[rows] = node.value
-                return
+                continue
             mask = F[rows, node.feature] <= node.threshold
-            walk(node.left, rows[mask])
-            walk(node.right, rows[~mask])
-
-        walk(self.root, np.arange(len(F)))
+            stack.append((node.left, rows[mask]))
+            stack.append((node.right, rows[~mask]))
         return out
 
     def to_dict(self) -> dict:
@@ -156,19 +258,26 @@ class RandomForest:
     seed: int = 0
     trees: list[RegressionTree] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        _check_tree_params(self.max_depth, self.min_samples_leaf)
+
     def fit(self, F: np.ndarray, y: np.ndarray, w: np.ndarray) -> "RandomForest":
         F = np.asarray(F, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         w = np.asarray(w, dtype=np.float64)
         n, k = F.shape
         mtry = max(1, int(np.sqrt(k)))
+        presorted = _presort(F)
         self.trees = []
         for b in range(self.n_trees):
             rows = substream(self.seed, "bag", b).integers(0, n, size=n)
             tree = RegressionTree(max_depth=self.max_depth,
                                   min_samples_leaf=self.min_samples_leaf,
                                   max_features=mtry, seed=derive_seed(self.seed, "rf", b))
-            tree.fit(F[rows], y[rows], w[rows])
+            Fs = F[rows]
+            tree.fit(Fs, y[rows], w[rows], _presort_sample(Fs, rows, presorted))
             self.trees.append(tree)
         return self
 
@@ -208,10 +317,16 @@ class GradientBoostedTrees:
     trees: list[RegressionTree] = field(default_factory=list)
     train_losses: list[float] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.shrinkage < 2.0:
+            raise ValueError(f"shrinkage must lie in (0, 2), got {self.shrinkage}")
+        _check_tree_params(self.max_depth, self.min_samples_leaf)
+
     def fit(self, F: np.ndarray, y: np.ndarray, w: np.ndarray) -> "GradientBoostedTrees":
-        F = np.asarray(F, dtype=np.float64)
+        F = np.ascontiguousarray(F, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         w = np.asarray(w, dtype=np.float64)
+        presorted = _presort(F)
         self.base_value = float(np.average(y, weights=w))
         current = np.full(len(y), self.base_value)
         self.trees = []
@@ -221,7 +336,7 @@ class GradientBoostedTrees:
             tree = RegressionTree(max_depth=self.max_depth,
                                   min_samples_leaf=self.min_samples_leaf,
                                   seed=derive_seed(self.seed, "gbt", r))
-            tree.fit(F, residual, w)
+            tree.fit(F, residual, w, presorted)
             current = current + self.shrinkage * tree.predict(F)
             self.trees.append(tree)
             self.train_losses.append(float(np.average((y - current) ** 2, weights=w)))

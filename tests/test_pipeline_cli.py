@@ -19,6 +19,21 @@ TINY = {"sim": {"n": 600, "k": 8},
                     "hyperparams": {"epochs": 5}}]}
 
 
+BAD_MODELS = [
+    ({"family": "frest"}, "unknown family"),
+    ({"family": "boosted_trees", "hyperparams": {"n_round": 5}}, "n_round"),
+    ({"family": "svr_linear", "hyperparams": {"epoch": 5}}, "epoch"),
+    ({"family": "forest", "hyperparams": {"n_trees": 0}}, "n_trees"),
+]
+
+
+def balance_numbers(path: Path) -> list[float]:
+    """Every SMD cell of a balance.csv, parsed with float()."""
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    assert lines[0] == "covariate,smd_before,smd_after,flagged"
+    return [float(cell) for ln in lines[1:] for cell in ln.split(",")[1:3]]
+
+
 def hash_dir(path: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(path.iterdir())}
@@ -44,6 +59,11 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig.from_dict({"modles": []})
+
+    @pytest.mark.parametrize("model,match", BAD_MODELS)
+    def test_bad_model_spec_rejected_at_load(self, model, match):
+        with pytest.raises(ConfigError, match=match):
+            RunConfig.from_dict({"models": [model]})
 
     def test_config_hash_stable_and_sensitive(self):
         c1 = RunConfig.from_dict(TINY)
@@ -132,6 +152,10 @@ class TestEmitReport:
         finally:
             locked.chmod(stat.S_IRWXU)
 
+    def test_balance_cells_are_plain_numbers(self, tiny_report, tmp_path):
+        emit_report(tiny_report, tmp_path / "out")
+        assert len(balance_numbers(tmp_path / "out" / "balance.csv")) == 2 * 8
+
     def test_report_numbers_trace_to_csvs(self, tiny_report, tmp_path):
         out = tmp_path / "out"
         emit_report(tiny_report, out)
@@ -179,6 +203,14 @@ class TestCli:
         assert self.run_cli("run", "--config", str(bad),
                             "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("model", [m for m, _ in BAD_MODELS])
+    def test_bad_model_spec_exit_code(self, model, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(dict(TINY, models=[model])))
+        assert self.run_cli("rank", "--config", str(cfgp),
+                            "--out", str(tmp_path / "r")) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_config_file_exit_code(self, tmp_path):
         assert self.run_cli("run", "--config", str(tmp_path / "nope.json"),
                             "--out", str(tmp_path / "x")) == 1
@@ -216,6 +248,7 @@ class TestCli:
                             "--data", str(tmp_path / "sim" / "observed.csv"),
                             "--schema", str(tmp_path / "sim" / "observed_schema.json"),
                             "--out", str(tmp_path / "bal")) == 0
+        assert len(balance_numbers(tmp_path / "bal" / "balance.csv")) == 2 * 8
 
     def test_analyze_sensitivity_validate(self, tmp_path):
         cfgp = tmp_path / "cfg.json"

@@ -1,0 +1,156 @@
+"""The presorted split search grows exactly the trees of a per-node sort, and
+the tree estimators validate their hyperparameters and keep no reference to
+their inputs after ``fit``."""
+import gc
+import json
+import weakref
+
+import numpy as np
+import pytest
+
+import tree_oracle
+from proxyrank import trees
+from proxyrank.trees import (GradientBoostedTrees, RandomForest, RegressionTree,
+                             _presort, _presort_sample)
+
+
+def tie_heavy(seed: int, n: int, k: int):
+    """Integer, rounded, one-hot and continuous columns plus a copy of the
+    second one, and an outcome and weights with few distinct values. Even
+    seeds duplicate a quarter of the rows and draw integer outcomes with
+    weights 1 and 2 (exactly tied cuts); odd seeds keep the continuous
+    columns free of ties and draw rounded outcomes with four weights."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for j in range(k):
+        kind = j % 4
+        if kind == 0:
+            cols.append(rng.integers(0, 4, n).astype(float))
+        elif kind == 1:
+            cols.append(np.round(rng.standard_normal(n), 1))
+        elif kind == 2:
+            cols.append((rng.integers(0, 3, n) == j % 3).astype(float))
+        else:
+            cols.append(rng.standard_normal(n))
+    F = np.column_stack(cols + [cols[min(1, k - 1)]])
+    if seed % 2 == 0:
+        F[: n // 4] = F[rng.integers(0, n, n // 4)]
+        y = rng.integers(0, 3, n) + F[:, 0]
+        w = rng.choice([1.0, 2.0], n)
+    else:
+        y = F[:, 0] * (F[:, -1] > 0) + np.round(rng.standard_normal(n), 1)
+        w = rng.choice([0.5, 1.0, 2.0, 3.7], n)
+    return F, y, w
+
+
+def dump(model) -> str:
+    return json.dumps(model.to_dict())
+
+
+def with_oracle(monkeypatch, make, F, y, w) -> str:
+    """The model ``make()`` fits when every tree grows by per-node sorts."""
+    with monkeypatch.context() as m:
+        m.setattr(RegressionTree, "fit", tree_oracle.fit)
+        return dump(make().fit(F, y, w))
+
+
+CASES = [(seed, leaf, max_features, max_depth)
+         for seed, (leaf, max_features, max_depth) in enumerate(
+             [(1, None, None), (2, 3, None), (3, None, 6), (4, 1, 3), (5, 5, None),
+              (1, 2, 8), (5, None, 0), (3, 4, None)])]
+
+
+class TestPresortedSearchMatchesPerNodeSort:
+    # block sizes: the default (one block per node here), one feature per
+    # block, and blocks of a few features (ties decided across blocks)
+    @pytest.mark.parametrize("block", [trees._BLOCK, 1, 300])
+    @pytest.mark.parametrize("seed,leaf,max_features,max_depth", CASES)
+    def test_tree(self, seed, leaf, max_features, max_depth, block, monkeypatch):
+        monkeypatch.setattr(trees, "_BLOCK", block)
+        F, y, w = tie_heavy(seed, 60 + 37 * seed, 2 + seed % 6)
+        tree = RegressionTree(max_depth=max_depth, min_samples_leaf=leaf,
+                              max_features=max_features, seed=seed)
+        oracle = RegressionTree(max_depth=max_depth, min_samples_leaf=leaf,
+                                max_features=max_features, seed=seed)
+        assert dump(tree.fit(F, y, w)) == dump(tree_oracle.fit(oracle, F, y, w))
+
+    @pytest.mark.parametrize("seed,leaf,max_depth", [(0, 1, None), (1, 3, 5), (2, 5, None)])
+    def test_forest(self, seed, leaf, max_depth, monkeypatch):
+        F, y, w = tie_heavy(seed, 150, 7)
+
+        def make():
+            return RandomForest(n_trees=3, min_samples_leaf=leaf, max_depth=max_depth,
+                                seed=seed)
+        assert dump(make().fit(F, y, w)) == with_oracle(monkeypatch, make, F, y, w)
+
+    @pytest.mark.parametrize("seed,leaf,max_depth", [(0, 1, 3), (1, 4, 2), (2, 2, None)])
+    def test_boosting(self, seed, leaf, max_depth, monkeypatch):
+        F, y, w = tie_heavy(seed, 120, 5)
+
+        def make():
+            return GradientBoostedTrees(n_rounds=5, max_depth=max_depth,
+                                        min_samples_leaf=leaf, seed=seed)
+        assert dump(make().fit(F, y, w)) == with_oracle(monkeypatch, make, F, y, w)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_resample_presort_equals_fresh_sort(self, seed):
+        rng = np.random.default_rng(seed)
+        F, _, _ = tie_heavy(seed, 90, 8)
+        F[rng.integers(0, 90, 2), 3] = np.nan
+        rows = rng.permutation(90) if seed % 2 else rng.integers(0, 90, 90)
+        got_order, got_tied = _presort_sample(F[rows], rows, _presort(F))
+        want_order, want_tied = _presort(F[rows])
+        np.testing.assert_array_equal(got_order, want_order)
+        np.testing.assert_array_equal(got_tied, want_tied)
+
+
+class TestInputsFreedAfterFit:
+    @pytest.mark.parametrize("make", [
+        lambda: RegressionTree(),
+        lambda: RandomForest(n_trees=2),
+        lambda: GradientBoostedTrees(n_rounds=2),
+    ])
+    def test_no_reference_cycle_keeps_inputs_alive(self, make):
+        F, y, w = tie_heavy(0, 200, 4)
+        X = F.copy()
+        fit_ref, predict_ref = weakref.ref(F), weakref.ref(X)
+        gc.disable()
+        try:
+            model = make().fit(F, y, w)
+            del F
+            assert fit_ref() is None
+            assert model.predict(X).shape == (200,)
+            del X
+            assert predict_ref() is None
+        finally:
+            gc.enable()
+
+
+class TestDegenerateHyperparameters:
+    def test_forest_needs_a_tree(self):
+        with pytest.raises(ValueError, match="n_trees"):
+            RandomForest(n_trees=0)
+
+    @pytest.mark.parametrize("cls", [RegressionTree, RandomForest, GradientBoostedTrees])
+    def test_min_samples_leaf_positive(self, cls):
+        with pytest.raises(ValueError, match="min_samples_leaf"):
+            cls(min_samples_leaf=0)
+
+    @pytest.mark.parametrize("cls", [RegressionTree, RandomForest, GradientBoostedTrees])
+    def test_max_depth_non_negative(self, cls):
+        with pytest.raises(ValueError, match="max_depth"):
+            cls(max_depth=-1)
+
+    def test_max_features_positive(self):
+        with pytest.raises(ValueError, match="max_features"):
+            RegressionTree(max_features=0)
+
+    @pytest.mark.parametrize("shrinkage", [0.0, 2.0, -0.1])
+    def test_shrinkage_in_open_interval(self, shrinkage):
+        with pytest.raises(ValueError, match="shrinkage"):
+            GradientBoostedTrees(shrinkage=shrinkage)
+
+    def test_boundary_values_accepted(self):
+        RegressionTree(max_depth=0, min_samples_leaf=1, max_features=1)
+        RandomForest(n_trees=1, max_depth=None)
+        GradientBoostedTrees(shrinkage=1.99, max_depth=0)
