@@ -8,6 +8,7 @@ being ranked).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +72,13 @@ class PreparedCohort:
     trimmed: Dataset
     fit: PropensityFit
     weights: np.ndarray
-    balance: BalanceReport
+    balance_threshold: float
+
+    @cached_property
+    def balance(self) -> BalanceReport:
+        """Covariate balance of the weighted, trimmed cohort, computed on first
+        read: the sensitivity sweep's cohorts never need it."""
+        return balance_report(self.trimmed, self.weights, self.balance_threshold)
 
 
 @dataclass
@@ -88,9 +95,8 @@ def prepare_cohort(d: Dataset, cfg: AnalysisConfig = AnalysisConfig()) -> Prepar
                          max_iter=cfg.propensity_max_iter)
     trimmed, fit_t = trim_extremes(fit, d, cfg.trim_lo, cfg.trim_hi)
     weights = stabilized_weights(fit_t, trimmed)
-    balance = balance_report(trimmed, weights, cfg.balance_threshold)
     return PreparedCohort(full=d, trimmed=trimmed, fit=fit_t, weights=weights,
-                          balance=balance)
+                          balance_threshold=cfg.balance_threshold)
 
 
 def analyze_model(prepared: PreparedCohort, spec: ModelSpec,

@@ -19,9 +19,9 @@ from . import __version__
 from .analysis import analyze_model, prepare_cohort
 from .data import Dataset, SchemaError, load_dataset, load_schema, save_dataset
 from .outcomes import compute_ite
-from .pipeline import RunConfig, emit_report, run_pipeline, write_csv
+from .pipeline import (RunConfig, emit_report, run_pipeline, sweep_models, write_csv,
+                       write_sensitivity)
 from .ranking import select_top_percentile
-from .sensitivity import SensitivityReport, confounding_overlap, placebo_test
 from .simulate import ConfigError, simulate_cohort
 from .rng import derive_seed
 from .validation import simulate_campaign, validate_ranking_splits
@@ -153,31 +153,12 @@ def cmd_rank(args) -> int:
 def cmd_sensitivity(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    chash = cfg.config_hash()
     d = _dataset_for(cfg, args)
-    placebo_seed = derive_seed(cfg.master_seed, "placebo")
-    sens_seed = derive_seed(cfg.master_seed, "sensitivity")
-    payload = {}
-    rows = []
-    for spec in cfg.models:
-        placebo = placebo_test(d, spec, cfg.analysis, seed=placebo_seed,
-                               n_bootstrap=cfg.placebo_bootstrap)
-        sens = confounding_overlap(d, spec, list(cfg.sensitivity_configs),
-                                   runs=cfg.sensitivity_runs, cfg=cfg.analysis,
-                                   seed=sens_seed)
-        full = SensitivityReport(placebo=placebo, records=sens.records,
-                                 summaries=sens.summaries)
-        payload[spec.name()] = full.to_dict()
-        for rec in sens.records:
-            rows.append([spec.name(), rec.config_index, rec.run, repr(rec.overlap),
-                         repr(rec.rank_rmse_vs_baseline), repr(rec.corr_u_a),
-                         repr(rec.corr_u_y)])
-    (out / "sensitivity.json").write_text(
-        json.dumps({"config_hash": chash, "models": payload}, sort_keys=True, indent=1),
-        encoding="utf-8")
-    write_csv(out / "overlap.csv", chash,
-               ["model", "config", "run", "overlap", "rank_rmse", "corr_u_a", "corr_u_y"],
-               rows)
+    swept = sweep_models(d, cfg)
+    for _, exc in swept:  # the first model to fail ends the command
+        if exc is not None:
+            raise exc
+    write_sensitivity(out, cfg.config_hash(), [mr for mr, _ in swept])
     print(f"wrote sensitivity.json, overlap.csv to {out}")
     return 0
 

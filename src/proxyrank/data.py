@@ -195,6 +195,11 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
         rows = list(reader)
     if not rows:
         raise DataValidationError("no data rows")
+    width = len(header)
+    long_row = next((i for i, row in enumerate(rows) if len(row) > width), None)
+    if long_row is not None:
+        raise DataValidationError(f"row {long_row} has {len(rows[long_row])} cells; "
+                                  f"the header has {width}")
 
     col_index = {name: j for j, name in enumerate(header)}
     tre_col = schema["treatment"]

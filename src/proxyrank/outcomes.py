@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -158,9 +159,26 @@ def load_model(path: str | Path) -> OutcomeModel:
     return OutcomeModel.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+# Out-of-range hyperparameter values of the non-tree families:
+# family -> ((name, is_bad, message), ...). The tree classes check their own.
+_BAD_VALUES = {
+    "linear_wls": (("l2", lambda v: v < 0, "l2 must be >= 0"),),
+    "svr_linear": (("C", lambda v: v <= 0, "svr_linear requires C > 0 and epsilon >= 0"),
+                   ("epsilon", lambda v: v < 0, "svr_linear requires C > 0 and epsilon >= 0")),
+}
+
+
+def _check_values(family: str, hyperparams: dict) -> None:
+    """Raise ModelError for an out-of-range value in ``hyperparams``; names
+    it does not hold are not checked. The fitters call this with their
+    arguments and ``check_hyperparams`` with a config's."""
+    for name, is_bad, message in _BAD_VALUES.get(family, ()):
+        if name in hyperparams and is_bad(hyperparams[name]):
+            raise ModelError(message)
+
+
 def _fit_linear_wls(D, y, w, l2=0.0):
-    if l2 < 0:
-        raise ModelError("l2 must be >= 0")
+    _check_values("linear_wls", {"l2": l2})
     sq = np.sqrt(w)
     if l2 == 0.0:
         coef, *_ = np.linalg.lstsq(D * sq[:, None], y * sq, rcond=None)
@@ -255,8 +273,7 @@ def _fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
     The outcome is standardized internally so the default step sizes are
     scale-free in y; the design is consumed raw.
     """
-    if C <= 0 or epsilon < 0:
-        raise ModelError("svr_linear requires C > 0 and epsilon >= 0")
+    _check_values("svr_linear", {"C": C, "epsilon": epsilon})
     y_mean, y_scale = float(y.mean()), float(y.std()) or 1.0
     yn = (y - y_mean) / y_scale
     wn = w / w.mean()
@@ -269,17 +286,18 @@ def _fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
         order = rng.permutation(n)
         for s in range(0, n, batch_size):
             b = order[s:s + batch_size]
+            Db, yb, wb = D[b], yn[b], wn[b]
             t += 1
-            lr = lr0 / np.sqrt(t)
-            resid = yn[b] - D[b] @ theta
+            lr = lr0 / math.sqrt(t)
+            resid = yb - Db @ theta
             outside = np.abs(resid) > epsilon
-            grad = lam * theta.copy()
-            grad[0] -= lam * theta[0]  # intercept unpenalized
+            grad = lam * theta
+            grad[0] = 0.0  # intercept unpenalized
             if outside.any():
-                grad -= (D[b][outside] *
-                         (wn[b][outside] * np.sign(resid[outside]))[:, None]).sum(axis=0) / len(b)
+                grad -= (Db[outside] *
+                         (wb[outside] * np.sign(resid[outside]))[:, None]).sum(axis=0) / len(b)
             if grad_clip is not None:
-                norm = float(np.linalg.norm(grad))
+                norm = math.sqrt(grad @ grad)
                 if norm > grad_clip:
                     grad *= grad_clip / norm
             theta = theta - lr * grad
@@ -295,9 +313,9 @@ _FITTERS = {"linear_wls": _fit_linear_wls, "linear_sgd": _fit_linear_sgd,
 
 
 def check_hyperparams(family: str, hyperparams: dict) -> None:
-    """Raise ModelError unless ``family`` is known and accepts every name in
-    ``hyperparams``. Tree families also check the values, by constructing
-    the estimator."""
+    """Raise ModelError unless ``family`` is known, accepts every name in
+    ``hyperparams``, and accepts each value. Tree families check the values
+    by constructing the estimator; the others with ``_check_values``."""
     if family not in FAMILIES:
         raise ModelError(f"unknown family {family!r}; choose from {FAMILIES}")
     if not isinstance(hyperparams, dict):
@@ -313,6 +331,10 @@ def check_hyperparams(family: str, hyperparams: dict) -> None:
     if unknown:
         raise ModelError(f"{family} does not accept hyperparams {unknown}; "
                          f"it accepts {accepted}")
+    try:
+        _check_values(family, hyperparams)
+    except TypeError as exc:
+        raise ModelError(f"bad {family} hyperparams: {exc}") from None
 
 
 def fit_outcome_model(d: Dataset, weights: np.ndarray | None = None,

@@ -17,13 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, analyze_model, prepare_cohort
+from .analysis import AnalysisConfig, AnalysisResult, ModelSpec
 from .data import Dataset
 from .outcomes import ModelError, check_hyperparams, compute_ite
 from .ranking import rank_rmse, select_top_percentile
 from .rng import derive_seed
 from .sensitivity import (ConfounderConfig, PlaceboResult, SensitivityReport,
-                          confounding_overlap, placebo_test)
+                          analyze_baselines, confounding_overlap, placebo_test)
 from .simulate import ConfigError, SimConfig, ground_truth_rank, simulate_cohort
 from .validation import DEFAULT_K_GRID, IVResult, simulate_campaign, validate_ranking_splits
 
@@ -234,30 +234,16 @@ def run_pipeline(cfg: RunConfig, dataset: Dataset | None = None) -> RunReport:
 
     report = RunReport(config=cfg, config_hash=cfg.config_hash(),
                        n=observed.n, k=observed.k, true_levels=true_levels)
-    placebo_seed = derive_seed(cfg.master_seed, "placebo")
-    sens_seed = derive_seed(cfg.master_seed, "sensitivity")
-
-    prepared = None
-    for spec in cfg.models:
-        mr = ModelReport(label=spec.name(), family=spec.family, causal=spec.causal)
+    for mr, exc in sweep_models(observed, cfg):
         report.model_reports.append(mr)
+        if mr.analysis is not None and true_levels is not None:
+            mr.rank_rmse_vs_truth = rank_rmse(mr.analysis.ranked.level, true_levels)
+        if exc is not None:
+            mr.error = f"{type(exc).__name__}: {exc}"
+            continue
         try:
-            if prepared is None:
-                prepared = prepare_cohort(observed, cfg.analysis)
-            result = analyze_model(prepared, spec, cfg.analysis)
-            mr.analysis = result
-            if true_levels is not None:
-                mr.rank_rmse_vs_truth = rank_rmse(result.ranked.level, true_levels)
-            mr.placebo = placebo_test(observed, spec, cfg.analysis, seed=placebo_seed,
-                                      baseline=result.ranked,
-                                      n_bootstrap=cfg.placebo_bootstrap)
-            sens = confounding_overlap(observed, spec, list(cfg.sensitivity_configs),
-                                       runs=cfg.sensitivity_runs, cfg=cfg.analysis,
-                                       seed=sens_seed, baseline=result)
-            mr.sensitivity = SensitivityReport(placebo=mr.placebo, records=sens.records,
-                                               summaries=sens.summaries)
             if campaign is not None:
-                predicted = compute_ite(result.model, campaign.data).ite
+                predicted = compute_ite(mr.analysis.model, campaign.data).ite
                 mr.campaign_predicted = predicted
                 mr.iv = validate_ranking_splits(campaign.with_predicted_ite(predicted),
                                                 k_grid=cfg.k_grid)
@@ -266,6 +252,43 @@ def run_pipeline(cfg: RunConfig, dataset: Dataset | None = None) -> RunReport:
         except Exception as exc:
             mr.error = f"{type(exc).__name__}: {exc}"
     return report
+
+
+def sweep_models(observed: Dataset,
+                 cfg: RunConfig) -> list[tuple[ModelReport, Exception | None]]:
+    """Baseline analysis, placebo test and confounder sweep of every model.
+
+    Each stage runs every model still going on each of its cohorts in turn,
+    so a cohort is prepared once per run, not once per model. Returns, per
+    model of ``cfg``, its report with ``analysis``, ``placebo`` and
+    ``sensitivity`` filled as far as the model got, and the exception that
+    ended its branch (None if none did).
+    """
+    specs = list(cfg.models)
+    baselines = analyze_baselines(observed, specs, cfg.analysis)
+    placebos = placebo_test(observed, specs, cfg.analysis,
+                            seed=derive_seed(cfg.master_seed, "placebo"),
+                            baselines=baselines, n_bootstrap=cfg.placebo_bootstrap)
+    # A model whose placebo test failed is not swept: its exception stands in
+    # for its baseline, and the sweep passes it through.
+    sweeps = confounding_overlap(
+        observed, specs, list(cfg.sensitivity_configs), runs=cfg.sensitivity_runs,
+        cfg=cfg.analysis, seed=derive_seed(cfg.master_seed, "sensitivity"),
+        baselines=[p if isinstance(p, Exception) else b
+                   for b, p in zip(baselines, placebos)])
+    out = []
+    for spec, base, placebo, sens in zip(specs, baselines, placebos, sweeps):
+        mr = ModelReport(label=spec.name(), family=spec.family, causal=spec.causal)
+        if not isinstance(base, Exception):
+            mr.analysis = base
+        if not isinstance(placebo, Exception):
+            mr.placebo = placebo
+        failure = sens if isinstance(sens, Exception) else None
+        if failure is None:
+            mr.sensitivity = SensitivityReport(placebo=placebo, records=sens.records,
+                                               summaries=sens.summaries)
+        out.append((mr, failure))
+    return out
 
 
 def summary_from_payload(payload: dict) -> str:
@@ -306,6 +329,25 @@ def write_csv(path: Path, config_hash: str, header: list[str], rows) -> None:
     for row in rows:
         lines.append(",".join(str(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_sensitivity(out: Path, config_hash: str,
+                      reports: list[ModelReport]) -> list[Path]:
+    """Write sensitivity.json and overlap.csv for reports that have a sweep."""
+    payload = {"config_hash": config_hash,
+               "models": {m.label: m.sensitivity.to_dict() for m in reports}}
+    (out / "sensitivity.json").write_text(json.dumps(payload, sort_keys=True, indent=1),
+                                          encoding="utf-8")
+    rows = []
+    for m in reports:
+        for rec in m.sensitivity.records:
+            rows.append([m.label, rec.config_index, rec.run, repr(rec.overlap),
+                         repr(rec.rank_rmse_vs_baseline), repr(rec.corr_u_a),
+                         repr(rec.corr_u_y)])
+    write_csv(out / "overlap.csv", config_hash,
+              ["model", "config", "run", "overlap", "rank_rmse", "corr_u_a", "corr_u_y"],
+              rows)
+    return [out / "sensitivity.json", out / "overlap.csv"]
 
 
 def emit_report(report: RunReport, outdir: str | Path) -> dict:
@@ -364,21 +406,7 @@ def emit_report(report: RunReport, outdir: str | Path) -> dict:
 
     sens_models = [m for m in report.model_reports if m.sensitivity is not None]
     if sens_models:
-        payload = {"config_hash": chash,
-                   "models": {m.label: m.sensitivity.to_dict() for m in sens_models}}
-        (out / "sensitivity.json").write_text(json.dumps(payload, sort_keys=True, indent=1),
-                                              encoding="utf-8")
-        written.append(out / "sensitivity.json")
-        rows = []
-        for m in sens_models:
-            for rec in m.sensitivity.records:
-                rows.append([m.label, rec.config_index, rec.run, repr(rec.overlap),
-                             repr(rec.rank_rmse_vs_baseline), repr(rec.corr_u_a),
-                             repr(rec.corr_u_y)])
-        write_csv(out / "overlap.csv", chash,
-                   ["model", "config", "run", "overlap", "rank_rmse", "corr_u_a", "corr_u_y"],
-                   rows)
-        written.append(out / "overlap.csv")
+        written += write_sensitivity(out, chash, sens_models)
 
     iv_models = [m for m in report.model_reports if m.iv is not None]
     if iv_models:

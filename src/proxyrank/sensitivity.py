@@ -7,6 +7,11 @@ U whose per-arm posterior mean blends a treatment-dependent prior with the
 arm's pooled outcomes, so U correlates with both treatment and outcome by
 construction; appending it to the feature set and re-running the analysis
 measures how much the ranking moves.
+
+Neither the placebo cohort nor the confounder draws depend on the model, so
+both tests take a list of models and run draw-major: each cohort is drawn
+and prepared once, every model is analyzed on it, and it is dropped before
+the next one is drawn.
 """
 from __future__ import annotations
 
@@ -14,9 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import AnalysisConfig, ModelSpec, run_analysis
+from .analysis import AnalysisConfig, ModelSpec, analyze_model, prepare_cohort
 from .data import Dataset, DataValidationError
-from .ranking import RankedCohort, rank_rmse
+from .ranking import rank_rmse
 from .rng import derive_seed, substream
 
 POSTERIOR_MODES = ("conjugate_corrected", "sum_scaled")
@@ -121,28 +126,60 @@ def _weighted_ate(y: np.ndarray, a: np.ndarray, w: np.ndarray) -> float:
                  - np.average(y[~treated], weights=w[~treated]))
 
 
-def placebo_test(d: Dataset, spec: ModelSpec, cfg: AnalysisConfig = AnalysisConfig(),
-                 seed: int = 0, baseline: RankedCohort | None = None,
-                 n_bootstrap: int = 200) -> PlaceboResult:
-    """Re-run the analysis with a fair-coin treatment.
+def _sweep(cohorts, specs: list[ModelSpec], baselines: list, cfg: AnalysisConfig,
+           record) -> list:
+    """The draw-major loop behind ``analyze_baselines``, ``placebo_test`` and
+    ``confounding_overlap``: the cohort is the outer loop, the model the inner.
 
-    Reports the stabilized-IPTW ATE of the placebo treatment with a seeded
-    bootstrap standard error (scores held fixed, marginal re-estimated per
-    resample) and the rank RMSE of the placebo ranking against the original
-    one. A sound estimator shows an ATE within noise of zero.
+    ``cohorts`` yields (key, dataset) pairs and is drawn one at a time. Each
+    dataset is prepared once, every spec still running is analyzed on it, and
+    ``record(i, key, result)`` turns spec i's result into a value. Returns,
+    per spec, the list of its values or the exception that ended it. A spec
+    whose entry in ``baselines`` is an exception is not run and keeps it; a
+    failing fit or record ends only its own spec; a failure to draw or
+    prepare a cohort ends every spec still running, with the error each of
+    them would have met when run on its own.
     """
-    if baseline is None:
-        baseline = run_analysis(d, spec, cfg).ranked
-    placebo_a = (substream(seed, "placebo-treatment").random(d.n) < 0.5).astype(np.int64)
-    placebo_d = d.with_treatment(placebo_a)
-    result = run_analysis(placebo_d, spec, cfg)
+    out = [b if isinstance(b, Exception) else [] for b in baselines]
+    cohorts = iter(cohorts)
+    while live := [i for i, o in enumerate(out) if isinstance(o, list)]:
+        try:
+            item = next(cohorts, None)
+            if item is None:
+                break
+            key, cohort = item
+            prepared = prepare_cohort(cohort, cfg)
+        except Exception as exc:
+            for i in live:
+                out[i] = exc.with_traceback(None)  # hold no frame of the cohort
+            break
+        for i in live:
+            try:
+                out[i].append(record(i, key, analyze_model(prepared, specs[i], cfg)))
+            except Exception as exc:
+                out[i] = exc.with_traceback(None)
+        del item, cohort, prepared  # only one sweep cohort is alive at a time
+    return out
 
-    trimmed = result.prepared.trimmed
-    weights = result.prepared.weights
+
+def analyze_baselines(d: Dataset, specs: list[ModelSpec],
+                      cfg: AnalysisConfig = AnalysisConfig()) -> list:
+    """Every spec's analysis of ``d``, all on one prepared cohort.
+
+    Returns one ``AnalysisResult`` per spec, or the exception its analysis
+    raised; these are the baselines the sweeps compare against.
+    """
+    out = _sweep([(None, d)], specs, [None] * len(specs), cfg,
+                 lambda i, key, result: result)
+    return [o if isinstance(o, Exception) else o[0] for o in out]
+
+
+def _placebo_ate(prepared, seed: int, n_bootstrap: int) -> tuple[float, float]:
+    """Stabilized-IPTW ATE of the placebo cohort and its bootstrap SE."""
+    trimmed = prepared.trimmed
     y, a = trimmed.outcome, trimmed.treatment
-    ate = _weighted_ate(y, a, weights)
-
-    scores = result.prepared.fit.scores
+    ate = _weighted_ate(y, a, prepared.weights)
+    scores = prepared.fit.scores
     rng = substream(seed, "placebo-bootstrap")
     draws = np.empty(n_bootstrap)
     m = trimmed.n
@@ -155,10 +192,40 @@ def placebo_test(d: Dataset, spec: ModelSpec, cfg: AnalysisConfig = AnalysisConf
         p = float(ab.mean())
         wb = np.where(ab == 1, p / eb, (1.0 - p) / (1.0 - eb))
         draws[b] = _weighted_ate(yb, ab, wb)
-    se = float(np.nanstd(draws, ddof=1))
-    return PlaceboResult(ate_estimate=ate, ate_se=se,
-                         rank_rmse_vs_original=rank_rmse(result.ranked.level, baseline.level),
-                         levels=result.ranked.level)
+    return ate, float(np.nanstd(draws, ddof=1))
+
+
+def placebo_test(d: Dataset, specs: list[ModelSpec],
+                 cfg: AnalysisConfig = AnalysisConfig(), seed: int = 0,
+                 baselines: list | None = None, n_bootstrap: int = 200) -> list:
+    """Re-run every spec's analysis with one fair-coin treatment.
+
+    Reports the stabilized-IPTW ATE of the placebo treatment with a seeded
+    bootstrap standard error (scores held fixed, marginal re-estimated per
+    resample) and the rank RMSE of each placebo ranking against the spec's
+    original one. A sound estimator shows an ATE within noise of zero. The
+    placebo cohort is prepared once, and its ATE and SE, which depend on no
+    model, are computed once. ``baselines`` are the specs' analyses of ``d``
+    (``analyze_baselines``; computed here when omitted); a spec whose entry
+    is an exception is not run and gets that exception back. Returns one
+    ``PlaceboResult`` per spec, or the exception that ended the spec.
+    """
+    if baselines is None:
+        baselines = analyze_baselines(d, specs, cfg)
+    placebo_a = (substream(seed, "placebo-treatment").random(d.n) < 0.5).astype(np.int64)
+    ate_se = None
+
+    def record(i, key, result):
+        nonlocal ate_se
+        if ate_se is None:
+            ate_se = _placebo_ate(result.prepared, seed, n_bootstrap)
+        return PlaceboResult(
+            ate_estimate=ate_se[0], ate_se=ate_se[1],
+            rank_rmse_vs_original=rank_rmse(result.ranked.level, baselines[i].ranked.level),
+            levels=result.ranked.level)
+
+    out = _sweep([(None, d.with_treatment(placebo_a))], specs, baselines, cfg, record)
+    return [o if isinstance(o, Exception) else o[0] for o in out]
 
 
 @dataclass(frozen=True)
@@ -212,32 +279,8 @@ class SensitivityReport:
                 "summaries": [s.to_dict() for s in self.summaries]}
 
 
-def confounding_overlap(d: Dataset, spec: ModelSpec,
-                        configs: list[ConfounderConfig], runs: int = 3,
-                        cfg: AnalysisConfig = AnalysisConfig(), seed: int = 0,
-                        baseline=None) -> SensitivityReport:
-    """Append a synthetic confounder, re-run the analysis, measure stability.
-
-    For each (config, run) a confounder is drawn from a seed that depends on
-    (seed, config index, run index) only, never on the model, so different
-    models evaluated with the same arguments face identical confounder
-    draws. Reports the overlap of strictly-above-median units and the rank
-    RMSE between baseline and confounded-run levels.
-    """
-    if baseline is None:
-        baseline = run_analysis(d, spec, cfg)
-    records = []
-    for ci, ccfg in enumerate(configs):
-        for r in range(runs):
-            draw_cfg = replace(ccfg, seed=derive_seed(seed, "confounder-run", ci, r))
-            u, corr_a, corr_y = generate_confounder(d, draw_cfg)
-            d_conf = d.with_covariate(f"u_synth_{ci}_{r}", u)
-            result = run_analysis(d_conf, spec, cfg)
-            records.append(ConfoundingRecord(
-                config_index=ci, alpha=ccfg.alpha, epsilon=ccfg.epsilon, run=r,
-                corr_u_a=corr_a, corr_u_y=corr_y,
-                overlap=overlap_fraction(baseline.ites.ite, result.ites.ite),
-                rank_rmse_vs_baseline=rank_rmse(baseline.ranked.level, result.ranked.level)))
+def _summarize(records: list[ConfoundingRecord],
+               configs: list[ConfounderConfig]) -> SensitivityReport:
     summaries = []
     for ci, ccfg in enumerate(configs):
         sub = [rec for rec in records if rec.config_index == ci]
@@ -249,3 +292,42 @@ def confounding_overlap(d: Dataset, spec: ModelSpec,
             mean_rank_rmse=float(rr.mean()), sd_rank_rmse=float(rr.std(ddof=1)) if len(rr) > 1 else 0.0))
     return SensitivityReport(placebo=None, records=tuple(records),
                              summaries=tuple(summaries))
+
+
+def confounding_overlap(d: Dataset, specs: list[ModelSpec],
+                        configs: list[ConfounderConfig], runs: int = 3,
+                        cfg: AnalysisConfig = AnalysisConfig(), seed: int = 0,
+                        baselines: list | None = None) -> list:
+    """Append a synthetic confounder, re-run every spec's analysis, measure
+    stability.
+
+    For each (config, run) a confounder is drawn from a seed that depends on
+    (seed, config index, run index) only, never on the model, so every spec
+    faces identical draws. Each confounded cohort is drawn and prepared once
+    and analyzed with every spec before the next is drawn. Reports the
+    overlap of strictly-above-median units and the rank RMSE between
+    baseline and confounded-run levels. ``baselines`` are as in
+    ``placebo_test``. Returns one ``SensitivityReport`` per spec, or the
+    exception that ended the spec.
+    """
+    if baselines is None:
+        baselines = analyze_baselines(d, specs, cfg)
+
+    def cohorts():
+        for ci, ccfg in enumerate(configs):
+            for r in range(runs):
+                draw_cfg = replace(ccfg, seed=derive_seed(seed, "confounder-run", ci, r))
+                u, corr_a, corr_y = generate_confounder(d, draw_cfg)
+                yield (ci, r, corr_a, corr_y), d.with_covariate(f"u_synth_{ci}_{r}", u)
+
+    def record(i, key, result):
+        ci, r, corr_a, corr_y = key
+        base = baselines[i]
+        return ConfoundingRecord(
+            config_index=ci, alpha=configs[ci].alpha, epsilon=configs[ci].epsilon, run=r,
+            corr_u_a=corr_a, corr_u_y=corr_y,
+            overlap=overlap_fraction(base.ites.ite, result.ites.ite),
+            rank_rmse_vs_baseline=rank_rmse(base.ranked.level, result.ranked.level))
+
+    out = _sweep(cohorts(), specs, baselines, cfg, record)
+    return [o if isinstance(o, Exception) else _summarize(o, configs) for o in out]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DataValidationError, GroundTruth
+from .propensity import _sigmoid
 from .rng import substream
 
 
@@ -40,15 +41,6 @@ _DEFAULT_COMPLIANCE = {
 
 def _logit(p: float) -> float:
     return float(np.log(p / (1.0 - p)))
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, DataValidationError, GroundTruth
+from .propensity import _sigmoid
 from .ranking import top_fraction_indices
 from .rng import substream
-from .simulate import ConfigError, SimConfig, _assemble_covariates, _draw_components, _logit, _sigmoid
+from .simulate import ConfigError, SimConfig, _assemble_covariates, _draw_components, _logit
 
 
 class WeakInstrumentError(ValueError):

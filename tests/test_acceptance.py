@@ -105,8 +105,8 @@ class TestCriterion4Placebo:
         base = clean_runs["runs"][0]
         observed = base["sim"].observed
         lines = []
-        for spec in (LINEAR, SVR):
-            res = placebo_test(observed, spec, ACFG, seed=101)
+        results = placebo_test(observed, [LINEAR, SVR], ACFG, seed=101)
+        for spec, res in zip((LINEAR, SVR), results):
             assert abs(res.ate_estimate) <= 2.0 * res.ate_se, \
                 f"{spec.label}: placebo ATE {res.ate_estimate:.3f} beyond 2 x {res.ate_se:.3f}"
             vs_truth = rank_rmse(res.levels, base["truth"])

@@ -83,6 +83,12 @@ class TestLoad:
         with pytest.raises(DataValidationError, match="row 1"):
             load_dataset(csv, SCHEMA)
 
+    def test_long_row_names_row(self, tmp_path):
+        csv = write_csv(tmp_path / "l.csv",
+                        "x0,x1,a,y\n0.0,1.0,1,2.0\n0.0,1.0,1,2.0,99\n")
+        with pytest.raises(DataValidationError, match="row 1 has 5 cells; the header has 4"):
+            load_dataset(csv, SCHEMA)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError, match="not found"):
             load_dataset(tmp_path / "nope.csv", SCHEMA)

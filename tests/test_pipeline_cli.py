@@ -24,6 +24,10 @@ BAD_MODELS = [
     ({"family": "boosted_trees", "hyperparams": {"n_round": 5}}, "n_round"),
     ({"family": "svr_linear", "hyperparams": {"epoch": 5}}, "epoch"),
     ({"family": "forest", "hyperparams": {"n_trees": 0}}, "n_trees"),
+    ({"family": "linear_wls", "hyperparams": {"l2": -1}}, "l2 must be >= 0"),
+    ({"family": "svr_linear", "hyperparams": {"C": 0}}, "C > 0"),
+    ({"family": "svr_linear", "hyperparams": {"epsilon": -0.5}}, "epsilon >= 0"),
+    ({"family": "linear_wls", "hyperparams": {"l2": "big"}}, "bad linear_wls hyperparams"),
 ]
 
 

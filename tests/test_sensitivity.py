@@ -116,20 +116,20 @@ class TestPlacebo:
         X = rng.standard_normal((300, 3))
         a = np.resize([0, 1], 300)
         d = Dataset(X, a, np.full(300, 7.5))
-        res = placebo_test(d, FAST, seed=3, n_bootstrap=50)
+        res, = placebo_test(d, [FAST], seed=3, n_bootstrap=50)
         assert abs(res.ate_estimate) < 1e-9
 
     def test_clean_simulation_placebo(self, small_sim):
         # seeded draw verified typical: across 20 placebo seeds the z-scores
         # average 0.14 with every draw inside 2 bootstrap SEs
-        res = placebo_test(small_sim.observed, FAST, seed=0, n_bootstrap=100)
+        res, = placebo_test(small_sim.observed, [FAST], seed=0, n_bootstrap=100)
         assert abs(res.ate_estimate) <= 2.0 * res.ate_se
         # placebo ranking carries no signal about the original one
         assert res.rank_rmse_vs_original > 1.0
 
     def test_deterministic(self, small_sim):
-        r1 = placebo_test(small_sim.observed, FAST, seed=5, n_bootstrap=40)
-        r2 = placebo_test(small_sim.observed, FAST, seed=5, n_bootstrap=40)
+        r1, = placebo_test(small_sim.observed, [FAST], seed=5, n_bootstrap=40)
+        r2, = placebo_test(small_sim.observed, [FAST], seed=5, n_bootstrap=40)
         assert r1.ate_estimate == r2.ate_estimate
         assert r1.ate_se == r2.ate_se
 
@@ -137,7 +137,7 @@ class TestPlacebo:
 class TestConfoundingOverlap:
     def test_records_and_summaries_structure(self, small_sim):
         cfgs = [ConfounderConfig(alpha=1e3, epsilon=1e6)]
-        report = confounding_overlap(small_sim.observed, FAST, cfgs, runs=2, seed=9)
+        report, = confounding_overlap(small_sim.observed, [FAST], cfgs, runs=2, seed=9)
         assert len(report.records) == 2
         assert len(report.summaries) == 1
         for rec in report.records:
@@ -151,9 +151,9 @@ class TestConfoundingOverlap:
         # confounder draws depend only on (seed, config, run), so two models
         # see identical perturbations
         cfgs = [ConfounderConfig(alpha=1e3, epsilon=1e6)]
-        rep1 = confounding_overlap(small_sim.observed, FAST, cfgs, runs=2, seed=17)
+        rep1, = confounding_overlap(small_sim.observed, [FAST], cfgs, runs=2, seed=17)
         svr = ModelSpec(family="svr_linear", hyperparams={"epochs": 3}, label="svr")
-        rep2 = confounding_overlap(small_sim.observed, svr, cfgs, runs=2, seed=17)
+        rep2, = confounding_overlap(small_sim.observed, [svr], cfgs, runs=2, seed=17)
         for a, b in zip(rep1.records, rep2.records):
             assert a.corr_u_a == b.corr_u_a
             assert a.corr_u_y == b.corr_u_y
