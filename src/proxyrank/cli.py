@@ -16,15 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import analyze_model, prepare_cohort
+from .analysis import prepare_cohort
 from .data import Dataset, SchemaError, load_dataset, load_schema, save_dataset
-from .outcomes import compute_ite
-from .pipeline import (RunConfig, emit_report, run_pipeline, sweep_models, write_csv,
-                       write_sensitivity)
-from .ranking import select_top_percentile
+from .pipeline import (REPORT_FILES, RunConfig, analyze_models, draw_campaign, emit_report,
+                       read_json_object, run_pipeline, sweep_models, validate_model,
+                       write_balance, write_cate_by_k, write_csv, write_json, write_manifest,
+                       write_ranking, write_sensitivity, write_summary)
 from .simulate import ConfigError, simulate_cohort
-from .rng import derive_seed
-from .validation import simulate_campaign, validate_ranking_splits
 
 _CONFIG_ERRORS = (ConfigError, SchemaError, json.JSONDecodeError)
 
@@ -57,61 +55,43 @@ def cmd_simulate(args) -> int:
     sim_out = simulate_cohort(cfg.resolved_sim())
     schema_obs = save_dataset(sim_out.observed, out / "observed.csv",
                               header_comment=f"config_hash={chash}")
-    (out / "observed_schema.json").write_text(
-        json.dumps({"config_hash": chash, **schema_obs}, sort_keys=True, indent=1),
-        encoding="utf-8")
+    write_json(out / "observed_schema.json", {"config_hash": chash, **schema_obs})
     schema_or = save_dataset(sim_out.oracle, out / "oracle.csv",
                              include_ground_truth=True,
                              header_comment=f"config_hash={chash}")
-    (out / "oracle_schema.json").write_text(
-        json.dumps({"config_hash": chash, **schema_or}, sort_keys=True, indent=1),
-        encoding="utf-8")
-    echo = {"config_hash": chash, "master_seed": cfg.master_seed,
-            "version": __version__, "sim": asdict(cfg.resolved_sim())}
-    (out / "sim_config.json").write_text(json.dumps(echo, sort_keys=True, indent=1),
-                                         encoding="utf-8")
+    write_json(out / "oracle_schema.json", {"config_hash": chash, **schema_or})
+    write_json(out / "sim_config.json",
+               {"config_hash": chash, "master_seed": cfg.master_seed,
+                "version": __version__, "sim": asdict(cfg.resolved_sim())})
     print(f"wrote observed.csv, oracle.csv, sim_config.json to {out}")
     return 0
-
-
-def _prepared_and_models(cfg: RunConfig, d: Dataset):
-    prepared = prepare_cohort(d, cfg.analysis)
-    return prepared, [(spec, analyze_model(prepared, spec, cfg.analysis))
-                      for spec in cfg.models]
-
-
-def _write_balance(out: Path, chash: str, prepared) -> None:
-    balance = prepared.balance
-    rows = [[r.covariate, repr(r.smd_before), repr(r.smd_after),
-             int(r.smd_after > balance.threshold)] for r in balance.rows]
-    write_csv(out / "balance.csv", chash,
-               ["covariate", "smd_before", "smd_after", "flagged"], rows)
 
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
     chash = cfg.config_hash()
-    d = _dataset_for(cfg, args)
-    prepared, results = _prepared_and_models(cfg, d)
+    reports = analyze_models(_dataset_for(cfg, args), cfg)
     rows = []
-    for spec, res in results:
-        y1, y0 = res.ites.y_hat_1, res.ites.y_hat_0
+    for m in reports:
+        ites = m.analysis.ites
+        y1, y0 = ites.y_hat_1, ites.y_hat_0
         if cfg.analysis.report_range is not None:
             lo, hi = cfg.analysis.report_range
             y1, y0 = np.clip(y1, lo, hi), np.clip(y0, lo, hi)
-        for i in range(res.ites.index.size):
-            rows.append([spec.name(), i, repr(float(y1[i] - y0[i])),
+        for i in range(ites.index.size):
+            rows.append([m.label, i, repr(float(y1[i] - y0[i])),
                          repr(float(y1[i])), repr(float(y0[i]))])
     write_csv(out / "ite.csv", chash, ["model", "index", "ite", "y_hat_1", "y_hat_0"], rows)
-    _write_balance(out, chash, prepared)
+    prepared = reports[0].analysis.prepared
+    write_balance(out, chash, prepared)
     fit = prepared.fit
-    (out / "propensity.json").write_text(json.dumps({
+    write_json(out / "propensity.json", {
         "config_hash": chash, "marginal": fit.marginal, "converged": fit.converged,
         "n_iter": fit.n_iter, "grad_norm": fit.grad_norm,
         "intercept": fit.intercept, "coefficients": fit.coefficients.tolist(),
         "n_after_trim": prepared.trimmed.n, "n_before_trim": prepared.full.n,
-    }, sort_keys=True, indent=1), encoding="utf-8")
+    })
     print(f"wrote ite.csv, balance.csv, propensity.json to {out}")
     return 0
 
@@ -119,9 +99,8 @@ def cmd_analyze(args) -> int:
 def cmd_balance(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    d = _dataset_for(cfg, args)
-    prepared = prepare_cohort(d, cfg.analysis)
-    _write_balance(out, cfg.config_hash(), prepared)
+    prepared = prepare_cohort(_dataset_for(cfg, args), cfg.analysis)
+    write_balance(out, cfg.config_hash(), prepared)
     print(f"wrote balance.csv to {out}")
     return 0
 
@@ -129,23 +108,8 @@ def cmd_balance(args) -> int:
 def cmd_rank(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    chash = cfg.config_hash()
-    d = _dataset_for(cfg, args)
-    _, results = _prepared_and_models(cfg, d)
-    header = ["model", "index", "ite", "rank", "level"]
-    header += [f"top_{int(k) if float(k).is_integer() else k}" for k in cfg.k_grid]
-    rows = []
-    for spec, res in results:
-        ranked = res.ranked
-        tops = []
-        for k in cfg.k_grid:
-            flags = np.zeros(ranked.n, dtype=int)
-            flags[select_top_percentile(ranked, k)] = 1
-            tops.append(flags)
-        for i in range(ranked.n):
-            rows.append([spec.name(), i, repr(float(ranked.ite[i])), int(ranked.rank[i]),
-                         int(ranked.level[i])] + [int(f[i]) for f in tops])
-    write_csv(out / "ranking.csv", chash, header, rows)
+    reports = analyze_models(_dataset_for(cfg, args), cfg)
+    write_ranking(out, cfg.config_hash(), reports, cfg.k_grid)
     print(f"wrote ranking.csv to {out}")
     return 0
 
@@ -166,29 +130,11 @@ def cmd_sensitivity(args) -> int:
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    chash = cfg.config_hash()
-    d = _dataset_for(cfg, args)
-    _, results = _prepared_and_models(cfg, d)
-    campaign = simulate_campaign(replace(cfg.resolved_sim(),
-                                         seed=derive_seed(cfg.master_seed, "campaign")),
-                                 exposure=cfg.campaign_exposure)
-    rows = []
-    for spec, res in results:
-        predicted = compute_ite(res.model, campaign.data).ite
-        iv = validate_ranking_splits(campaign.with_predicted_ite(predicted),
-                                     k_grid=cfg.k_grid)
-        for rec in iv.records:
-            if rec.estimate is None:
-                rows.append([spec.name(), rec.k, rec.group, 0, "", "", "", rec.skipped or ""])
-            else:
-                est = rec.estimate
-                sep = iv.separation.get(rec.k)
-                rows.append([spec.name(), rec.k, rec.group, est.n_group,
-                             repr(est.first_stage), repr(est.cate), repr(est.se),
-                             "" if sep is None else int(sep)])
-    write_csv(out / "cate_by_k.csv", chash,
-               ["model", "k", "group", "n", "first_stage", "cate", "se", "separated"],
-               rows)
+    reports = analyze_models(_dataset_for(cfg, args), cfg)
+    campaign = draw_campaign(cfg)
+    for m in reports:
+        m.iv = validate_model(m, campaign, cfg.k_grid)
+    write_cate_by_k(out, cfg.config_hash(), reports)
     print(f"wrote cate_by_k.csv to {out}")
     return 0
 
@@ -210,23 +156,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .pipeline import summary_from_payload
-    src = Path(args.from_report)
-    if not src.exists():
-        raise ConfigError(f"report file not found: {src}")
-    payload = json.loads(src.read_text(encoding="utf-8"))
+    payload = read_json_object(args.from_report, "report")
     out = _outdir(args)
-    (out / "summary.md").write_text(summary_from_payload(payload), encoding="utf-8")
-    import hashlib
-    known = ["report.json", "ranking.csv", "balance.csv", "sensitivity.json",
-             "overlap.csv", "cate_by_k.csv", "summary.md"]
-    manifest = {}
-    for name in known:
-        p = out / name
-        if p.exists():
-            manifest[name] = hashlib.sha256(p.read_bytes()).hexdigest()
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1),
-                                       encoding="utf-8")
+    write_summary(out, payload)
+    write_manifest(out, [out / name for name in REPORT_FILES if (out / name).exists()])
     print(f"wrote summary.md, manifest.json to {out}")
     return 0
 

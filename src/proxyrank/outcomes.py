@@ -8,7 +8,6 @@ counterfactual predictions retained.
 Families
 --------
 linear_wls      closed-form weighted least squares
-linear_sgd      the same model fit by minibatch stochastic gradient descent
 poisson         log-link Poisson regression (IRLS), for non-negative outcomes
 svr_linear      linear epsilon-insensitive regression by subgradient descent
 tree / forest / boosted_trees
@@ -35,15 +34,13 @@ from .data import Dataset
 from .rng import substream
 from .trees import GradientBoostedTrees, RandomForest, RegressionTree
 
-FAMILIES = ("linear_wls", "linear_sgd", "poisson", "svr_linear",
-            "tree", "forest", "boosted_trees")
+FAMILIES = ("linear_wls", "poisson", "svr_linear", "tree", "forest", "boosted_trees")
 _TREE_CLASSES = {"tree": RegressionTree, "forest": RandomForest,
                  "boosted_trees": GradientBoostedTrees}
 _TREE_FAMILIES = tuple(_TREE_CLASSES)
 
 _LOSS_KIND = {
     "linear_wls": "squared_error",
-    "linear_sgd": "squared_error",
     "poisson": "poisson_deviance",
     "svr_linear": "epsilon_insensitive",
     "tree": "squared_error",
@@ -116,11 +113,6 @@ class OutcomeModel:
         D = self.feature_map.design(X, a)
         if self.family == "linear_wls":
             return D @ np.asarray(self.params["coefficients"])
-        if self.family == "linear_sgd":
-            mu = np.asarray(self.params["design_mean"])
-            sd = np.asarray(self.params["design_scale"])
-            theta = np.asarray(self.params["theta"])
-            return ((D - mu) / sd) @ theta * self.params["y_scale"] + self.params["y_mean"]
         if self.family == "poisson":
             eta = D @ np.asarray(self.params["coefficients"])
             return np.exp(np.clip(eta, -30.0, 30.0))
@@ -189,44 +181,6 @@ def _fit_linear_wls(D, y, w, l2=0.0):
         coef = np.linalg.solve(A + np.diag(pen), D.T @ (w * y))
     resid = y - D @ coef
     return coef, float(np.sum(w * resid ** 2))
-
-
-def _fit_linear_sgd(D, y, w, lr0=0.1, decay=200.0, epochs=80, batch_size=64, seed=0):
-    """Minibatch SGD on the standardized design with tail-iterate averaging."""
-    mu = D.mean(axis=0)
-    sd = D.std(axis=0)
-    sd[sd == 0.0] = 1.0
-    mu[0], sd[0] = 0.0, 1.0  # keep the intercept column as-is
-    Ds = (D - mu) / sd
-    y_mean, y_scale = float(y.mean()), float(y.std()) or 1.0
-    yn = (y - y_mean) / y_scale
-    wn = w / w.mean()
-    n, p = Ds.shape
-    theta = np.zeros(p)
-    rng = substream(seed, "linear-sgd")
-    t = 0
-    n_batches = max(1, -(-n // batch_size))
-    total = epochs * n_batches
-    tail_from = total - max(1, total // 4)
-    theta_sum = np.zeros(p)
-    n_avg = 0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for s in range(0, n, batch_size):
-            b = order[s:s + batch_size]
-            t += 1
-            lr = lr0 / (1.0 + t / decay)
-            resid = yn[b] - Ds[b] @ theta
-            grad = -(Ds[b] * (wn[b] * resid)[:, None]).mean(axis=0)
-            theta = theta - lr * grad
-            if t > tail_from:
-                theta_sum += theta
-                n_avg += 1
-    theta = theta_sum / n_avg if n_avg else theta
-    resid = y - (Ds @ theta * y_scale + y_mean)
-    params = {"theta": theta, "design_mean": mu, "design_scale": sd,
-              "y_mean": y_mean, "y_scale": y_scale}
-    return params, float(np.sum(w * resid ** 2)), t
 
 
 def _poisson_deviance(y, mu, w):
@@ -308,8 +262,7 @@ def _fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
     return params, loss, t
 
 
-_FITTERS = {"linear_wls": _fit_linear_wls, "linear_sgd": _fit_linear_sgd,
-            "poisson": _fit_poisson, "svr_linear": _fit_svr}
+_FITTERS = {"linear_wls": _fit_linear_wls, "poisson": _fit_poisson, "svr_linear": _fit_svr}
 
 
 def check_hyperparams(family: str, hyperparams: dict) -> None:
@@ -381,8 +334,6 @@ def fit_outcome_model(d: Dataset, weights: np.ndarray | None = None,
     if family == "linear_wls":
         coef, loss = _fit_linear_wls(D, y, w, **hyperparams)
         params, n_iter = {"coefficients": coef}, 1
-    elif family == "linear_sgd":
-        params, loss, n_iter = _fit_linear_sgd(D, y, w, **hyperparams)
     elif family == "poisson":
         coef, loss, n_iter = _fit_poisson(D, y, w, **hyperparams)
         params = {"coefficients": coef}

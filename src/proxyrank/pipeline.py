@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import AnalysisConfig, AnalysisResult, ModelSpec
+from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, PreparedCohort
 from .data import Dataset
 from .outcomes import ModelError, check_hyperparams, compute_ite
 from .ranking import rank_rmse, select_top_percentile
@@ -25,11 +25,33 @@ from .rng import derive_seed
 from .sensitivity import (ConfounderConfig, PlaceboResult, SensitivityReport,
                           analyze_baselines, confounding_overlap, placebo_test)
 from .simulate import ConfigError, SimConfig, ground_truth_rank, simulate_cohort
-from .validation import DEFAULT_K_GRID, IVResult, simulate_campaign, validate_ranking_splits
+from .validation import (DEFAULT_K_GRID, IVExperiment, IVResult, simulate_campaign,
+                         validate_ranking_splits)
 
 
 class StageError(RuntimeError):
     pass
+
+
+# Every file a run can emit besides manifest.json; the manifest lists those
+# of them that were written.
+REPORT_FILES = ("report.json", "ranking.csv", "balance.csv", "sensitivity.json",
+                "overlap.csv", "cate_by_k.csv", "summary.md")
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object stored at ``path``. Raises ConfigError, naming the file
+    as ``what``, when it is missing, is not valid JSON, or holds no object."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"{what} file not found: {p}")
+    try:
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} root must be a JSON object")
+    return raw
 
 
 def _default_models() -> tuple[ModelSpec, ...]:
@@ -143,16 +165,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
-        try:
-            raw = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json_object(path, "config"))
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -172,7 +185,6 @@ class ModelReport:
     sensitivity: SensitivityReport | None = None
     iv: IVResult | None = None
     analysis: AnalysisResult | None = None
-    campaign_predicted: np.ndarray | None = None
 
     def summary_dict(self) -> dict:
         out = {"label": self.label, "family": self.family, "causal": self.causal,
@@ -213,9 +225,8 @@ def run_pipeline(cfg: RunConfig, dataset: Dataset | None = None) -> RunReport:
     When ``dataset`` is given it replaces the simulated observed cohort (no
     oracle metrics in that case).
     """
-    sim_cfg = cfg.resolved_sim()
     if dataset is None:
-        sim_out = simulate_cohort(sim_cfg)
+        sim_out = simulate_cohort(cfg.resolved_sim())
         observed = sim_out.observed
         true_levels = ground_truth_rank(sim_out)
     else:
@@ -223,12 +234,9 @@ def run_pipeline(cfg: RunConfig, dataset: Dataset | None = None) -> RunReport:
         true_levels = (ground_truth_rank(dataset) if dataset.ground_truth is not None
                        else None)
 
-    campaign = None
-    campaign_error = None
+    campaign = campaign_error = None
     try:
-        campaign_seed = derive_seed(cfg.master_seed, "campaign")
-        campaign = simulate_campaign(replace(sim_cfg, seed=campaign_seed),
-                                     exposure=cfg.campaign_exposure)
+        campaign = draw_campaign(cfg)
     except Exception as exc:  # recorded per model below
         campaign_error = f"campaign stage failed: {exc}"
 
@@ -240,18 +248,43 @@ def run_pipeline(cfg: RunConfig, dataset: Dataset | None = None) -> RunReport:
             mr.rank_rmse_vs_truth = rank_rmse(mr.analysis.ranked.level, true_levels)
         if exc is not None:
             mr.error = f"{type(exc).__name__}: {exc}"
-            continue
-        try:
-            if campaign is not None:
-                predicted = compute_ite(mr.analysis.model, campaign.data).ite
-                mr.campaign_predicted = predicted
-                mr.iv = validate_ranking_splits(campaign.with_predicted_ite(predicted),
-                                                k_grid=cfg.k_grid)
-            elif campaign_error:
-                mr.error = campaign_error
-        except Exception as exc:
-            mr.error = f"{type(exc).__name__}: {exc}"
+        elif campaign is None:
+            mr.error = campaign_error
+        else:
+            try:
+                mr.iv = validate_model(mr, campaign, cfg.k_grid)
+            except Exception as exc:
+                mr.error = f"{type(exc).__name__}: {exc}"
     return report
+
+
+def draw_campaign(cfg: RunConfig) -> IVExperiment:
+    """The randomized campaign of ``cfg``: a fresh cohort from the run's own
+    campaign seed."""
+    return simulate_campaign(replace(cfg.resolved_sim(),
+                                     seed=derive_seed(cfg.master_seed, "campaign")),
+                             exposure=cfg.campaign_exposure)
+
+
+def validate_model(mr: ModelReport, campaign: IVExperiment, k_grid) -> IVResult:
+    """IV check of the model's ranking: its effect predictions on the
+    campaign cohort, split at each top-k% threshold."""
+    predicted = compute_ite(mr.analysis.model, campaign.data).ite
+    return validate_ranking_splits(campaign.with_predicted_ite(predicted), k_grid=k_grid)
+
+
+def analyze_models(observed: Dataset, cfg: RunConfig) -> list[ModelReport]:
+    """Every model's baseline analysis of ``observed``, on one prepared
+    cohort, as reports with ``analysis`` filled. Raises the exception of the
+    first model that failed."""
+    reports = []
+    for spec, base in zip(cfg.models, analyze_baselines(observed, list(cfg.models),
+                                                        cfg.analysis)):
+        if isinstance(base, Exception):
+            raise base
+        reports.append(ModelReport(label=spec.name(), family=spec.family,
+                                   causal=spec.causal, analysis=base))
+    return reports
 
 
 def sweep_models(observed: Dataset,
@@ -320,10 +353,6 @@ def summary_from_payload(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def write_csv(path: Path, config_hash: str, header: list[str], rows) -> None:
     lines = [f"# config_hash={config_hash}", ",".join(header)]
     for row in rows:
@@ -331,13 +360,52 @@ def write_csv(path: Path, config_hash: str, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8")
+
+
+def write_ranking(out: Path, config_hash: str, reports: list[ModelReport], k_grid,
+                  true_levels: np.ndarray | None = None) -> Path:
+    """Write ranking.csv: per model and unit the effect estimate, rank and
+    level, the true level when ``true_levels`` is given, and a 0/1 flag per
+    top-k% threshold of ``k_grid``."""
+    header = ["model", "index", "ite", "rank", "level"]
+    if true_levels is not None:
+        header.append("true_level")
+    header += [f"top_{int(k) if float(k).is_integer() else k}" for k in k_grid]
+    rows = []
+    for m in reports:
+        ranked = m.analysis.ranked
+        tops = [np.zeros(ranked.n, dtype=int) for _ in k_grid]
+        for flags, k in zip(tops, k_grid):
+            flags[select_top_percentile(ranked, k)] = 1
+        for i in range(ranked.n):
+            row = [m.label, i, repr(float(ranked.ite[i])), int(ranked.rank[i]),
+                   int(ranked.level[i])]
+            if true_levels is not None:
+                row.append(int(true_levels[i]))
+            row += [int(flags[i]) for flags in tops]
+            rows.append(row)
+    write_csv(out / "ranking.csv", config_hash, header, rows)
+    return out / "ranking.csv"
+
+
+def write_balance(out: Path, config_hash: str, prepared: PreparedCohort) -> Path:
+    """Write balance.csv: each covariate's SMD before and after weighting."""
+    balance = prepared.balance
+    rows = [[r.covariate, repr(r.smd_before), repr(r.smd_after),
+             int(r.smd_after > balance.threshold)] for r in balance.rows]
+    write_csv(out / "balance.csv", config_hash,
+              ["covariate", "smd_before", "smd_after", "flagged"], rows)
+    return out / "balance.csv"
+
+
 def write_sensitivity(out: Path, config_hash: str,
                       reports: list[ModelReport]) -> list[Path]:
     """Write sensitivity.json and overlap.csv for reports that have a sweep."""
-    payload = {"config_hash": config_hash,
-               "models": {m.label: m.sensitivity.to_dict() for m in reports}}
-    (out / "sensitivity.json").write_text(json.dumps(payload, sort_keys=True, indent=1),
-                                          encoding="utf-8")
+    write_json(out / "sensitivity.json",
+               {"config_hash": config_hash,
+                "models": {m.label: m.sensitivity.to_dict() for m in reports}})
     rows = []
     for m in reports:
         for rec in m.sensitivity.records:
@@ -348,6 +416,39 @@ def write_sensitivity(out: Path, config_hash: str,
               ["model", "config", "run", "overlap", "rank_rmse", "corr_u_a", "corr_u_y"],
               rows)
     return [out / "sensitivity.json", out / "overlap.csv"]
+
+
+def write_cate_by_k(out: Path, config_hash: str, reports: list[ModelReport]) -> Path:
+    """Write cate_by_k.csv: each model's high/low Wald estimates per
+    threshold, or the reason a group was skipped."""
+    rows = []
+    for m in reports:
+        for rec in m.iv.records:
+            if rec.estimate is None:
+                rows.append([m.label, rec.k, rec.group, 0, "", "", "", rec.skipped or ""])
+            else:
+                est = rec.estimate
+                sep = m.iv.separation.get(rec.k)
+                rows.append([m.label, rec.k, rec.group, est.n_group,
+                             repr(est.first_stage), repr(est.cate), repr(est.se),
+                             "" if sep is None else int(sep)])
+    write_csv(out / "cate_by_k.csv", config_hash,
+              ["model", "k", "group", "n", "first_stage", "cate", "se", "separated"], rows)
+    return out / "cate_by_k.csv"
+
+
+def write_summary(out: Path, payload: dict) -> Path:
+    """Write summary.md from a report.json-shaped dict."""
+    (out / "summary.md").write_text(summary_from_payload(payload), encoding="utf-8")
+    return out / "summary.md"
+
+
+def write_manifest(out: Path, paths: list[Path]) -> dict:
+    """Write manifest.json, mapping each file's name to its SHA-256; return
+    the mapping."""
+    manifest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    write_json(out / "manifest.json", manifest)
+    return manifest
 
 
 def emit_report(report: RunReport, outdir: str | Path) -> dict:
@@ -367,72 +468,19 @@ def emit_report(report: RunReport, outdir: str | Path) -> dict:
         raise StageError(f"output directory {out} is not writable: {exc}") from None
 
     chash = report.config_hash
-    written: list[Path] = []
-
-    report_path = out / "report.json"
-    report_path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=1),
-                           encoding="utf-8")
-    written.append(report_path)
-
+    write_json(out / "report.json", report.to_dict())
+    written = [out / "report.json"]
     ok_models = [m for m in report.model_reports if m.analysis is not None]
     if ok_models:
-        k_grid = report.config.k_grid
-        header = ["model", "index", "ite", "rank", "level"]
-        if report.true_levels is not None:
-            header.append("true_level")
-        header += [f"top_{int(k) if float(k).is_integer() else k}" for k in k_grid]
-        rows = []
-        for m in ok_models:
-            ranked = m.analysis.ranked
-            tops = [np.zeros(ranked.n, dtype=int) for _ in k_grid]
-            for flags, k in zip(tops, k_grid):
-                flags[select_top_percentile(ranked, k)] = 1
-            for i in range(ranked.n):
-                row = [m.label, i, repr(float(ranked.ite[i])), int(ranked.rank[i]),
-                       int(ranked.level[i])]
-                if report.true_levels is not None:
-                    row.append(int(report.true_levels[i]))
-                row += [int(flags[i]) for flags in tops]
-                rows.append(row)
-        write_csv(out / "ranking.csv", chash, header, rows)
-        written.append(out / "ranking.csv")
-
-        balance = ok_models[0].analysis.prepared.balance
-        rows = [[r.covariate, repr(r.smd_before), repr(r.smd_after),
-                 int(r.smd_after > balance.threshold)] for r in balance.rows]
-        write_csv(out / "balance.csv", chash,
-                   ["covariate", "smd_before", "smd_after", "flagged"], rows)
-        written.append(out / "balance.csv")
-
+        written.append(write_ranking(out, chash, ok_models, report.config.k_grid,
+                                     report.true_levels))
+        written.append(write_balance(out, chash, ok_models[0].analysis.prepared))
     sens_models = [m for m in report.model_reports if m.sensitivity is not None]
     if sens_models:
         written += write_sensitivity(out, chash, sens_models)
-
     iv_models = [m for m in report.model_reports if m.iv is not None]
     if iv_models:
-        rows = []
-        for m in iv_models:
-            for rec in m.iv.records:
-                if rec.estimate is None:
-                    rows.append([m.label, rec.k, rec.group, 0, "", "", "",
-                                 rec.skipped or ""])
-                else:
-                    est = rec.estimate
-                    sep = m.iv.separation.get(rec.k)
-                    rows.append([m.label, rec.k, rec.group, est.n_group,
-                                 repr(est.first_stage), repr(est.cate), repr(est.se),
-                                 "" if sep is None else int(sep)])
-        write_csv(out / "cate_by_k.csv", chash,
-                   ["model", "k", "group", "n", "first_stage", "cate", "se", "separated"],
-                   rows)
-        written.append(out / "cate_by_k.csv")
-
+        written.append(write_cate_by_k(out, chash, iv_models))
     if report.model_reports:
-        (out / "summary.md").write_text(summary_from_payload(report.to_dict()),
-                                        encoding="utf-8")
-        written.append(out / "summary.md")
-
-    manifest = {p.name: _sha256_file(p) for p in written}
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1),
-                                       encoding="utf-8")
-    return manifest
+        written.append(write_summary(out, report.to_dict()))
+    return write_manifest(out, written)

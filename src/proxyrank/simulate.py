@@ -147,33 +147,45 @@ class SimOutput:
     config: SimConfig
 
 
-def _draw_components(cfg: SimConfig):
-    """All random pieces of a cohort, each from its own named substream."""
+def draw_outcomes(cfg: SimConfig):
+    """Covariates and potential outcomes of a cohort, each random piece from
+    its own named substream.
+
+    Returns (X, names, groups, u, y0, y1): groups are the 0-based effect
+    groups, u is the standard-normal hidden confounder draw, and y1 adds the
+    group effect to y0. In confounded mode U enters y0 with coefficient
+    ``confounder_strength``.
+    """
     n, k, L = cfg.n, cfg.k, cfg.n_groups
     seed = cfg.seed
     noise_dims = k - L if cfg.embed_groups else k
-    x_noise = substream(seed, "x").standard_normal((n, noise_dims))
+    X = substream(seed, "x").standard_normal((n, noise_dims))
+    names = tuple(f"x{j}" for j in range(noise_dims))
     groups = np.tile(np.arange(L), n // L + 1)[:n]
     substream(seed, "groups").shuffle(groups)
+    if cfg.embed_groups:
+        onehot = np.zeros((n, L))
+        onehot[np.arange(n), groups] = 1.0
+        X = np.hstack([X, onehot])
+        names += tuple(f"g{j}" for j in range(L))
     beta = substream(seed, "beta").choice(
         np.asarray(cfg.coef_values, dtype=float), size=k, p=cfg.coef_probs)
-    eps = substream(seed, "eps").normal(0.0, cfg.noise_sd, n)
     u = substream(seed, "u").standard_normal(n)
-    z_draw = substream(seed, "z").random(n)
-    a_draw = substream(seed, "a").random(n)
-    return x_noise, groups, beta, eps, u, z_draw, a_draw
+    y0 = X @ beta + substream(seed, "eps").normal(0.0, cfg.noise_sd, n)
+    if cfg.mode == "confounded":
+        y0 = y0 + cfg.confounder_strength * u
+    y1 = y0 + np.asarray(cfg.cate_levels, dtype=float)[groups]
+    return X, names, groups, u, y0, y1
 
 
-def _assemble_covariates(cfg: SimConfig, x_noise: np.ndarray, groups: np.ndarray):
-    if not cfg.embed_groups:
-        names = tuple(f"x{j}" for j in range(cfg.k))
-        return x_noise, names
-    L = cfg.n_groups
-    onehot = np.zeros((cfg.n, L))
-    onehot[np.arange(cfg.n), groups] = 1.0
-    X = np.hstack([x_noise, onehot])
-    names = tuple(f"x{j}" for j in range(cfg.k - L)) + tuple(f"g{j}" for j in range(L))
-    return X, names
+def draw_proxy(cfg: SimConfig, z: np.ndarray, draw: np.ndarray,
+               shift: float | np.ndarray = 0.0) -> np.ndarray:
+    """Proxy treatment A given the assignment z: A = 1 where ``draw``
+    (uniform on [0, 1)) falls below the compliance-table probability
+    P(A=1 | z), its logit moved by ``shift``."""
+    p11, p10 = cfg.compliance()
+    a_logit = np.where(z == 1, _logit(p11), _logit(p10)) + shift
+    return (draw < _sigmoid(a_logit)).astype(np.int64)
 
 
 def simulate_cohort(cfg: SimConfig) -> SimOutput:
@@ -187,34 +199,26 @@ def simulate_cohort(cfg: SimConfig) -> SimOutput:
     to the outcome with coefficient ``confounder_strength`` and (by default)
     shifts the A-assignment logit by the same coefficient before masking.
     """
-    cate = np.asarray(cfg.cate_levels, dtype=float)
-    x_noise, groups, beta, eps, u, z_draw, a_draw = _draw_components(cfg)
-    X, names = _assemble_covariates(cfg, x_noise, groups)
-
-    y0 = X @ beta + eps
-    if cfg.mode == "confounded":
-        y0 = y0 + cfg.confounder_strength * u
-    y1 = y0 + cate[groups]
-
+    X, names, groups, u, y0, y1 = draw_outcomes(cfg)
     z_logit = np.full(cfg.n, _logit(cfg.z_assignment_prob))
     if cfg.z_covariate_strength > 0.0:
         direction = substream(cfg.seed, "z_direction").standard_normal(cfg.k) / np.sqrt(cfg.k)
         z_logit = z_logit + cfg.z_covariate_strength * (X @ direction)
-    z = (z_draw < _sigmoid(z_logit)).astype(np.int64)
+    z = (substream(cfg.seed, "z").random(cfg.n) < _sigmoid(z_logit)).astype(np.int64)
 
-    p11, p10 = cfg.compliance()
-    a_logit = np.where(z == 1, _logit(p11), _logit(p10))
-    if cfg.mode == "confounded" and cfg.confound_treatment:
-        # No recalibration: the U shift attenuates the marginal compliance,
-        # which is exactly the ignorability violation being simulated.
-        a_logit = a_logit + cfg.confounder_strength * u
-    a = (a_draw < _sigmoid(a_logit)).astype(np.int64)
+    confounded = cfg.mode == "confounded"
+    # No recalibration: the U shift attenuates the marginal compliance,
+    # which is exactly the ignorability violation being simulated.
+    a = draw_proxy(cfg, z, substream(cfg.seed, "a").random(cfg.n),
+                   cfg.confounder_strength * u if confounded and cfg.confound_treatment
+                   else 0.0)
 
     y = np.where(z == 1, y1, y0)
+    cate = np.asarray(cfg.cate_levels, dtype=float)
     gt = GroundTruth(true_group=groups + 1, true_cate=cate[groups], y0=y0, y1=y1, z=z)
     oracle = Dataset(X, a, y, names, gt)
     observed = oracle.without_ground_truth()
-    hidden = u if cfg.mode == "confounded" else np.zeros(cfg.n)
+    hidden = u if confounded else np.zeros(cfg.n)
     return SimOutput(observed=observed, oracle=oracle,
                      hidden_confounder=hidden, config=cfg)
 

@@ -13,10 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, DataValidationError, GroundTruth
-from .propensity import _sigmoid
 from .ranking import top_fraction_indices
 from .rng import substream
-from .simulate import ConfigError, SimConfig, _assemble_covariates, _draw_components, _logit
+from .simulate import ConfigError, SimConfig, draw_outcomes, draw_proxy
 
 
 class WeakInstrumentError(ValueError):
@@ -61,20 +60,14 @@ def simulate_campaign(cfg: SimConfig, exposure: float = 0.661) -> IVExperiment:
     """
     if not 0.0 < exposure < 1.0:
         raise ConfigError("exposure must lie in (0, 1)")
-    cate = np.asarray(cfg.cate_levels, dtype=float)
     campaign_cfg = replace(cfg, mode="clean")
-    x_noise, groups, beta, eps, _, _, _ = _draw_components(campaign_cfg)
-    X, names = _assemble_covariates(campaign_cfg, x_noise, groups)
-    y0 = X @ beta + eps
-    y1 = y0 + cate[groups]
-
+    X, names, groups, _, y0, y1 = draw_outcomes(campaign_cfg)
     z = (substream(cfg.seed, "campaign-z").random(cfg.n) < exposure).astype(np.int64)
     if cfg.n == 0 or z.min() == z.max():
         raise DataValidationError("single-arm instrument: both z arms are required")
-    p11, p10 = campaign_cfg.compliance()
-    a_logit = np.where(z == 1, _logit(p11), _logit(p10))
-    a = (substream(cfg.seed, "campaign-a").random(cfg.n) < _sigmoid(a_logit)).astype(np.int64)
+    a = draw_proxy(campaign_cfg, z, substream(cfg.seed, "campaign-a").random(cfg.n))
     y = np.where(a == 1, y1, y0)
+    cate = np.asarray(cfg.cate_levels, dtype=float)
     gt = GroundTruth(true_group=groups + 1, true_cate=cate[groups], y0=y0, y1=y1, z=z)
     data = Dataset(X, a, y, names, gt)
     return IVExperiment(data=data, z=z)

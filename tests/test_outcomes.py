@@ -32,7 +32,7 @@ class TestWeightedLossIdentity:
         np.testing.assert_allclose(m1.params["coefficients"],
                                    m2.params["coefficients"], rtol=1e-12)
 
-    @pytest.mark.parametrize("family", ["linear_sgd", "svr_linear"])
+    @pytest.mark.parametrize("family", ["svr_linear"])
     def test_doubling_weights_iterative_families(self, family):
         d = linear_data(noise=0.3)
         rng = np.random.default_rng(2)
@@ -71,18 +71,6 @@ class TestLinearFamilies:
                               feature_map=FeatureMap(interactions=False))
         coef = m.params["coefficients"]  # [intercept, x0, x1, a]
         np.testing.assert_allclose(coef, [2.0, 3.0, 0.0, -1.0], atol=1e-6)
-
-    def test_cross_solver_agreement(self):
-        d = linear_data(n=400, noise=0.1, seed=7)
-        rng = np.random.default_rng(8)
-        w = rng.uniform(0.5, 1.5, d.n)
-        wls = fit_outcome_model(d, w, "linear_wls")
-        sgd = fit_outcome_model(d, w, "linear_sgd", epochs=1500, decay=100.0)
-        for arm in (0, 1):
-            a = np.full(d.n, arm, dtype=int)
-            p1 = wls.predict(d.covariates, a)
-            p2 = sgd.predict(d.covariates, a)
-            assert np.sqrt(np.mean((p1 - p2) ** 2)) < 1e-3
 
     def test_wls_ridge_shrinks(self):
         d = linear_data(noise=0.2)
@@ -262,7 +250,6 @@ class TestValidationAndPersistence:
 
     @pytest.mark.parametrize("family,kwargs", [
         ("linear_wls", {}),
-        ("linear_sgd", {"epochs": 10}),
         ("poisson", {}),
         ("svr_linear", {"epochs": 5}),
         ("tree", {}),

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxyrank import ConfigError, RunConfig, StageError, emit_report, run_pipeline
+from proxyrank import ConfigError, RunConfig, StageError, emit_report, pipeline, run_pipeline
 from proxyrank.cli import main
+from proxyrank.pipeline import REPORT_FILES
 
 TINY = {"sim": {"n": 600, "k": 8},
         "sensitivity_runs": 1,
@@ -28,6 +29,7 @@ BAD_MODELS = [
     ({"family": "svr_linear", "hyperparams": {"C": 0}}, "C > 0"),
     ({"family": "svr_linear", "hyperparams": {"epsilon": -0.5}}, "epsilon >= 0"),
     ({"family": "linear_wls", "hyperparams": {"l2": "big"}}, "bad linear_wls hyperparams"),
+    ({"family": "linear_sgd"}, "unknown family"),
 ]
 
 
@@ -46,6 +48,25 @@ def hash_dir(path: Path) -> dict:
 @pytest.fixture(scope="module")
 def tiny_report():
     return run_pipeline(RunConfig.from_dict(TINY))
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(tmp_path_factory):
+    """Output directories of `run` and each subcommand on TINY, named after
+    the command; a `_data` suffix marks a run on the simulated observed.csv
+    via --data."""
+    root = tmp_path_factory.mktemp("cli")
+    cfgp = root / "cfg.json"
+    cfgp.write_text(json.dumps(TINY))
+    assert main(["simulate", "--config", str(cfgp), "--out", str(root / "sim")]) == 0
+    data = ["--data", str(root / "sim" / "observed.csv"),
+            "--schema", str(root / "sim" / "observed_schema.json")]
+    for cmd in ("run", "analyze", "balance", "sensitivity", "validate"):
+        assert main([cmd, "--config", str(cfgp), "--out", str(root / cmd)]) == 0
+    for cmd in ("run", "rank"):
+        assert main([cmd, "--config", str(cfgp), *data,
+                     "--out", str(root / f"{cmd}_data")]) == 0
+    return root
 
 
 class TestRunConfig:
@@ -120,6 +141,9 @@ class TestEmitReport:
                                     "ranking.csv", "report.json", "sensitivity.json",
                                     "summary.md"]
         assert (tmp_path / "out" / "manifest.json").exists()
+
+    def test_manifest_lists_only_report_files(self, tiny_report, tmp_path):
+        assert set(emit_report(tiny_report, tmp_path / "out")) <= set(REPORT_FILES)
 
     def test_rerun_hashes_identical(self, tmp_path):
         cfg = RunConfig.from_dict(TINY)
@@ -219,6 +243,17 @@ class TestCli:
         assert self.run_cli("run", "--config", str(tmp_path / "nope.json"),
                             "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("content,problem", [("[1, 2]", "root must be a JSON object"),
+                                                 ("{bad", "is not valid JSON")])
+    @pytest.mark.parametrize("command,flag,what", [("run", "--config", "config"),
+                                                   ("report", "--from", "report")])
+    def test_bad_json_file_exit_code(self, command, flag, what, content, problem,
+                                     tmp_path, capsys):
+        src = tmp_path / "in.json"
+        src.write_text(content)
+        assert self.run_cli(command, flag, str(src), "--out", str(tmp_path / "x")) == 1
+        assert f"config error: {what} {problem}" in capsys.readouterr().err
+
     def test_stage_failure_exit_code(self, tmp_path):
         cfg_dict = dict(TINY)
         cfg_dict["models"] = [{"family": "poisson", "label": "bad"}]
@@ -278,3 +313,47 @@ class TestCli:
                             "--out", str(tmp_path / "run")) == 0
         after = (tmp_path / "run" / "summary.md").read_text()
         assert before == after
+
+
+@pytest.mark.parametrize("command,run_dir,name", [
+    ("rank_data", "run_data", "ranking.csv"),
+    ("balance", "run", "balance.csv"),
+    ("analyze", "run", "balance.csv"),
+    ("validate", "run", "cate_by_k.csv"),
+    ("sensitivity", "run", "sensitivity.json"),
+    ("sensitivity", "run", "overlap.csv"),
+])
+def test_subcommand_file_equals_run(cli_outputs, command, run_dir, name):
+    assert (cli_outputs / command / name).read_bytes() == \
+        (cli_outputs / run_dir / name).read_bytes()
+
+
+class TestCampaignFailure:
+    """The campaign stage raising: every model branch records it, nothing
+    is validated, and both commands that draw a campaign exit 2."""
+
+    @pytest.fixture
+    def broken_campaign_cfg(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected campaign failure")
+
+        monkeypatch.setattr(pipeline, "simulate_campaign", fail)
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(TINY))
+        return cfgp
+
+    def test_run_records_failure_on_every_model(self, broken_campaign_cfg, tmp_path):
+        report = run_pipeline(RunConfig.from_json(broken_campaign_cfg))
+        assert [m.error for m in report.model_reports] == \
+            ["campaign stage failed: injected campaign failure"] * 2
+        manifest = emit_report(report, tmp_path / "out")
+        assert "cate_by_k.csv" not in manifest
+        assert not (tmp_path / "out" / "cate_by_k.csv").exists()
+        assert main(["run", "--config", str(broken_campaign_cfg),
+                     "--out", str(tmp_path / "cli")]) == 2
+
+    def test_validate_exits_2(self, broken_campaign_cfg, tmp_path, capsys):
+        assert main(["validate", "--config", str(broken_campaign_cfg),
+                     "--out", str(tmp_path / "va")]) == 2
+        assert "stage failure: RuntimeError: injected campaign failure" in \
+            capsys.readouterr().err
