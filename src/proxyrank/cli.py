@@ -11,15 +11,16 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import prepare_cohort
-from .data import Dataset, SchemaError, load_dataset, load_schema, save_dataset
-from .pipeline import (REPORT_FILES, RunConfig, analyze_models, draw_campaign, emit_report,
-                       read_json_object, run_pipeline, sweep_models, validate_model,
+from .data import Dataset, SchemaError, load_dataset, load_schema, save_simulated
+from .pipeline import (REPORT_FILES, RunConfig, analyze_models, config_hash_of, draw_campaign,
+                       emit_report, read_json_object, run_pipeline, sweep_models, validate_model,
                        write_balance, write_cate_by_k, write_csv, write_json, write_manifest,
                        write_ranking, write_sensitivity, write_summary)
 from .simulate import ConfigError, simulate_cohort
@@ -53,12 +54,10 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     chash = cfg.config_hash()
     sim_out = simulate_cohort(cfg.resolved_sim())
-    schema_obs = save_dataset(sim_out.observed, out / "observed.csv",
-                              header_comment=f"config_hash={chash}")
+    schema_obs, schema_or = save_simulated(sim_out.oracle, out / "observed.csv",
+                                           out / "oracle.csv",
+                                           header_comment=f"config_hash={chash}")
     write_json(out / "observed_schema.json", {"config_hash": chash, **schema_obs})
-    schema_or = save_dataset(sim_out.oracle, out / "oracle.csv",
-                             include_ground_truth=True,
-                             header_comment=f"config_hash={chash}")
     write_json(out / "oracle_schema.json", {"config_hash": chash, **schema_or})
     write_json(out / "sim_config.json",
                {"config_hash": chash, "master_seed": cfg.master_seed,
@@ -79,9 +78,8 @@ def cmd_analyze(args) -> int:
         if cfg.analysis.report_range is not None:
             lo, hi = cfg.analysis.report_range
             y1, y0 = np.clip(y1, lo, hi), np.clip(y0, lo, hi)
-        for i in range(ites.index.size):
-            rows.append([m.label, i, repr(float(y1[i] - y0[i])),
-                         repr(float(y1[i])), repr(float(y0[i]))])
+        rows += zip(repeat(m.label), range(ites.index.size), map(repr, (y1 - y0).tolist()),
+                    map(repr, y1.tolist()), map(repr, y0.tolist()))
     write_csv(out / "ite.csv", chash, ["model", "index", "ite", "y_hat_1", "y_hat_0"], rows)
     prepared = reports[0].analysis.prepared
     write_balance(out, chash, prepared)
@@ -158,6 +156,13 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     payload = read_json_object(args.from_report, "report")
     out = _outdir(args)
+    chash = payload.get("config_hash")
+    for name in REPORT_FILES:
+        if name != "summary.md" and (out / name).exists():
+            found = config_hash_of(out / name)
+            if found != chash:
+                raise ConfigError(f"report file {out / name} carries config hash {found}, "
+                                  f"not the report's {chash}")
     write_summary(out, payload)
     write_manifest(out, [out / name for name in REPORT_FILES if (out / name).exists()])
     print(f"wrote summary.md, manifest.json to {out}")

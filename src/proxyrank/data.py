@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -173,6 +174,38 @@ def _parse_cell(raw: str, column: str, row: int) -> float:
     return value
 
 
+# Characters numpy's float parser strips as whitespace but ``float()`` rejects.
+_NUMPY_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
+
+
+def _fast_table(body: list[str], width: int) -> np.ndarray | None:
+    """The body lines as a (rows, width) float64 table, parsed in C, or None
+    when the per-cell scan must decide instead.
+
+    ``np.loadtxt`` converts with ``PyOS_string_to_double``, the converter of
+    ``float()``, so an accepted table is bit-identical to the per-cell scan.
+    It is accepted only where the two provably agree: no quoting (a quote
+    makes a cell unparseable), one row per line (``loadtxt`` skips blank
+    lines, hence the shape check), no cell the csv module would refuse as
+    too long, and every value finite. Anything else, including every
+    error, is left to the scan and its messages; the treatment check that
+    follows either path finds the same first bad row.
+    """
+    if (not body or not _BLANK_LINES.isdisjoint(body)
+            or max(map(len, body)) > csv.field_size_limit()
+            or any(c in line for line in body for c in _NUMPY_ONLY_SPACES)):
+        return None
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, quotechar=None,
+                           dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(body), width) or not np.isfinite(table).all():
+        return None
+    return table
+
+
 def load_dataset(path: str | Path, schema: dict) -> Dataset:
     """Load a CSV (header row required, one unit per row) into a Dataset.
 
@@ -181,25 +214,33 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
     "ground_truth": {"true_group": ..., ...}}``. When ``covariates`` is
     omitted, every column not claimed by another role is used, in file order.
     Row indices in error messages are 0-based data rows (the header is not
-    counted). Row order is preserved.
+    counted). Row order is preserved. Lines starting with ``#`` are skipped.
+
+    An all-numeric, all-finite file is parsed in C; any other file (quoted
+    or non-numeric cells, ragged or blank rows, non-finite values) is
+    scanned cell by cell with ``float()``. Both give the same arrays, bit
+    for bit, and the scan gives every error message.
     """
     p = Path(path)
     if not p.exists():
         raise SchemaError(f"data file not found: {p}")
     with open(p, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError("no data rows") from None
-        rows = list(reader)
-    if not rows:
-        raise DataValidationError("no data rows")
+        lines = [line for line in fh if not line.startswith("#")]
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataValidationError("no data rows") from None
     width = len(header)
-    long_row = next((i for i, row in enumerate(rows) if len(row) > width), None)
-    if long_row is not None:
-        raise DataValidationError(f"row {long_row} has {len(rows[long_row])} cells; "
-                                  f"the header has {width}")
+    table = _fast_table(lines[reader.line_num:], width)
+    if table is None:
+        rows = list(reader)
+        if not rows:
+            raise DataValidationError("no data rows")
+        long_row = next((i for i, row in enumerate(rows) if len(row) > width), None)
+        if long_row is not None:
+            raise DataValidationError(f"row {long_row} has {len(rows[long_row])} cells; "
+                                      f"the header has {width}")
 
     col_index = {name: j for j, name in enumerate(header)}
     tre_col = schema["treatment"]
@@ -215,6 +256,8 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
 
     def column(name: str) -> np.ndarray:
         j = col_index[name]
+        if table is not None:
+            return table[:, j]
         out = np.empty(len(rows))
         for i, row in enumerate(rows):
             if j >= len(row):
@@ -228,7 +271,7 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
         raise DataValidationError(
             f"treatment column '{tre_col}' has non-binary value {a[bad[0]]:g} at row {bad[0]}")
     y = column(out_col)
-    X = np.column_stack([column(c) for c in cov_cols]) if cov_cols else np.empty((len(rows), 0))
+    X = np.column_stack([column(c) for c in cov_cols]) if cov_cols else np.empty((len(a), 0))
 
     gt = None
     if gt_map:
@@ -239,9 +282,50 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
     return Dataset(X, a.astype(np.int64), y, tuple(cov_cols), gt)
 
 
-def _fmt(v: float) -> str:
-    # repr of a float round-trips exactly through binary64
-    return repr(float(v))
+# Rows formatted per write: bounds the cell strings alive at once.
+_BLOCK_ROWS = 4096
+
+
+def _text_rows(columns: list[np.ndarray]) -> list[str]:
+    """Each row of ``columns`` as comma-joined cells. ``repr`` of a Python
+    float round-trips binary64 exactly; of a Python int it is its digits."""
+    return list(map(",".join, zip(*(map(repr, c.tolist()) for c in columns))))
+
+
+def _write_csvs(d: Dataset, targets: list[tuple[Path, bool]], treatment_col: str,
+                outcome_col: str, header_comment: str | None) -> list[dict]:
+    """Write ``d`` to each (path, include_ground_truth) target and return each
+    target's schema map. Every cell is formatted once, however many targets
+    it goes to."""
+    any_gt = any(with_gt for _, with_gt in targets)
+    if any_gt and d.ground_truth is None:
+        raise DataValidationError("dataset has no ground truth to write")
+    names = list(d.covariate_names)
+    schemas = []
+    with ExitStack() as stack:
+        files = []
+        for path, with_gt in targets:
+            header = names + [treatment_col, outcome_col]
+            schema = {"treatment": treatment_col, "outcome": outcome_col, "covariates": names}
+            if with_gt:
+                header += list(_GT_FIELDS)
+                schema["ground_truth"] = {f: f for f in _GT_FIELDS}
+            fh = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
+            if header_comment:
+                fh.write(f"# {header_comment}\n")
+            csv.writer(fh).writerow(header)  # numeric cells never need quoting
+            files.append((fh, with_gt))
+            schemas.append(schema)
+        for lo in range(0, d.n, _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            rows = _text_rows([*d.covariates[block].T, d.treatment[block], d.outcome[block]])
+            if any_gt:
+                gt_rows = _text_rows([getattr(d.ground_truth, f)[block] for f in _GT_FIELDS])
+                rows_gt = list(map(",".join, zip(rows, gt_rows)))
+            for fh, with_gt in files:
+                fh.write("\r\n".join(rows_gt if with_gt else rows))
+                fh.write("\r\n")
+    return schemas
 
 
 def save_dataset(d: Dataset, path: str | Path,
@@ -253,33 +337,23 @@ def save_dataset(d: Dataset, path: str | Path,
     Floats are written with full round-trip precision so a save/load cycle
     reproduces the dataset bit for bit.
     """
-    p = Path(path)
-    names = list(d.covariate_names)
-    header = names + [treatment_col, outcome_col]
-    gt_map = {}
-    if include_ground_truth:
-        if d.ground_truth is None:
-            raise DataValidationError("dataset has no ground truth to write")
-        gt_map = {f: f for f in _GT_FIELDS}
-        header += list(_GT_FIELDS)
-    with open(p, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(d.n):
-            row = [_fmt(v) for v in d.covariates[i]]
-            row.append(str(int(d.treatment[i])))
-            row.append(_fmt(d.outcome[i]))
-            if include_ground_truth:
-                gt = d.ground_truth
-                row += [str(int(gt.true_group[i])), _fmt(gt.true_cate[i]),
-                        _fmt(gt.y0[i]), _fmt(gt.y1[i]), str(int(gt.z[i]))]
-            writer.writerow(row)
-    schema = {"treatment": treatment_col, "outcome": outcome_col, "covariates": names}
-    if gt_map:
-        schema["ground_truth"] = gt_map
-    return schema
+    return _write_csvs(d, [(Path(path), include_ground_truth)], treatment_col, outcome_col,
+                       header_comment)[0]
+
+
+def save_simulated(oracle: Dataset, observed_path: str | Path, oracle_path: str | Path,
+                   header_comment: str | None = None) -> tuple[dict, dict]:
+    """Write a simulated cohort as two CSVs and return their schema maps: the
+    observed file (covariates, ``a``, ``y``) and the oracle file (the same
+    rows followed by the ground truth).
+
+    The bytes equal ``save_dataset`` of ``oracle.without_ground_truth()`` and
+    of ``oracle`` with ``include_ground_truth=True``; the shared cells are
+    formatted once.
+    """
+    observed, full = _write_csvs(oracle, [(Path(observed_path), False),
+                                          (Path(oracle_path), True)], "a", "y", header_comment)
+    return observed, full
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -324,40 +325,76 @@ def sweep_models(observed: Dataset,
     return out
 
 
+def _report_number(entry: dict, key: str, at: str):
+    """``entry[key]`` if it is a JSON number; else a ConfigError naming it."""
+    value = entry.get(key)
+    if isinstance(value, (int, float)):
+        return value
+    raise ConfigError(f"report {at}.{key} must be a number, not {value!r}")
+
+
 def summary_from_payload(payload: dict) -> str:
-    """Human-readable summary.md from a report.json-shaped dict."""
+    """Human-readable summary.md from a report.json-shaped dict. Raises
+    ConfigError when an entry it prints has the wrong type."""
+    models = payload.get("models", [])
+    if not isinstance(models, list):
+        raise ConfigError("report models must be a list")
     lines = [f"# Run summary (config {payload.get('config_hash', '?')})", "",
              f"master_seed: {payload.get('master_seed', '?')}",
              f"version: {payload.get('version', '?')}",
              f"cohort: n={payload.get('n', '?')}, k={payload.get('k', '?')}", ""]
-    for m in payload.get("models", []):
+    for i, m in enumerate(models):
+        at = f"models[{i}]"
+        if not isinstance(m, dict):
+            raise ConfigError(f"report {at} must be an object")
         lines.append(f"## {m.get('label')}")
         if m.get("error"):
             lines.append(f"- status: FAILED ({m['error']})")
         else:
             lines.append("- status: ok")
         if m.get("rank_rmse_vs_truth") is not None:
-            lines.append(f"- rank RMSE vs ground truth: {m['rank_rmse_vs_truth']:.4f}")
+            lines.append(f"- rank RMSE vs ground truth: "
+                         f"{_report_number(m, 'rank_rmse_vs_truth', at):.4f}")
         if m.get("placebo"):
-            lines.append(f"- placebo ATE: {m['placebo']['ate_estimate']:.4f} "
-                         f"(bootstrap se {m['placebo']['ate_se']:.4f})")
+            placebo, at_p = m["placebo"], f"{at}.placebo"
+            if not isinstance(placebo, dict):
+                raise ConfigError(f"report {at_p} must be an object")
+            lines.append(f"- placebo ATE: {_report_number(placebo, 'ate_estimate', at_p):.4f} "
+                         f"(bootstrap se {_report_number(placebo, 'ate_se', at_p):.4f})")
             lines.append(f"- placebo rank RMSE vs original: "
-                         f"{m['placebo']['rank_rmse_vs_original']:.4f}")
+                         f"{_report_number(placebo, 'rank_rmse_vs_original', at_p):.4f}")
         if m.get("mean_confounded_rank_rmse") is not None:
             lines.append(f"- mean confounded rank RMSE vs baseline: "
-                         f"{m['mean_confounded_rank_rmse']:.4f}")
+                         f"{_report_number(m, 'mean_confounded_rank_rmse', at):.4f}")
         if m.get("iv_separated_fraction") is not None:
             lines.append(f"- campaign separation: "
-                         f"{m['iv_separated_fraction']:.0%} of thresholds")
+                         f"{_report_number(m, 'iv_separated_fraction', at):.0%} of thresholds")
         lines.append("")
     return "\n".join(lines)
 
 
+_HASH_LINE = "# config_hash="
+
+
 def write_csv(path: Path, config_hash: str, header: list[str], rows) -> None:
-    lines = [f"# config_hash={config_hash}", ",".join(header)]
+    lines = [f"{_HASH_LINE}{config_hash}", ",".join(header)]
     for row in rows:
         lines.append(",".join(str(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def config_hash_of(path: Path) -> str | None:
+    """The config hash a run file carries: a CSV's first line or a JSON
+    file's ``config_hash`` key; None when it carries none."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if path.suffix == ".csv":
+                first = fh.readline().rstrip("\n")
+                return first.removeprefix(_HASH_LINE) if first.startswith(_HASH_LINE) else None
+            payload = json.load(fh)
+    except ValueError:  # not UTF-8 or not JSON
+        return None
+    return payload.get("config_hash") if isinstance(payload, dict) else None
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -376,16 +413,14 @@ def write_ranking(out: Path, config_hash: str, reports: list[ModelReport], k_gri
     rows = []
     for m in reports:
         ranked = m.analysis.ranked
-        tops = [np.zeros(ranked.n, dtype=int) for _ in k_grid]
-        for flags, k in zip(tops, k_grid):
+        columns = [ranked.rank.tolist(), ranked.level.tolist()]
+        if true_levels is not None:
+            columns.append(true_levels.tolist())
+        for k in k_grid:
+            flags = np.zeros(ranked.n, dtype=int)
             flags[select_top_percentile(ranked, k)] = 1
-        for i in range(ranked.n):
-            row = [m.label, i, repr(float(ranked.ite[i])), int(ranked.rank[i]),
-                   int(ranked.level[i])]
-            if true_levels is not None:
-                row.append(int(true_levels[i]))
-            row += [int(flags[i]) for flags in tops]
-            rows.append(row)
+            columns.append(flags.tolist())
+        rows += zip(repeat(m.label), range(ranked.n), map(repr, ranked.ite.tolist()), *columns)
     write_csv(out / "ranking.csv", config_hash, header, rows)
     return out / "ranking.csv"
 

@@ -89,6 +89,30 @@ class TestLoad:
         with pytest.raises(DataValidationError, match="row 1 has 5 cells; the header has 4"):
             load_dataset(csv, SCHEMA)
 
+    @pytest.mark.parametrize("line", ["", "  \t"], ids=["blank", "whitespace"])
+    def test_blank_body_line_is_a_short_row(self, tmp_path, line):
+        csv = write_csv(tmp_path / "b.csv",
+                        f"x0,x1,a,y\n0.0,1.0,1,2.0\n{line}\n0.5,1.0,0,2.0\n")
+        with pytest.raises(DataValidationError,
+                           match="^row 1 is short: no value for column 'a'$"):
+            load_dataset(csv, SCHEMA)
+
+    def test_comment_line_mid_file_skipped(self, tmp_path):
+        csv = write_csv(tmp_path / "m.csv",
+                        "x0,x1,a,y\n0.5,1.5,0,2.0\n# 9,9,9,9\n0.25,1,1,0\n")
+        d = load_dataset(csv, SCHEMA)
+        assert d.covariates.tolist() == [[0.5, 1.5], [0.25, 1.0]]
+        assert d.treatment.tolist() == [0, 1]
+
+    def test_string_id_column_loads(self, tmp_path):
+        csv = write_csv(tmp_path / "i.csv",
+                        "id,x0,x1,a,y\nu1,0.5,-1.25,1,3.0\n\"u,2\",0.125,2.0,0,1.5\n")
+        d = load_dataset(csv, SCHEMA)
+        assert d.covariates.tolist() == [[0.5, -1.25], [0.125, 2.0]]
+        assert d.outcome.tolist() == [3.0, 1.5]
+        with pytest.raises(DataValidationError, match="unparseable value 'u1' in column 'id'"):
+            load_dataset(csv, {"treatment": "a", "outcome": "y"})
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError, match="not found"):
             load_dataset(tmp_path / "nope.csv", SCHEMA)

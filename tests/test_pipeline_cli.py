@@ -314,6 +314,47 @@ class TestCli:
         after = (tmp_path / "run" / "summary.md").read_text()
         assert before == after
 
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda p: p.update(models=[1]), "report models[0] must be an object"),
+        (lambda p: p.update(models={"iptw_linear": {}}), "report models must be a list"),
+        (lambda p: p["models"][1]["placebo"].update(ate_estimate="0.1"),
+         "report models[1].placebo.ate_estimate must be a number, not '0.1'"),
+        (lambda p: p["models"][0].update(placebo=[0.1]),
+         "report models[0].placebo must be an object"),
+        (lambda p: p["models"][0].update(iv_separated_fraction="all"),
+         "report models[0].iv_separated_fraction must be a number"),
+    ])
+    def test_malformed_report_exit_code(self, cli_outputs, tmp_path, capsys, edit, problem):
+        payload = json.loads((cli_outputs / "run" / "report.json").read_text())
+        edit(payload)
+        src = tmp_path / "report.json"
+        src.write_text(json.dumps(payload))
+        assert self.run_cli("report", "--from", str(src), "--out", str(tmp_path / "out")) == 1
+        assert f"config error: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.md").exists()
+
+    def test_report_refuses_files_of_another_run(self, cli_outputs, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(TINY))
+        other = tmp_path / "other"
+        assert self.run_cli("run", "--config", str(cfgp), "--seed", "5",
+                            "--out", str(other)) == 0
+        before = hash_dir(other)
+        src = cli_outputs / "run" / "report.json"
+        assert self.run_cli("report", "--from", str(src), "--out", str(other)) == 1
+        err = capsys.readouterr().err
+        assert f"config error: report file {other / 'report.json'} carries config hash" in err
+        assert hash_dir(other) == before
+        # One stale CSV is enough; a directory holding none of the files is fine.
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        (mixed / "overlap.csv").write_bytes((other / "overlap.csv").read_bytes())
+        assert self.run_cli("report", "--from", str(src), "--out", str(mixed)) == 1
+        assert f"report file {mixed / 'overlap.csv'}" in capsys.readouterr().err
+        (mixed / "overlap.csv").unlink()
+        assert self.run_cli("report", "--from", str(src), "--out", str(mixed)) == 0
+        assert json.loads((mixed / "manifest.json").read_text()).keys() == {"summary.md"}
+
 
 @pytest.mark.parametrize("command,run_dir,name", [
     ("rank_data", "run_data", "ranking.csv"),
