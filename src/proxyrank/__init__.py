@@ -12,18 +12,16 @@ __version__ = "0.1.0"
 from .analysis import (AnalysisConfig, AnalysisResult, ModelSpec, PreparedCohort,
                        analyze_model, prepare_cohort, run_analysis)
 from .data import (Dataset, DataValidationError, GroundTruth, SchemaError,
-                   SplitSpec, load_dataset, load_schema, save_dataset,
-                   train_validation_split)
+                   load_dataset, load_schema, save_dataset)
 from .outcomes import (FAMILIES, FeatureMap, ITETable, ModelError, OutcomeModel,
-                       compute_ite, fit_outcome_model, load_model, save_model)
+                       compute_ite, fit_outcome_model)
 from .pipeline import (ModelReport, RunConfig, RunReport, StageError,
                        emit_report, run_pipeline)
 from .propensity import (BalanceReport, BalanceRow, FitError, PropensityFit,
                          balance_report, fit_propensity, stabilized_weights,
                          trim_extremes)
 from .ranking import (RankedCohort, RankingError, rank_and_bucket, rank_rmse,
-                      select_top_percentile, spearman_correlation,
-                      top_fraction_indices)
+                      spearman_correlation, top_fraction_indices)
 from .sensitivity import (ConfounderConfig, ConfoundingRecord, ConfoundingSummary,
                           PlaceboResult, SensitivityReport, confounding_overlap,
                           generate_confounder, overlap_fraction, placebo_test,
@@ -37,16 +35,16 @@ __all__ = [
     "__version__",
     "AnalysisConfig", "AnalysisResult", "ModelSpec", "PreparedCohort",
     "analyze_model", "prepare_cohort", "run_analysis",
-    "Dataset", "DataValidationError", "GroundTruth", "SchemaError", "SplitSpec",
-    "load_dataset", "load_schema", "save_dataset", "train_validation_split",
+    "Dataset", "DataValidationError", "GroundTruth", "SchemaError",
+    "load_dataset", "load_schema", "save_dataset",
     "FAMILIES", "FeatureMap", "ITETable", "ModelError", "OutcomeModel",
-    "compute_ite", "fit_outcome_model", "load_model", "save_model",
+    "compute_ite", "fit_outcome_model",
     "ModelReport", "RunConfig", "RunReport", "StageError",
     "emit_report", "run_pipeline",
     "BalanceReport", "BalanceRow", "FitError", "PropensityFit",
     "balance_report", "fit_propensity", "stabilized_weights", "trim_extremes",
     "RankedCohort", "RankingError", "rank_and_bucket", "rank_rmse",
-    "select_top_percentile", "spearman_correlation", "top_fraction_indices",
+    "spearman_correlation", "top_fraction_indices",
     "ConfounderConfig", "ConfoundingRecord", "ConfoundingSummary",
     "PlaceboResult", "SensitivityReport", "confounding_overlap",
     "generate_confounder", "overlap_fraction", "placebo_test",

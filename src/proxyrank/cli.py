@@ -78,7 +78,7 @@ def cmd_analyze(args) -> int:
         if cfg.analysis.report_range is not None:
             lo, hi = cfg.analysis.report_range
             y1, y0 = np.clip(y1, lo, hi), np.clip(y0, lo, hi)
-        rows += zip(repeat(m.label), range(ites.index.size), map(repr, (y1 - y0).tolist()),
+        rows += zip(repeat(m.label), range(ites.ite.size), map(repr, (y1 - y0).tolist()),
                     map(repr, y1.tolist()), map(repr, y0.tolist()))
     write_csv(out / "ite.csv", chash, ["model", "index", "ite", "y_hat_1", "y_hat_0"], rows)
     prepared = reports[0].analysis.prepared

@@ -1,4 +1,4 @@
-"""Immutable dataset representation, CSV ingestion, and train/validation splitting.
+"""Immutable dataset representation and CSV input/output.
 
 A :class:`Dataset` is a validated, read-only table of covariates, a binary
 treatment column, and a real outcome column, optionally carrying per-unit
@@ -14,8 +14,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-
-from .rng import substream
 
 
 class SchemaError(ValueError):
@@ -58,6 +56,11 @@ class GroundTruth:
             if len(getattr(self, name)) != n:
                 raise DataValidationError(f"ground-truth column '{name}' has length "
                                           f"{len(getattr(self, name))}, expected {n}")
+        for name in ("true_cate", "y0", "y1"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                raise DataValidationError(
+                    f"non-finite ground-truth value in column '{name}' at row {bad[0]}")
         if n and not np.isin(self.z, (0, 1)).all():
             raise DataValidationError("ground-truth z must be 0/1")
         if n and (self.true_group < 1).any():
@@ -232,6 +235,10 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
     except StopIteration:
         raise DataValidationError("no data rows") from None
     width = len(header)
+    col_index = {name: j for j, name in enumerate(header)}
+    if len(col_index) != width:
+        dup = next(name for j, name in enumerate(header) if col_index[name] != j)
+        raise SchemaError(f"duplicate column name {dup!r} in header")
     table = _fast_table(lines[reader.line_num:], width)
     if table is None:
         rows = list(reader)
@@ -242,7 +249,6 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
             raise DataValidationError(f"row {long_row} has {len(rows[long_row])} cells; "
                                       f"the header has {width}")
 
-    col_index = {name: j for j, name in enumerate(header)}
     tre_col = schema["treatment"]
     out_col = schema["outcome"]
     gt_map = schema.get("ground_truth") or {}
@@ -354,34 +360,3 @@ def save_simulated(oracle: Dataset, observed_path: str | Path, oracle_path: str 
     observed, full = _write_csvs(oracle, [(Path(observed_path), False),
                                           (Path(oracle_path), True)], "a", "y", header_comment)
     return observed, full
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Deterministic train/validation split: fraction held out and a seed."""
-
-    validation_fraction: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise SchemaError("validation_fraction must lie in [0, 1)")
-
-
-def train_validation_split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Partition the rows into (train, validation) deterministically.
-
-    Train gets round(n * (1 - f)) units, validation the remainder; the two
-    index sets are disjoint and their union is the full index set. Within
-    each part the original row order is kept.
-    """
-    f = spec.validation_fraction
-    if f > 0.0 and d.n < 2:
-        raise DataValidationError("need at least 2 rows to hold out a validation set")
-    if f == 0.0:
-        return d, d.subset(np.array([], dtype=np.int64))
-    n_train = int(round(d.n * (1.0 - f)))
-    perm = substream(spec.seed, "split").permutation(d.n)
-    train_idx = np.sort(perm[:n_train])
-    val_idx = np.sort(perm[n_train:])
-    return d.subset(train_idx), d.subset(val_idx)

@@ -23,10 +23,8 @@ live on wildly different scales.
 from __future__ import annotations
 
 import inspect
-import json
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,35 +118,6 @@ class OutcomeModel:
             theta = np.asarray(self.params["theta"])
             return D @ theta * self.params["y_scale"] + self.params["y_mean"]
         raise ModelError(f"unknown family {self.family!r}")
-
-    def to_dict(self) -> dict:
-        out = {"family": self.family, "feature_map": asdict(self.feature_map),
-               "n_features": self.n_features, "loss_kind": self.loss_kind,
-               "final_loss": self.final_loss, "n_iter": self.n_iter}
-        if self.family in _TREE_FAMILIES:
-            out["params"] = self._predictor.to_dict()
-        else:
-            out["params"] = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                             for k, v in self.params.items()}
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OutcomeModel":
-        fm = FeatureMap(**d["feature_map"])
-        model = cls(family=d["family"], feature_map=fm, n_features=d["n_features"],
-                    params=d["params"], loss_kind=d["loss_kind"],
-                    final_loss=d["final_loss"], n_iter=d["n_iter"])
-        if d["family"] in _TREE_CLASSES:
-            model._predictor = _TREE_CLASSES[d["family"]].from_dict(d["params"])
-        return model
-
-
-def save_model(model: OutcomeModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model.to_dict()), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> OutcomeModel:
-    return OutcomeModel.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 # Out-of-range hyperparameter values of the non-tree families:
@@ -348,7 +317,6 @@ def fit_outcome_model(d: Dataset, weights: np.ndarray | None = None,
 class ITETable:
     """Per-unit effect estimates with both counterfactual predictions."""
 
-    index: np.ndarray
     ite: np.ndarray
     y_hat_1: np.ndarray
     y_hat_0: np.ndarray
@@ -361,4 +329,4 @@ def compute_ite(model: OutcomeModel, d: Dataset) -> ITETable:
     ones = np.ones(d.n, dtype=np.int64)
     y1 = model.predict(d.covariates, ones)
     y0 = model.predict(d.covariates, np.zeros(d.n, dtype=np.int64))
-    return ITETable(index=np.arange(d.n), ite=y1 - y0, y_hat_1=y1, y_hat_0=y0)
+    return ITETable(ite=y1 - y0, y_hat_1=y1, y_hat_0=y0)

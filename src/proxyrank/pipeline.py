@@ -21,7 +21,7 @@ from . import __version__
 from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, PreparedCohort
 from .data import Dataset
 from .outcomes import ModelError, check_hyperparams, compute_ite
-from .ranking import rank_rmse, select_top_percentile
+from .ranking import rank_rmse, top_fraction_indices
 from .rng import derive_seed
 from .sensitivity import (ConfounderConfig, PlaceboResult, SensitivityReport,
                           analyze_baselines, confounding_overlap, placebo_test)
@@ -88,6 +88,21 @@ class RunConfig:
             raise ConfigError("sensitivity_runs must be >= 1")
         if not 0.0 < self.campaign_exposure < 1.0:
             raise ConfigError("campaign_exposure must lie in (0, 1)")
+        if self.placebo_bootstrap < 2:  # a bootstrap SE needs two draws
+            raise ConfigError("placebo_bootstrap must be >= 2")
+        if not self.k_grid or not all(0.0 < k <= 100.0 for k in self.k_grid):
+            raise ConfigError(f"k_grid must hold values in (0, 100], got {list(self.k_grid)}")
+        a = self.analysis
+        if not 0.0 <= a.trim_lo < a.trim_hi <= 1.0:
+            raise ConfigError("analysis needs 0 <= trim_lo < trim_hi <= 1")
+        if not a.propensity_l2 >= 0.0:
+            raise ConfigError("analysis.propensity_l2 must be >= 0")
+        if not a.n_levels >= 1:
+            raise ConfigError("analysis.n_levels must be >= 1")
+        if a.report_range is not None and not (len(a.report_range) == 2
+                                               and a.report_range[0] < a.report_range[1]):
+            raise ConfigError(f"analysis.report_range must be [lo, hi] with lo < hi, "
+                              f"got {list(a.report_range)}")
 
     def resolved_sim(self) -> SimConfig:
         if self.sim_seed_explicit:
@@ -153,7 +168,7 @@ class RunConfig:
             try:
                 kwargs["sensitivity_configs"] = tuple(
                     ConfounderConfig(**c) for c in raw["sensitivity_configs"])
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad confounder config: {exc}") from None
         for key in ("sensitivity_runs", "placebo_bootstrap"):
             if key in raw:
@@ -418,7 +433,7 @@ def write_ranking(out: Path, config_hash: str, reports: list[ModelReport], k_gri
             columns.append(true_levels.tolist())
         for k in k_grid:
             flags = np.zeros(ranked.n, dtype=int)
-            flags[select_top_percentile(ranked, k)] = 1
+            flags[top_fraction_indices(ranked.ite, k)] = 1
             columns.append(flags.tolist())
         rows += zip(repeat(m.label), range(ranked.n), map(repr, ranked.ite.tolist()), *columns)
     write_csv(out / "ranking.csv", config_hash, header, rows)

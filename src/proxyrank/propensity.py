@@ -115,11 +115,6 @@ def fit_propensity(d: Dataset, l2: float = 0.0, tol: float = 1e-6,
                          n_iter=n_iter, grad_norm=grad_norm)
 
 
-def predict_scores(fit: PropensityFit, d: Dataset) -> np.ndarray:
-    eta = fit.intercept + d.covariates @ fit.coefficients
-    return _sigmoid(np.clip(eta, -30.0, 30.0))
-
-
 def trim_extremes(fit: PropensityFit, d: Dataset, lo_q: float = 0.01,
                   hi_q: float = 0.99) -> tuple[Dataset, PropensityFit]:
     """Drop units with scores strictly outside the [lo_q, hi_q] score quantiles.

@@ -13,8 +13,9 @@ class RankingError(ValueError):
 def top_fraction_indices(values: np.ndarray, k_percent: float) -> np.ndarray:
     """Indices of the ceil(n * k / 100) largest values.
 
-    Ties are broken by ascending original index, so repeated calls agree and
-    nested percentiles give nested sets.
+    Ties are broken by ascending original index, as in ``rank_and_bucket``,
+    so these are the units it ranks 1 to ceil(n * k / 100). Repeated calls
+    agree and nested percentiles give nested sets.
     """
     if not 0.0 < k_percent <= 100.0:
         raise RankingError("k must lie in (0, 100]")
@@ -33,7 +34,6 @@ class RankedCohort:
     levels absorb the remainder.
     """
 
-    index: np.ndarray
     ite: np.ndarray
     rank: np.ndarray
     level: np.ndarray
@@ -44,8 +44,7 @@ class RankedCohort:
         return len(self.ite)
 
 
-def rank_and_bucket(ite: np.ndarray, n_levels: int = 4,
-                    index: np.ndarray | None = None) -> RankedCohort:
+def rank_and_bucket(ite: np.ndarray, n_levels: int = 4) -> RankedCohort:
     """Rank units by descending effect estimate and cut into equal buckets.
 
     Ties are broken by ascending original index (stable and deterministic).
@@ -57,7 +56,6 @@ def rank_and_bucket(ite: np.ndarray, n_levels: int = 4,
         raise RankingError("n_levels must be >= 1")
     if n < n_levels:
         raise RankingError(f"cannot cut {n} units into {n_levels} buckets")
-    idx = np.arange(n) if index is None else np.asarray(index)
     desc = np.lexsort((np.arange(n), -ite))
     rank = np.empty(n, dtype=np.int64)
     rank[desc] = np.arange(1, n + 1)
@@ -69,7 +67,7 @@ def rank_and_bucket(ite: np.ndarray, n_levels: int = 4,
     # position from the bottom of the ranking: 0 = smallest estimate
     pos_from_bottom = n - rank
     level = (np.searchsorted(bounds, pos_from_bottom, side="right") + 1).astype(np.int64)
-    return RankedCohort(index=idx, ite=ite, rank=rank, level=level, n_levels=n_levels)
+    return RankedCohort(ite=ite, rank=rank, level=level, n_levels=n_levels)
 
 
 def rank_rmse(predicted_levels: np.ndarray, true_levels: np.ndarray) -> float:
@@ -79,18 +77,6 @@ def rank_rmse(predicted_levels: np.ndarray, true_levels: np.ndarray) -> float:
     if p.shape != t.shape:
         raise RankingError(f"level sequences differ in length: {p.shape} vs {t.shape}")
     return float(np.sqrt(np.mean((p - t) ** 2)))
-
-
-def select_top_percentile(ranked: RankedCohort, k_percent: float) -> np.ndarray:
-    """The ceil(n * k / 100) highest-estimate units as positions into the cohort.
-
-    Membership is consistent with rank order: no selected unit ranks below an
-    unselected one, and k1 <= k2 implies the k1 set is contained in the k2 set.
-    """
-    if not 0.0 < k_percent <= 100.0:
-        raise RankingError("k must lie in (0, 100]")
-    m = int(np.ceil(ranked.n * k_percent / 100.0))
-    return np.sort(np.flatnonzero(ranked.rank <= m))
 
 
 def spearman_correlation(x: np.ndarray, y: np.ndarray) -> float:

@@ -44,16 +44,6 @@ class _Node:
         return {"value": self.value, "feature": self.feature, "threshold": self.threshold,
                 "left": self.left.to_dict(), "right": self.right.to_dict()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "_Node":
-        node = cls(value=d["value"])
-        if "feature" in d:
-            node.feature = d["feature"]
-            node.threshold = d["threshold"]
-            node.left = cls.from_dict(d["left"])
-            node.right = cls.from_dict(d["right"])
-        return node
-
 
 def _sort_column(col: np.ndarray) -> tuple[np.ndarray, bool]:
     """Stable ascending order of ``col`` and whether any value fails to exceed
@@ -240,13 +230,6 @@ class RegressionTree:
                 "max_features": self.max_features, "seed": self.seed,
                 "root": self.root.to_dict()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegressionTree":
-        tree = cls(max_depth=d["max_depth"], min_samples_leaf=d["min_samples_leaf"],
-                   max_features=d["max_features"], seed=d["seed"])
-        tree.root = _Node.from_dict(d["root"])
-        return tree
-
 
 @dataclass
 class RandomForest:
@@ -291,13 +274,6 @@ class RandomForest:
         return {"n_trees": self.n_trees, "min_samples_leaf": self.min_samples_leaf,
                 "max_depth": self.max_depth, "seed": self.seed,
                 "trees": [t.to_dict() for t in self.trees]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RandomForest":
-        forest = cls(n_trees=d["n_trees"], min_samples_leaf=d["min_samples_leaf"],
-                     max_depth=d["max_depth"], seed=d["seed"])
-        forest.trees = [RegressionTree.from_dict(t) for t in d["trees"]]
-        return forest
 
 
 @dataclass
@@ -354,13 +330,3 @@ class GradientBoostedTrees:
                 "seed": self.seed, "base_value": self.base_value,
                 "train_losses": self.train_losses,
                 "trees": [t.to_dict() for t in self.trees]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GradientBoostedTrees":
-        gbt = cls(n_rounds=d["n_rounds"], max_depth=d["max_depth"],
-                  shrinkage=d["shrinkage"], min_samples_leaf=d["min_samples_leaf"],
-                  seed=d["seed"])
-        gbt.base_value = d["base_value"]
-        gbt.train_losses = list(d["train_losses"])
-        gbt.trees = [RegressionTree.from_dict(t) for t in d["trees"]]
-        return gbt

@@ -15,7 +15,7 @@ from proxyrank import (AnalysisConfig, ConfounderConfig, ModelSpec, RunConfig,
                        generate_confounder, ground_truth_rank, overlap_fraction,
                        placebo_test, posterior_parameters, prepare_cohort,
                        rank_and_bucket, rank_rmse, run_analysis, run_pipeline,
-                       select_top_percentile, simulate_campaign, simulate_cohort,
+                       simulate_campaign, simulate_cohort, top_fraction_indices,
                        spearman_correlation, validate_ranking_splits,
                        FeatureMap, SimConfig)
 from proxyrank.outcomes import compute_ite
@@ -195,9 +195,9 @@ class TestCriterion8IVValidation:
         for rec in result.records:
             assert rec.estimate is not None
             if rec.group == "high":
-                idx = select_top_percentile(rank_and_bucket(truth.true_cate, 1), rec.k)
+                idx = top_fraction_indices(rank_and_bucket(truth.true_cate, 1).ite, rec.k)
             else:
-                top = select_top_percentile(rank_and_bucket(truth.true_cate, 1), rec.k)
+                top = top_fraction_indices(rank_and_bucket(truth.true_cate, 1).ite, rec.k)
                 idx = np.setdiff1d(np.arange(campaign.data.n), top)
             true_mean = float(truth.true_cate[idx].mean())
             z = abs(rec.estimate.cate - true_mean) / rec.estimate.se
@@ -227,7 +227,7 @@ class TestCriterion9PropertySuite:
         ranked = rank_and_bucket(rng.standard_normal(500), 4)
         previous = set()
         for k in (5.0, 10.0, 25.0, 50.0, 75.0, 100.0):
-            current = set(select_top_percentile(ranked, k))
+            current = set(top_fraction_indices(ranked.ite, k))
             assert previous <= current
             previous = current
 

@@ -2,12 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from proxyrank import (Dataset, DataValidationError, GroundTruth, SchemaError,
-                       SplitSpec, load_dataset, load_schema, save_dataset,
-                       train_validation_split)
+                       load_dataset, load_schema, save_dataset)
 
 from conftest import make_dataset
 
@@ -113,6 +110,12 @@ class TestLoad:
         with pytest.raises(DataValidationError, match="unparseable value 'u1' in column 'id'"):
             load_dataset(csv, {"treatment": "a", "outcome": "y"})
 
+    @pytest.mark.parametrize("body", ["1,2,0,3\n", "\"1\",2,0,3\n"], ids=["fast", "scan"])
+    def test_duplicate_header_name_rejected(self, tmp_path, body):
+        csv = write_csv(tmp_path / "d.csv", "x0,x0,a,y\n" + body)
+        with pytest.raises(SchemaError, match="^duplicate column name 'x0' in header$"):
+            load_dataset(csv, {"treatment": "a", "outcome": "y"})
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError, match="not found"):
             load_dataset(tmp_path / "nope.csv", SCHEMA)
@@ -162,45 +165,12 @@ class TestDatasetInvariants:
                          y0=np.zeros(n), y1=np.full(n, 2.0), z=np.zeros(n))
         assert gt.true_cate[0] == 2.0
 
-
-class TestSplit:
-    def test_ninety_ten_split_sizes(self):
-        d = make_dataset(n=1000, k=2)
-        train, val = train_validation_split(d, SplitSpec(0.10, seed=1))
-        assert (train.n, val.n) == (900, 100)
-
-    def test_zero_fraction_identity(self, toy_dataset):
-        train, val = train_validation_split(toy_dataset, SplitSpec(0.0, seed=5))
-        assert train.n == toy_dataset.n and val.n == 0
-        np.testing.assert_array_equal(train.covariates, toy_dataset.covariates)
-
-    def test_fraction_one_rejected(self):
-        with pytest.raises(SchemaError):
-            SplitSpec(1.0, seed=0)
-
-    def test_determinism_and_partition(self):
-        d = make_dataset(n=57, k=2, seed=9)
-        spec = SplitSpec(0.25, seed=42)
-        t1, v1 = train_validation_split(d, spec)
-        t2, v2 = train_validation_split(d, spec)
-        np.testing.assert_array_equal(t1.outcome, t2.outcome)
-        np.testing.assert_array_equal(v1.outcome, v2.outcome)
-        # disjoint and complete: outcomes are unique in this fixture
-        merged = np.sort(np.concatenate([t1.outcome, v1.outcome]))
-        np.testing.assert_array_equal(merged, np.sort(d.outcome))
-
-    def test_single_row_guard(self):
-        d = make_dataset(n=2, k=2).subset(np.array([0]))
-        with pytest.raises(DataValidationError):
-            train_validation_split(d, SplitSpec(0.5, seed=0))
-
-    @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(2, 80), f=st.floats(0.01, 0.9), seed=st.integers(0, 2**32 - 1))
-    def test_split_is_bijection_on_indices(self, n, f, seed):
-        d = Dataset(np.arange(n, dtype=float).reshape(-1, 1),
-                    np.resize([0, 1], n), np.arange(n, dtype=float))
-        train, val = train_validation_split(d, SplitSpec(f, seed))
-        assert train.n == int(round(n * (1 - f)))
-        assert train.n + val.n == n
-        merged = np.sort(np.concatenate([train.outcome, val.outcome]))
-        np.testing.assert_array_equal(merged, np.arange(n, dtype=float))
+    @pytest.mark.parametrize("column", ["true_cate", "y0", "y1"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_ground_truth_non_finite_rejected(self, column, bad):
+        cols = {"true_group": np.ones(3), "true_cate": np.ones(3), "y0": np.zeros(3),
+                "y1": np.ones(3), "z": np.zeros(3)}
+        cols[column][1] = bad
+        with pytest.raises(DataValidationError,
+                           match=f"^non-finite ground-truth value in column '{column}' at row 1$"):
+            GroundTruth(**cols)

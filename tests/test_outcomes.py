@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from proxyrank import (Dataset, FeatureMap, ModelError, compute_ite,
-                       fit_outcome_model, load_model, save_model)
+from proxyrank import Dataset, FeatureMap, ModelError, compute_ite, fit_outcome_model
 
 from conftest import make_dataset
 
@@ -247,27 +246,6 @@ class TestValidationAndPersistence:
     def test_weight_length_mismatch(self, toy_dataset):
         with pytest.raises(ModelError, match="length"):
             fit_outcome_model(toy_dataset, np.ones(3), "linear_wls")
-
-    @pytest.mark.parametrize("family,kwargs", [
-        ("linear_wls", {}),
-        ("poisson", {}),
-        ("svr_linear", {"epochs": 5}),
-        ("tree", {}),
-        ("forest", {"n_trees": 4}),
-        ("boosted_trees", {"n_rounds": 8}),
-    ])
-    def test_json_roundtrip_preserves_predictions(self, family, kwargs, tmp_path):
-        d = make_dataset(n=120, k=3, seed=21)
-        if family == "poisson":
-            d = Dataset(d.covariates, d.treatment, np.abs(d.outcome))
-        m = fit_outcome_model(d, None, family, **kwargs)
-        path = tmp_path / "model.json"
-        save_model(m, path)
-        m2 = load_model(path)
-        for arm in (0, 1):
-            a = np.full(d.n, arm, dtype=int)
-            np.testing.assert_allclose(m.predict(d.covariates, a),
-                                       m2.predict(d.covariates, a), rtol=1e-12)
 
     def test_loss_kind_labels(self, toy_dataset):
         assert fit_outcome_model(toy_dataset, None, "linear_wls").loss_kind == "squared_error"

@@ -32,6 +32,20 @@ BAD_MODELS = [
     ({"family": "linear_sgd"}, "unknown family"),
 ]
 
+# Out-of-range run settings; each would otherwise fail only at fit time, or
+# run to a degenerate result.
+BAD_CONFIGS = [
+    ({"analysis": {"trim_lo": 0.9, "trim_hi": 0.1}}, "trim_lo < trim_hi"),
+    ({"analysis": {"n_levels": 0}}, "n_levels must be >= 1"),
+    ({"analysis": {"propensity_l2": -1}}, "propensity_l2 must be >= 0"),
+    ({"analysis": {"report_range": [5, 1]}}, "report_range"),
+    ({"k_grid": [0]}, "k_grid"),
+    ({"k_grid": []}, "k_grid"),
+    ({"placebo_bootstrap": 0}, "placebo_bootstrap must be >= 2"),
+    ({"sensitivity_configs": [{"epsilon": 0}]}, "epsilon must be > 0"),
+    ({"sensitivity_configs": [{"posterior_mode": "median"}]}, "posterior_mode"),
+]
+
 
 def balance_numbers(path: Path) -> list[float]:
     """Every SMD cell of a balance.csv, parsed with float()."""
@@ -89,6 +103,11 @@ class TestRunConfig:
     def test_bad_model_spec_rejected_at_load(self, model, match):
         with pytest.raises(ConfigError, match=match):
             RunConfig.from_dict({"models": [model]})
+
+    @pytest.mark.parametrize("fragment,match", BAD_CONFIGS)
+    def test_bad_setting_rejected_at_load(self, fragment, match):
+        with pytest.raises(ConfigError, match=match):
+            RunConfig.from_dict(fragment)
 
     def test_config_hash_stable_and_sensitive(self):
         c1 = RunConfig.from_dict(TINY)
@@ -235,6 +254,14 @@ class TestCli:
     def test_bad_model_spec_exit_code(self, model, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps(dict(TINY, models=[model])))
+        assert self.run_cli("rank", "--config", str(cfgp),
+                            "--out", str(tmp_path / "r")) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fragment", [f for f, _ in BAD_CONFIGS])
+    def test_bad_setting_exit_code(self, fragment, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(dict(TINY, **fragment)))
         assert self.run_cli("rank", "--config", str(cfgp),
                             "--out", str(tmp_path / "r")) == 1
         assert "config error" in capsys.readouterr().err

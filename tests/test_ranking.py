@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxyrank import (RankingError, rank_and_bucket, rank_rmse,
-                       select_top_percentile, spearman_correlation,
-                       top_fraction_indices)
+                       spearman_correlation, top_fraction_indices)
 
 floats_unique = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=4,
                          max_size=60, unique=True)
@@ -89,12 +88,12 @@ class TestRankRmse:
 class TestTopPercentile:
     def test_full_selection(self):
         rc = rank_and_bucket(np.arange(20.0), 4)
-        assert len(select_top_percentile(rc, 100.0)) == 20
+        assert len(top_fraction_indices(rc.ite, 100.0)) == 20
 
     def test_half_selection_consistent_with_ranks(self):
         rng = np.random.default_rng(2)
         rc = rank_and_bucket(rng.standard_normal(10_000), 4)
-        top = select_top_percentile(rc, 50.0)
+        top = top_fraction_indices(rc.ite, 50.0)
         assert len(top) == 5000
         assert rc.rank[top].max() == 5000
         untouched = np.setdiff1d(np.arange(10_000), top)
@@ -102,13 +101,13 @@ class TestTopPercentile:
 
     def test_ceil_count(self):
         rc = rank_and_bucket(np.arange(10.0), 2)
-        assert len(select_top_percentile(rc, 25.0)) == 3  # ceil(2.5)
+        assert len(top_fraction_indices(rc.ite, 25.0)) == 3  # ceil(2.5)
 
     def test_bad_k(self):
         rc = rank_and_bucket(np.arange(10.0), 2)
         for bad in (0.0, -5.0, 101.0):
             with pytest.raises(RankingError):
-                select_top_percentile(rc, bad)
+                top_fraction_indices(rc.ite, bad)
 
     @settings(max_examples=30, deadline=None)
     @given(values=floats_unique, k1=st.floats(1, 100), k2=st.floats(1, 100))
@@ -116,17 +115,9 @@ class TestTopPercentile:
         ite = np.asarray(values)
         rc = rank_and_bucket(ite, 1)
         lo, hi = sorted([k1, k2])
-        s_lo = set(select_top_percentile(rc, lo))
-        s_hi = set(select_top_percentile(rc, hi))
+        s_lo = set(top_fraction_indices(rc.ite, lo))
+        s_hi = set(top_fraction_indices(rc.ite, hi))
         assert s_lo <= s_hi
-
-    def test_top_fraction_matches_select(self):
-        rng = np.random.default_rng(3)
-        ite = rng.standard_normal(500)
-        rc = rank_and_bucket(ite, 4)
-        for k in (10.0, 33.0, 90.0):
-            np.testing.assert_array_equal(top_fraction_indices(ite, k),
-                                          select_top_percentile(rc, k))
 
 
 class TestSpearman:
