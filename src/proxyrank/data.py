@@ -153,6 +153,41 @@ class Dataset:
 _GT_FIELDS = ("true_group", "true_cate", "y0", "y1", "z")
 
 
+def _check_schema(schema: dict) -> None:
+    """Raise SchemaError unless ``schema`` is a role map ``load_dataset`` can
+    use: an object with string ``treatment`` and ``outcome`` columns, an
+    optional list of string ``covariates`` and an optional object of string
+    ``ground_truth`` columns, where no column has two roles."""
+    if not isinstance(schema, dict):
+        raise SchemaError(f"schema must be a JSON object mapping roles to columns, "
+                          f"got {type(schema).__name__}")
+    for role in ("treatment", "outcome"):
+        if role not in schema:
+            raise SchemaError(f"schema is missing the '{role}' role")
+    cov_cols = schema.get("covariates")
+    if cov_cols is not None and not (isinstance(cov_cols, list)
+                                     and all(isinstance(c, str) for c in cov_cols)):
+        raise SchemaError(f"schema role 'covariates' must be a list of column names, "
+                          f"got {cov_cols!r}")
+    gt_map = schema.get("ground_truth") or {}
+    if not isinstance(gt_map, dict):
+        raise SchemaError(f"schema role 'ground_truth' must map roles to column names, "
+                          f"got {gt_map!r}")
+    roles = [("treatment", schema["treatment"]), ("outcome", schema["outcome"]),
+             *(("covariates", c) for c in cov_cols or ()),
+             *((f"ground_truth.{r}", c) for r, c in gt_map.items())]
+    role_of: dict = {}
+    for role, col in roles:
+        if not isinstance(col, str):
+            raise SchemaError(f"schema role '{role}' must be a column name, got {col!r}")
+        if col in role_of:
+            if role == role_of[col] == "covariates":
+                raise SchemaError(f"covariate column '{col}' is listed twice")
+            raise SchemaError(f"column '{col}' has two roles: "
+                              f"'{role_of[col]}' and '{role}'")
+        role_of[col] = role
+
+
 def load_schema(path: str | Path) -> dict:
     """Read a JSON sidecar mapping column roles to CSV column names."""
     p = Path(path)
@@ -160,9 +195,7 @@ def load_schema(path: str | Path) -> dict:
         raise SchemaError(f"schema file not found: {p}")
     with open(p, encoding="utf-8") as fh:
         schema = json.load(fh)
-    for role in ("treatment", "outcome"):
-        if role not in schema:
-            raise SchemaError(f"schema is missing the '{role}' role")
+    _check_schema(schema)
     return schema
 
 
@@ -224,6 +257,7 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
     scanned cell by cell with ``float()``. Both give the same arrays, bit
     for bit, and the scan gives every error message.
     """
+    _check_schema(schema)
     p = Path(path)
     if not p.exists():
         raise SchemaError(f"data file not found: {p}")

@@ -195,6 +195,18 @@ def _fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
 
     The outcome is standardized internally so the default step sizes are
     scale-free in y; the design is consumed raw.
+
+    Each step gathers its batch rows once and sums them in order, weighted
+    by ``copysign(w, resid)`` outside the tube and by zero inside it. With
+    positive weights this equals summing only the outside rows weighted by
+    ``w * sign(resid)``: an inside row adds a signed zero, which can flip
+    only the sign of a zero sum, and ``theta`` (never -0.0) absorbs that.
+    ``np.add.reduce`` over axis 0 adds row after row when there are two or
+    more columns; a single column it sums pairwise, where the zero rows
+    would regroup the additions, so a one-column design keeps only its
+    outside rows. A BLAS ``c @ Db`` or an einsum (a fused multiply-add on
+    some builds) would round differently. ``tests/svr_oracle.py`` holds the
+    masked form this must match bit for bit.
     """
     _check_values("svr_linear", {"C": C, "epsilon": epsilon})
     y_mean, y_scale = float(y.mean()), float(y.std()) or 1.0
@@ -207,23 +219,28 @@ def _fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
     t = 0
     for _ in range(epochs):
         order = rng.permutation(n)
+        yo, wo = yn[order], wn[order]
         for s in range(0, n, batch_size):
-            b = order[s:s + batch_size]
-            Db, yb, wb = D[b], yn[b], wn[b]
+            e = s + batch_size
+            Db = D.take(order[s:e], axis=0)  # a copy, scaled in place below
             t += 1
-            lr = lr0 / math.sqrt(t)
-            resid = yb - Db @ theta
+            resid = yo[s:e] - Db @ theta
+            c = np.copysign(wo[s:e], resid)
             outside = np.abs(resid) > epsilon
+            if p == 1:
+                Db, c = Db[outside], c[outside]
+            else:
+                c *= outside  # zero the rows inside the tube
+            Db *= c[:, None]
             grad = lam * theta
             grad[0] = 0.0  # intercept unpenalized
-            if outside.any():
-                grad -= (Db[outside] *
-                         (wb[outside] * np.sign(resid[outside]))[:, None]).sum(axis=0) / len(b)
+            grad -= np.add.reduce(Db, axis=0) / len(resid)
             if grad_clip is not None:
                 norm = math.sqrt(grad @ grad)
                 if norm > grad_clip:
                     grad *= grad_clip / norm
-            theta = theta - lr * grad
+            grad *= lr0 / math.sqrt(t)
+            theta -= grad
     resid = yn - D @ theta
     loss = float(np.sum(w * np.maximum(np.abs(resid) - epsilon, 0.0)))
     params = {"theta": theta, "y_mean": y_mean, "y_scale": y_scale,

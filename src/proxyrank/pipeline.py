@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
@@ -53,6 +54,34 @@ def read_json_object(path: str | Path, what: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} root must be a JSON object")
     return raw
+
+
+def _converted(key: str, convert, value, what: str):
+    """``convert(value)``, or a ConfigError naming ``key`` when the value has
+    the wrong type for it."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+
+
+def _float_tuple(values) -> tuple[float, ...]:
+    if isinstance(values, str):
+        raise TypeError("a string is not a list")
+    return tuple(float(v) for v in values)
+
+
+def _number_tuple(values) -> tuple:
+    """``values`` as a tuple, unconverted, when it is a list of numbers."""
+    if isinstance(values, str) or not all(isinstance(v, numbers.Real) for v in values):
+        raise TypeError("not a list of numbers")
+    return tuple(values)
+
+
+def _section(raw: dict, key: str) -> dict:
+    if not isinstance(raw[key], dict):
+        raise ConfigError(f"{key} must be an object, got {raw[key]!r}")
+    return dict(raw[key])
 
 
 def _default_models() -> tuple[ModelSpec, ...]:
@@ -133,14 +162,15 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs: dict = {}
         if "master_seed" in raw:
-            kwargs["master_seed"] = int(raw["master_seed"])
+            kwargs["master_seed"] = _converted("master_seed", int, raw["master_seed"],
+                                               "an integer")
         if "sim" in raw:
-            sim_raw = dict(raw["sim"])
+            sim_raw = _section(raw, "sim")
             kwargs["sim_seed_explicit"] = "seed" in sim_raw or raw.get("sim_seed_explicit", False)
-            for key in ("cate_levels", "coef_values", "coef_probs", "compliance_table"):
-                if sim_raw.get(key) is not None:
-                    sim_raw[key] = tuple(sim_raw[key])
             try:
+                for key in ("cate_levels", "coef_values", "coef_probs", "compliance_table"):
+                    if sim_raw.get(key) is not None:
+                        sim_raw[key] = tuple(sim_raw[key])
                 kwargs["sim"] = SimConfig(**sim_raw)
             except TypeError as exc:
                 raise ConfigError(f"bad sim config: {exc}") from None
@@ -157,13 +187,22 @@ class RunConfig:
                 except ModelError as exc:
                     raise ConfigError(f"bad model spec {spec.name()!r}: {exc}") from None
         if "analysis" in raw:
-            acfg = dict(raw["analysis"])
-            if acfg.get("report_range") is not None:
-                acfg["report_range"] = tuple(acfg["report_range"])
+            acfg = _section(raw, "analysis")
             try:
-                kwargs["analysis"] = AnalysisConfig(**acfg)
+                AnalysisConfig(**acfg)
             except TypeError as exc:
                 raise ConfigError(f"bad analysis config: {exc}") from None
+            for key, value in acfg.items():  # every key is a field now
+                if key == "report_range":
+                    if value is not None:
+                        acfg[key] = _converted("analysis.report_range", _number_tuple,
+                                               value, "a list of numbers")
+                elif key in ("n_levels", "propensity_max_iter"):
+                    if not isinstance(value, numbers.Integral):
+                        raise ConfigError(f"analysis.{key} must be an integer, got {value!r}")
+                elif not isinstance(value, numbers.Real):
+                    raise ConfigError(f"analysis.{key} must be a number, got {value!r}")
+            kwargs["analysis"] = AnalysisConfig(**acfg)
         if "sensitivity_configs" in raw:
             try:
                 kwargs["sensitivity_configs"] = tuple(
@@ -172,11 +211,13 @@ class RunConfig:
                 raise ConfigError(f"bad confounder config: {exc}") from None
         for key in ("sensitivity_runs", "placebo_bootstrap"):
             if key in raw:
-                kwargs[key] = int(raw[key])
+                kwargs[key] = _converted(key, int, raw[key], "an integer")
         if "k_grid" in raw:
-            kwargs["k_grid"] = tuple(float(k) for k in raw["k_grid"])
+            kwargs["k_grid"] = _converted("k_grid", _float_tuple, raw["k_grid"],
+                                          "a list of numbers")
         if "campaign_exposure" in raw:
-            kwargs["campaign_exposure"] = float(raw["campaign_exposure"])
+            kwargs["campaign_exposure"] = _converted("campaign_exposure", float,
+                                                     raw["campaign_exposure"], "a number")
         return cls(**kwargs)
 
     @classmethod

@@ -4,6 +4,31 @@ import pytest
 from proxyrank import Dataset, SimConfig, simulate_cohort
 
 
+# Schema maps load_dataset rejects with a SchemaError, each with a fragment of
+# its message; the columns are those of a simulated CSV (x0.., a, y).
+BAD_SCHEMAS = [
+    ([{"treatment": "a", "outcome": "y"}], "schema must be a JSON object"),
+    ({"treatment": ["a"], "outcome": "y"}, "role 'treatment' must be a column name"),
+    ({"treatment": "a", "outcome": 5}, "role 'outcome' must be a column name"),
+    ({"treatment": "a", "outcome": "y", "covariates": "x0"},
+     "role 'covariates' must be a list of column names"),
+    ({"treatment": "a", "outcome": "y", "covariates": ["x0", 1]},
+     "role 'covariates' must be a list of column names"),
+    ({"treatment": "a", "outcome": "y", "ground_truth": ["z"]},
+     "role 'ground_truth' must map roles to column names"),
+    ({"treatment": "a", "outcome": "a"}, "column 'a' has two roles: 'treatment' and 'outcome'"),
+    ({"treatment": "a", "outcome": "y", "covariates": ["y", "x0"]},
+     "column 'y' has two roles: 'outcome' and 'covariates'"),
+    ({"treatment": "a", "outcome": "y", "covariates": ["x0", "a"]},
+     "column 'a' has two roles: 'treatment' and 'covariates'"),
+    ({"treatment": "a", "outcome": "y", "covariates": ["x0"],
+      "ground_truth": {"true_group": "x0"}},
+     "column 'x0' has two roles: 'covariates' and 'ground_truth.true_group'"),
+    ({"treatment": "a", "outcome": "y", "covariates": ["x0", "x1", "x0"]},
+     "covariate column 'x0' is listed twice"),
+]
+
+
 def make_dataset(n=40, k=3, seed=0, treat_prob=0.5):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, k))

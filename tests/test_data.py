@@ -6,7 +6,7 @@ import pytest
 from proxyrank import (Dataset, DataValidationError, GroundTruth, SchemaError,
                        load_dataset, load_schema, save_dataset)
 
-from conftest import make_dataset
+from conftest import BAD_SCHEMAS, make_dataset
 
 
 def write_csv(path, text):
@@ -138,6 +138,15 @@ class TestLoad:
         (tmp_path / "bad.json").write_text(json.dumps({"outcome": "y"}))
         with pytest.raises(SchemaError, match="treatment"):
             load_schema(tmp_path / "bad.json")
+
+    @pytest.mark.parametrize("schema,match", BAD_SCHEMAS)
+    def test_bad_schema_map_rejected(self, tmp_path, schema, match):
+        csv = write_csv(tmp_path / "d.csv", "x0,x1,a,y,z\n0.5,1.5,0,2.0,1\n0,1,1,0,0\n")
+        with pytest.raises(SchemaError, match=match):
+            load_dataset(csv, schema)
+        (tmp_path / "s.json").write_text(json.dumps(schema))
+        with pytest.raises(SchemaError, match=match):
+            load_schema(tmp_path / "s.json")
 
 
 class TestDatasetInvariants:

@@ -7,9 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxyrank import ConfigError, RunConfig, StageError, emit_report, pipeline, run_pipeline
+from proxyrank import (ConfigError, Dataset, RunConfig, StageError, emit_report, pipeline,
+                       run_pipeline, save_dataset)
 from proxyrank.cli import main
 from proxyrank.pipeline import REPORT_FILES
+
+from conftest import BAD_SCHEMAS
 
 TINY = {"sim": {"n": 600, "k": 8},
         "sensitivity_runs": 1,
@@ -44,6 +47,19 @@ BAD_CONFIGS = [
     ({"placebo_bootstrap": 0}, "placebo_bootstrap must be >= 2"),
     ({"sensitivity_configs": [{"epsilon": 0}]}, "epsilon must be > 0"),
     ({"sensitivity_configs": [{"posterior_mode": "median"}]}, "posterior_mode"),
+    # values of the wrong type
+    ({"analysis": {"trim_lo": "x"}}, "analysis.trim_lo must be a number"),
+    ({"analysis": {"n_levels": "4"}}, "analysis.n_levels must be an integer"),
+    ({"analysis": {"n_levels": 4.0}}, "analysis.n_levels must be an integer"),
+    ({"analysis": {"report_range": [0, "x"]}}, "analysis.report_range must be a list"),
+    ({"analysis": 5}, "analysis must be an object"),
+    ({"sim": [1]}, "sim must be an object"),
+    ({"sensitivity_runs": "two"}, "sensitivity_runs must be an integer"),
+    ({"placebo_bootstrap": "many"}, "placebo_bootstrap must be an integer"),
+    ({"k_grid": "abc"}, "k_grid must be a list of numbers"),
+    ({"k_grid": 5}, "k_grid must be a list of numbers"),
+    ({"campaign_exposure": "x"}, "campaign_exposure must be a number"),
+    ({"master_seed": "x"}, "master_seed must be an integer"),
 ]
 
 
@@ -288,6 +304,28 @@ class TestCli:
         cfgp.write_text(json.dumps(cfg_dict))
         assert self.run_cli("run", "--config", str(cfgp),
                             "--out", str(tmp_path / "r")) == 2
+
+    @pytest.mark.parametrize("schema,match", BAD_SCHEMAS)
+    def test_bad_schema_map_exit_code(self, cli_outputs, schema, match, tmp_path, capsys):
+        (tmp_path / "s.json").write_text(json.dumps(schema))
+        assert self.run_cli("analyze", "--data", str(cli_outputs / "sim" / "observed.csv"),
+                            "--schema", str(tmp_path / "s.json"),
+                            "--out", str(tmp_path / "an")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and match in err
+
+    def test_trimming_that_empties_an_arm_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        a = np.ones(200, dtype=np.int64)
+        X = rng.standard_normal((200, 3))
+        a[7], X[7] = 0, -5.0  # the one control unit gets the lowest score: trimmed
+        save_dataset(Dataset(X, a, X[:, 0] + rng.standard_normal(200)), tmp_path / "d.csv")
+        (tmp_path / "s.json").write_text(json.dumps({"treatment": "a", "outcome": "y"}))
+        assert self.run_cli("analyze", "--data", str(tmp_path / "d.csv"),
+                            "--schema", str(tmp_path / "s.json"),
+                            "--out", str(tmp_path / "an")) == 2
+        assert "stage failure: FitError: trimming would remove an entire treatment arm" in \
+            capsys.readouterr().err
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
