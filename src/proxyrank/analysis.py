@@ -17,6 +17,7 @@ from .outcomes import FeatureMap, ITETable, OutcomeModel, compute_ite, fit_outco
 from .propensity import (BalanceReport, PropensityFit, balance_report,
                          fit_propensity, stabilized_weights, trim_extremes)
 from .ranking import RankedCohort, rank_and_bucket
+from .simulate import ConfigError
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,18 @@ class AnalysisConfig:
     n_levels: int = 4
     balance_threshold: float = 0.2
     report_range: tuple[float, float] | None = None
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.trim_lo < self.trim_hi <= 1.0:
+            raise ConfigError("analysis needs 0 <= trim_lo < trim_hi <= 1")
+        if not self.propensity_l2 >= 0.0:
+            raise ConfigError("analysis.propensity_l2 must be >= 0")
+        if not self.n_levels >= 1:
+            raise ConfigError("analysis.n_levels must be >= 1")
+        if self.report_range is not None and not (len(self.report_range) == 2
+                                                  and self.report_range[0] < self.report_range[1]):
+            raise ConfigError(f"analysis.report_range must be [lo, hi] with lo < hi, "
+                              f"got {list(self.report_range)}")
 
 
 @dataclass

@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import Dataset
 from .rng import substream
-from .trees import GradientBoostedTrees, RandomForest, RegressionTree
+from .trees import GradientBoostedTrees, RandomForest, RegressionTree, _is_integer
 
 FAMILIES = ("linear_wls", "poisson", "svr_linear", "tree", "forest", "boosted_trees")
 _TREE_CLASSES = {"tree": RegressionTree, "forest": RandomForest,
@@ -122,24 +122,31 @@ class OutcomeModel:
 
 # Out-of-range hyperparameter values of the non-tree families:
 # family -> ((name, is_bad, message), ...). The tree classes check their own.
+# Each test is written so that NaN is out of range.
 _BAD_VALUES = {
-    "linear_wls": (("l2", lambda v: v < 0, "l2 must be >= 0"),),
-    "svr_linear": (("C", lambda v: v <= 0, "svr_linear requires C > 0 and epsilon >= 0"),
-                   ("epsilon", lambda v: v < 0, "svr_linear requires C > 0 and epsilon >= 0")),
+    "linear_wls": (("l2", lambda v: not v >= 0, "l2 must be >= 0"),),
+    "svr_linear": (
+        ("C", lambda v: not v > 0, "svr_linear requires C > 0 and epsilon >= 0"),
+        ("epsilon", lambda v: not v >= 0, "svr_linear requires C > 0 and epsilon >= 0"),
+        ("lr0", lambda v: not v > 0, "svr_linear requires lr0 > 0"),
+        ("epochs", lambda v: not (_is_integer(v) and v >= 1),
+         "svr_linear epochs must be an integer >= 1"),
+        ("batch_size", lambda v: not (_is_integer(v) and v >= 1),
+         "svr_linear batch_size must be an integer >= 1"),
+        ("seed", lambda v: not _is_integer(v), "svr_linear seed must be an integer")),
 }
 
 
 def _check_values(family: str, hyperparams: dict) -> None:
     """Raise ModelError for an out-of-range value in ``hyperparams``; names
-    it does not hold are not checked. The fitters call this with their
-    arguments and ``check_hyperparams`` with a config's."""
+    it does not hold are not checked. ``fit_outcome_model`` calls this with
+    its arguments and ``check_hyperparams`` with a config's."""
     for name, is_bad, message in _BAD_VALUES.get(family, ()):
         if name in hyperparams and is_bad(hyperparams[name]):
             raise ModelError(message)
 
 
 def _fit_linear_wls(D, y, w, l2=0.0):
-    _check_values("linear_wls", {"l2": l2})
     sq = np.sqrt(w)
     if l2 == 0.0:
         coef, *_ = np.linalg.lstsq(D * sq[:, None], y * sq, rcond=None)
@@ -208,7 +215,6 @@ def _fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
     some builds) would round differently. ``tests/svr_oracle.py`` holds the
     masked form this must match bit for bit.
     """
-    _check_values("svr_linear", {"C": C, "epsilon": epsilon})
     y_mean, y_scale = float(y.mean()), float(y.std()) or 1.0
     yn = (y - y_mean) / y_scale
     wn = w / w.mean()
@@ -288,6 +294,7 @@ def fit_outcome_model(d: Dataset, weights: np.ndarray | None = None,
     """
     if family not in FAMILIES:
         raise ModelError(f"unknown family {family!r}; choose from {FAMILIES}")
+    _check_values(family, hyperparams)
     fm = feature_map or FeatureMap()
     X, a, y = d.covariates, d.treatment, d.outcome
     w = np.ones(d.n) if weights is None else np.asarray(weights, dtype=np.float64)

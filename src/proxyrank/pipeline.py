@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from itertools import repeat
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -56,32 +58,67 @@ def read_json_object(path: str | Path, what: str) -> dict:
     return raw
 
 
-def _converted(key: str, convert, value, what: str):
-    """``convert(value)``, or a ConfigError naming ``key`` when the value has
-    the wrong type for it."""
+# Each scalar field type of the config classes: the JSON values it takes and
+# what an error calls it. A float field also takes an integer.
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"),
+            bool: (bool, "a boolean"), str: (str, "a string"), dict: (dict, "an object")}
+
+
+def _describe(tp) -> str:
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        size = "" if args[-1] is Ellipsis else f"{len(args)} "
+        return f"a list of {size}{_SCALARS[args[0]][1].split()[-1]}s"
+    return _SCALARS[tp][1]
+
+
+def _scalar(tp, value):
+    """``value`` stored as ``tp``, a scalar type or a tuple of one; raises
+    TypeError (or OverflowError) when its JSON type does not fit."""
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        if not isinstance(value, (list, tuple)) or (args[-1] is not Ellipsis
+                                                      and len(value) != len(args)):
+            raise TypeError
+        return tuple(_scalar(args[0], v) for v in value)
+    if (isinstance(value, bool) != (tp is bool) or not isinstance(value, _SCALARS[tp][0])
+            or tp is float and not math.isfinite(value)):
+        raise TypeError
+    return float(value) if tp is float else value
+
+
+def _load(tp, value, key: str):
+    """JSON ``value`` as a value of the annotated type ``tp`` of the field at
+    dotted ``key``: a config dataclass from an object, whose fields are
+    loaded in turn; a tuple from a list; a float from any finite number.
+    Raises ConfigError naming the key when a value has the wrong JSON type or
+    an object has a key its class has no field for."""
+    if get_origin(tp) is UnionType:  # ``X | None``
+        if value is None:
+            return None
+        (tp,) = [t for t in get_args(tp) if t is not type(None)]
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be an object, got {value!r}")
+        hints = get_type_hints(tp)
+        prefix = f"{key}." if key else ""
+        unknown = sorted(set(value) - set(hints))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {[prefix + k for k in unknown]}")
+        try:
+            return tp(**{k: _load(hints[k], v, prefix + k) for k, v in value.items()})
+        except ConfigError:
+            raise
+        except ValueError as exc:  # a range check that raises its own error type
+            raise ConfigError(f"{key}: {exc}") from None
+    if get_origin(tp) is tuple and is_dataclass(get_args(tp)[0]):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list of objects, got {value!r}")
+        return tuple(_load(get_args(tp)[0], v, f"{key}[{i}]") for i, v in enumerate(value))
     try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
-
-
-def _float_tuple(values) -> tuple[float, ...]:
-    if isinstance(values, str):
-        raise TypeError("a string is not a list")
-    return tuple(float(v) for v in values)
-
-
-def _number_tuple(values) -> tuple:
-    """``values`` as a tuple, unconverted, when it is a list of numbers."""
-    if isinstance(values, str) or not all(isinstance(v, numbers.Real) for v in values):
-        raise TypeError("not a list of numbers")
-    return tuple(values)
-
-
-def _section(raw: dict, key: str) -> dict:
-    if not isinstance(raw[key], dict):
-        raise ConfigError(f"{key} must be an object, got {raw[key]!r}")
-    return dict(raw[key])
+        return _scalar(tp, value)
+    except (TypeError, OverflowError):
+        raise ConfigError(f"{key} must be {_describe(tp)}, got {value!r}") from None
 
 
 def _default_models() -> tuple[ModelSpec, ...]:
@@ -97,7 +134,8 @@ def _default_confounders() -> tuple[ConfounderConfig, ...]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one end-to-end run needs; JSON round-trippable."""
+    """Everything one end-to-end run needs. ``asdict`` gives its JSON form,
+    and ``from_dict`` reads that form back to an equal config."""
 
     master_seed: int = 2024
     sim: SimConfig = field(default_factory=SimConfig)
@@ -113,6 +151,15 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.models:
             raise ConfigError("config must declare at least one outcome model")
+        labels = set()
+        for spec in self.models:
+            try:
+                check_hyperparams(spec.family, spec.hyperparams)
+            except ModelError as exc:
+                raise ConfigError(f"bad model spec {spec.name()!r}: {exc}") from None
+            if spec.name() in labels:
+                raise ConfigError(f"two models are named {spec.name()!r}")
+            labels.add(spec.name())
         if self.sensitivity_runs < 1:
             raise ConfigError("sensitivity_runs must be >= 1")
         if not 0.0 < self.campaign_exposure < 1.0:
@@ -121,111 +168,26 @@ class RunConfig:
             raise ConfigError("placebo_bootstrap must be >= 2")
         if not self.k_grid or not all(0.0 < k <= 100.0 for k in self.k_grid):
             raise ConfigError(f"k_grid must hold values in (0, 100], got {list(self.k_grid)}")
-        a = self.analysis
-        if not 0.0 <= a.trim_lo < a.trim_hi <= 1.0:
-            raise ConfigError("analysis needs 0 <= trim_lo < trim_hi <= 1")
-        if not a.propensity_l2 >= 0.0:
-            raise ConfigError("analysis.propensity_l2 must be >= 0")
-        if not a.n_levels >= 1:
-            raise ConfigError("analysis.n_levels must be >= 1")
-        if a.report_range is not None and not (len(a.report_range) == 2
-                                               and a.report_range[0] < a.report_range[1]):
-            raise ConfigError(f"analysis.report_range must be [lo, hi] with lo < hi, "
-                              f"got {list(a.report_range)}")
 
     def resolved_sim(self) -> SimConfig:
         if self.sim_seed_explicit:
             return self.sim
         return replace(self.sim, seed=derive_seed(self.master_seed, "sim"))
 
-    def to_dict(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "sim": asdict(self.sim),
-            "sim_seed_explicit": self.sim_seed_explicit,
-            "models": [asdict(m) for m in self.models],
-            "analysis": asdict(self.analysis),
-            "sensitivity_configs": [asdict(c) for c in self.sensitivity_configs],
-            "sensitivity_runs": self.sensitivity_runs,
-            "placebo_bootstrap": self.placebo_bootstrap,
-            "k_grid": list(self.k_grid),
-            "campaign_exposure": self.campaign_exposure,
-        }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        raw = dict(raw)
-        unknown = set(raw) - {"master_seed", "sim", "sim_seed_explicit", "models",
-                              "analysis", "sensitivity_configs", "sensitivity_runs",
-                              "placebo_bootstrap", "k_grid", "campaign_exposure"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        if "master_seed" in raw:
-            kwargs["master_seed"] = _converted("master_seed", int, raw["master_seed"],
-                                               "an integer")
-        if "sim" in raw:
-            sim_raw = _section(raw, "sim")
-            kwargs["sim_seed_explicit"] = "seed" in sim_raw or raw.get("sim_seed_explicit", False)
-            try:
-                for key in ("cate_levels", "coef_values", "coef_probs", "compliance_table"):
-                    if sim_raw.get(key) is not None:
-                        sim_raw[key] = tuple(sim_raw[key])
-                kwargs["sim"] = SimConfig(**sim_raw)
-            except TypeError as exc:
-                raise ConfigError(f"bad sim config: {exc}") from None
-        if "models" in raw:
-            if not isinstance(raw["models"], list) or not raw["models"]:
-                raise ConfigError("config must declare at least one outcome model")
-            try:
-                kwargs["models"] = tuple(ModelSpec(**m) for m in raw["models"])
-            except TypeError as exc:
-                raise ConfigError(f"bad model spec: {exc}") from None
-            for spec in kwargs["models"]:
-                try:
-                    check_hyperparams(spec.family, spec.hyperparams)
-                except ModelError as exc:
-                    raise ConfigError(f"bad model spec {spec.name()!r}: {exc}") from None
-        if "analysis" in raw:
-            acfg = _section(raw, "analysis")
-            try:
-                AnalysisConfig(**acfg)
-            except TypeError as exc:
-                raise ConfigError(f"bad analysis config: {exc}") from None
-            for key, value in acfg.items():  # every key is a field now
-                if key == "report_range":
-                    if value is not None:
-                        acfg[key] = _converted("analysis.report_range", _number_tuple,
-                                               value, "a list of numbers")
-                elif key in ("n_levels", "propensity_max_iter"):
-                    if not isinstance(value, numbers.Integral):
-                        raise ConfigError(f"analysis.{key} must be an integer, got {value!r}")
-                elif not isinstance(value, numbers.Real):
-                    raise ConfigError(f"analysis.{key} must be a number, got {value!r}")
-            kwargs["analysis"] = AnalysisConfig(**acfg)
-        if "sensitivity_configs" in raw:
-            try:
-                kwargs["sensitivity_configs"] = tuple(
-                    ConfounderConfig(**c) for c in raw["sensitivity_configs"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad confounder config: {exc}") from None
-        for key in ("sensitivity_runs", "placebo_bootstrap"):
-            if key in raw:
-                kwargs[key] = _converted(key, int, raw[key], "an integer")
-        if "k_grid" in raw:
-            kwargs["k_grid"] = _converted("k_grid", _float_tuple, raw["k_grid"],
-                                          "a list of numbers")
-        if "campaign_exposure" in raw:
-            kwargs["campaign_exposure"] = _converted("campaign_exposure", float,
-                                                     raw["campaign_exposure"], "a number")
-        return cls(**kwargs)
+        """The config of a JSON object (see ``_load``). An absent
+        ``sim_seed_explicit`` is true when ``sim`` sets a ``seed``."""
+        sim = raw.get("sim")
+        seed_set = isinstance(sim, dict) and "seed" in sim
+        return _load(cls, {"sim_seed_explicit": seed_set, **raw}, "")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
         return cls.from_dict(read_json_object(path, "config"))
 
     def config_hash(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True).encode()
+        payload = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -249,7 +211,7 @@ class ModelReport:
         if self.placebo is not None:
             out["placebo"] = self.placebo.to_dict()
         if self.sensitivity is not None:
-            out["sensitivity_summaries"] = [s.to_dict() for s in self.sensitivity.summaries]
+            out["sensitivity_summaries"] = [asdict(s) for s in self.sensitivity.summaries]
             out["mean_confounded_rank_rmse"] = self.sensitivity.mean_rank_rmse()
         if self.iv is not None:
             out["iv_separation"] = {str(k): v for k, v in self.iv.separation.items()}
@@ -271,7 +233,7 @@ class RunReport:
                 "master_seed": self.config.master_seed,
                 "version": __version__,
                 "n": self.n, "k": self.k,
-                "config": self.config.to_dict(),
+                "config": asdict(self.config),
                 "models": [m.summary_dict() for m in self.model_reports]}
 
 

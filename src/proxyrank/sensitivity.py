@@ -15,7 +15,7 @@ the next one is drawn.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -239,13 +239,6 @@ class ConfoundingRecord:
     overlap: float
     rank_rmse_vs_baseline: float
 
-    def to_dict(self) -> dict:
-        return {"config_index": self.config_index, "alpha": self.alpha,
-                "epsilon": self.epsilon, "run": self.run,
-                "corr_u_a": self.corr_u_a, "corr_u_y": self.corr_u_y,
-                "overlap": self.overlap,
-                "rank_rmse_vs_baseline": self.rank_rmse_vs_baseline}
-
 
 @dataclass(frozen=True)
 class ConfoundingSummary:
@@ -256,12 +249,6 @@ class ConfoundingSummary:
     sd_overlap: float
     mean_rank_rmse: float
     sd_rank_rmse: float
-
-    def to_dict(self) -> dict:
-        return {"config_index": self.config_index, "alpha": self.alpha,
-                "epsilon": self.epsilon, "mean_overlap": self.mean_overlap,
-                "sd_overlap": self.sd_overlap, "mean_rank_rmse": self.mean_rank_rmse,
-                "sd_rank_rmse": self.sd_rank_rmse}
 
 
 @dataclass(frozen=True)
@@ -275,8 +262,8 @@ class SensitivityReport:
 
     def to_dict(self) -> dict:
         return {"placebo": self.placebo.to_dict() if self.placebo else None,
-                "confounding": [r.to_dict() for r in self.records],
-                "summaries": [s.to_dict() for s in self.summaries]}
+                "confounding": [asdict(r) for r in self.records],
+                "summaries": [asdict(s) for s in self.summaries]}
 
 
 def _summarize(records: list[ConfoundingRecord],

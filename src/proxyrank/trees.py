@@ -16,6 +16,7 @@ greedy search does (Chen & Guestrin, KDD 2016).
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,13 +176,21 @@ def _grow(F: np.ndarray, y: np.ndarray, w: np.ndarray, order: np.ndarray,
     return root
 
 
-def _check_tree_params(max_depth, min_samples_leaf, max_features=None) -> None:
-    if max_depth is not None and max_depth < 0:
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _check_tree_params(max_depth, min_samples_leaf, seed, max_features=None) -> None:
+    """Raise ValueError for an out-of-range value; each test is written so
+    that NaN is out of range."""
+    if max_depth is not None and not max_depth >= 0:
         raise ValueError(f"max_depth must be None or >= 0, got {max_depth}")
-    if min_samples_leaf < 1:
+    if not min_samples_leaf >= 1:
         raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
-    if max_features is not None and max_features < 1:
+    if max_features is not None and not max_features >= 1:
         raise ValueError(f"max_features must be None or >= 1, got {max_features}")
+    if not _is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
 @dataclass
@@ -195,7 +204,7 @@ class RegressionTree:
     root: _Node | None = None
 
     def __post_init__(self) -> None:
-        _check_tree_params(self.max_depth, self.min_samples_leaf, self.max_features)
+        _check_tree_params(self.max_depth, self.min_samples_leaf, self.seed, self.max_features)
 
     def fit(self, F: np.ndarray, y: np.ndarray, w: np.ndarray,
             presorted: tuple[np.ndarray, np.ndarray] | None = None) -> "RegressionTree":
@@ -242,9 +251,9 @@ class RandomForest:
     trees: list[RegressionTree] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1:
+        if not self.n_trees >= 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        _check_tree_params(self.max_depth, self.min_samples_leaf)
+        _check_tree_params(self.max_depth, self.min_samples_leaf, self.seed)
 
     def fit(self, F: np.ndarray, y: np.ndarray, w: np.ndarray) -> "RandomForest":
         F = np.asarray(F, dtype=np.float64)
@@ -296,7 +305,7 @@ class GradientBoostedTrees:
     def __post_init__(self) -> None:
         if not 0.0 < self.shrinkage < 2.0:
             raise ValueError(f"shrinkage must lie in (0, 2), got {self.shrinkage}")
-        _check_tree_params(self.max_depth, self.min_samples_leaf)
+        _check_tree_params(self.max_depth, self.min_samples_leaf, self.seed)
 
     def fit(self, F: np.ndarray, y: np.ndarray, w: np.ndarray) -> "GradientBoostedTrees":
         F = np.ascontiguousarray(F, dtype=np.float64)

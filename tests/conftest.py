@@ -4,6 +4,16 @@ import pytest
 from proxyrank import Dataset, SimConfig, simulate_cohort
 
 
+# A small run config: every stage of a run at n=600 in about a second.
+TINY = {"sim": {"n": 600, "k": 8},
+        "sensitivity_runs": 1,
+        "placebo_bootstrap": 30,
+        "sensitivity_configs": [{"alpha": 1000.0, "epsilon": 1000000.0}],
+        "models": [{"family": "linear_wls", "causal": True, "label": "iptw_linear"},
+                   {"family": "svr_linear", "causal": True, "label": "iptw_svr",
+                    "hyperparams": {"epochs": 5}}]}
+
+
 # Schema maps load_dataset rejects with a SchemaError, each with a fragment of
 # its message; the columns are those of a simulated CSV (x0.., a, y).
 BAD_SCHEMAS = [

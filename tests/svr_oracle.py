@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from proxyrank.outcomes import _check_values
 from proxyrank.rng import substream
 
 
@@ -24,7 +23,6 @@ def fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
     The outcome is standardized internally so the default step sizes are
     scale-free in y; the design is consumed raw.
     """
-    _check_values("svr_linear", {"C": C, "epsilon": epsilon})
     y_mean, y_scale = float(y.mean()), float(y.std()) or 1.0
     yn = (y - y_mean) / y_scale
     wn = w / w.mean()

@@ -12,15 +12,7 @@ from proxyrank import (ConfigError, Dataset, RunConfig, StageError, emit_report,
 from proxyrank.cli import main
 from proxyrank.pipeline import REPORT_FILES
 
-from conftest import BAD_SCHEMAS
-
-TINY = {"sim": {"n": 600, "k": 8},
-        "sensitivity_runs": 1,
-        "placebo_bootstrap": 30,
-        "sensitivity_configs": [{"alpha": 1000.0, "epsilon": 1000000.0}],
-        "models": [{"family": "linear_wls", "causal": True, "label": "iptw_linear"},
-                   {"family": "svr_linear", "causal": True, "label": "iptw_svr",
-                    "hyperparams": {"epochs": 5}}]}
+from conftest import BAD_SCHEMAS, TINY
 
 
 BAD_MODELS = [
@@ -33,6 +25,22 @@ BAD_MODELS = [
     ({"family": "svr_linear", "hyperparams": {"epsilon": -0.5}}, "epsilon >= 0"),
     ({"family": "linear_wls", "hyperparams": {"l2": "big"}}, "bad linear_wls hyperparams"),
     ({"family": "linear_sgd"}, "unknown family"),
+    # NaN (JSON's NaN literal) and values of the wrong kind
+    ({"family": "svr_linear", "hyperparams": {"epsilon": float("nan")}}, "epsilon >= 0"),
+    ({"family": "svr_linear", "hyperparams": {"C": float("nan")}}, "C > 0"),
+    ({"family": "linear_wls", "hyperparams": {"l2": float("nan")}}, "l2 must be >= 0"),
+    ({"family": "tree", "hyperparams": {"max_depth": float("nan")}}, "max_depth"),
+    ({"family": "tree", "hyperparams": {"min_samples_leaf": float("nan")}}, "min_samples_leaf"),
+    ({"family": "forest", "hyperparams": {"n_trees": float("nan")}}, "n_trees"),
+    ({"family": "svr_linear", "hyperparams": {"epochs": 2.5}}, "epochs must be an integer >= 1"),
+    ({"family": "svr_linear", "hyperparams": {"epochs": 0}}, "epochs must be an integer >= 1"),
+    ({"family": "svr_linear", "hyperparams": {"batch_size": 2.5}},
+     "batch_size must be an integer >= 1"),
+    ({"family": "svr_linear", "hyperparams": {"batch_size": 0}},
+     "batch_size must be an integer >= 1"),
+    ({"family": "svr_linear", "hyperparams": {"lr0": 0}}, "lr0 > 0"),
+    ({"family": "svr_linear", "hyperparams": {"seed": 1.5}}, "seed must be an integer"),
+    ({"family": "tree", "hyperparams": {"seed": 1.5}}, "seed must be an integer"),
 ]
 
 # Out-of-range run settings; each would otherwise fail only at fit time, or
@@ -60,6 +68,26 @@ BAD_CONFIGS = [
     ({"k_grid": 5}, "k_grid must be a list of numbers"),
     ({"campaign_exposure": "x"}, "campaign_exposure must be a number"),
     ({"master_seed": "x"}, "master_seed must be an integer"),
+    ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
+    ({"sensitivity_runs": 2.7}, "sensitivity_runs must be an integer, got 2.7"),
+    ({"sensitivity_runs": "5"}, "sensitivity_runs must be an integer, got '5'"),
+    ({"k_grid": ["5"]}, "k_grid must be a list of numbers"),
+    ({"models": [{"family": "linear_wls", "causal": "no"}]},
+     r"models\[0\]\.causal must be a boolean, got 'no'"),
+    ({"models": [5]}, r"models\[0\] must be an object, got 5"),
+    ({"sim": {"embed_groups": "no"}}, "sim.embed_groups must be a boolean"),
+    ({"sim": {"cate_levels": "abc"}}, "sim.cate_levels must be a list of numbers"),
+    ({"sim": {"n": 100.5}}, "sim.n must be an integer, got 100.5"),
+    ({"sim": {"n": "x"}}, "sim.n must be an integer, got 'x'"),
+    ({"sim": {"nn": 1}}, r"unknown config keys: \['sim.nn'\]"),
+    ({"sensitivity_configs": [{"alpha": "x"}]},
+     r"sensitivity_configs\[0\]\.alpha must be a number, got 'x'"),
+    ({"analysis": {"report_range": [0, float("inf")]}},
+     "analysis.report_range must be a list of 2 numbers"),
+    # two models with one label would share every output row and key
+    ({"models": [{"family": "linear_wls"},
+                 {"family": "linear_wls", "hyperparams": {"l2": 5.0}}]},
+     "two models are named 'iptw_linear_wls'"),
 ]
 
 
@@ -368,6 +396,17 @@ class TestCli:
                             "--out", str(tmp_path / "va")) == 0
         header = (tmp_path / "va" / "cate_by_k.csv").read_text().splitlines()[1]
         assert header == "model,k,group,n,first_stage,cate,se,separated"
+
+    def test_echoed_config_reproduces_run(self, tmp_path):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(TINY))
+        assert self.run_cli("run", "--config", str(cfgp), "--seed", "5",
+                            "--out", str(tmp_path / "first")) == 0
+        echo = json.loads((tmp_path / "first" / "report.json").read_text())["config"]
+        (tmp_path / "echo.json").write_text(json.dumps(echo))
+        assert self.run_cli("run", "--config", str(tmp_path / "echo.json"),
+                            "--out", str(tmp_path / "again")) == 0
+        assert hash_dir(tmp_path / "again") == hash_dir(tmp_path / "first")
 
     def test_report_regeneration(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
