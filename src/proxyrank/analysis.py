@@ -35,6 +35,9 @@ class ModelSpec:
     interactions: bool = True
     label: str = ""
 
+    def __post_init__(self) -> None:
+        self.feature_map()  # raises ModelError for a map no fit can use
+
     def name(self) -> str:
         if self.label:
             return self.label

@@ -26,15 +26,11 @@ from .data import Dataset
 from .outcomes import ModelError, check_hyperparams, compute_ite
 from .ranking import rank_rmse, top_fraction_indices
 from .rng import derive_seed
-from .sensitivity import (ConfounderConfig, PlaceboResult, SensitivityReport,
-                          analyze_baselines, confounding_overlap, placebo_test)
+from .sensitivity import (ConfounderConfig, PlaceboResult, SensitivityReport, StageError,
+                          analyze_baselines, sensitivity_sweep)
 from .simulate import ConfigError, SimConfig, ground_truth_rank, simulate_cohort
 from .validation import (DEFAULT_K_GRID, IVExperiment, IVResult, simulate_campaign,
                          validate_ranking_splits)
-
-
-class StageError(RuntimeError):
-    pass
 
 
 # Every file a run can emit besides manifest.json; the manifest lists those
@@ -310,37 +306,23 @@ def sweep_models(observed: Dataset,
                  cfg: RunConfig) -> list[tuple[ModelReport, Exception | None]]:
     """Baseline analysis, placebo test and confounder sweep of every model.
 
-    Each stage runs every model still going on each of its cohorts in turn,
-    so a cohort is prepared once per run, not once per model. Returns, per
-    model of ``cfg``, its report with ``analysis``, ``placebo`` and
-    ``sensitivity`` filled as far as the model got, and the exception that
-    ended its branch (None if none did).
+    The baselines share one prepared cohort; the placebo cohort and every
+    confounded cohort then form one ``sensitivity_sweep``, each prepared
+    once for all models. Returns, per model of ``cfg``, its report with
+    ``analysis``, ``placebo`` and ``sensitivity`` filled as far as the model
+    got, and the exception that ended its branch (None if none did).
     """
     specs = list(cfg.models)
     baselines = analyze_baselines(observed, specs, cfg.analysis)
-    placebos = placebo_test(observed, specs, cfg.analysis,
-                            seed=derive_seed(cfg.master_seed, "placebo"),
-                            baselines=baselines, n_bootstrap=cfg.placebo_bootstrap)
-    # A model whose placebo test failed is not swept: its exception stands in
-    # for its baseline, and the sweep passes it through.
-    sweeps = confounding_overlap(
+    swept = sensitivity_sweep(
         observed, specs, list(cfg.sensitivity_configs), runs=cfg.sensitivity_runs,
-        cfg=cfg.analysis, seed=derive_seed(cfg.master_seed, "sensitivity"),
-        baselines=[p if isinstance(p, Exception) else b
-                   for b, p in zip(baselines, placebos)])
-    out = []
-    for spec, base, placebo, sens in zip(specs, baselines, placebos, sweeps):
-        mr = ModelReport(label=spec.name(), family=spec.family, causal=spec.causal)
-        if not isinstance(base, Exception):
-            mr.analysis = base
-        if not isinstance(placebo, Exception):
-            mr.placebo = placebo
-        failure = sens if isinstance(sens, Exception) else None
-        if failure is None:
-            mr.sensitivity = SensitivityReport(placebo=placebo, records=sens.records,
-                                               summaries=sens.summaries)
-        out.append((mr, failure))
-    return out
+        cfg=cfg.analysis, placebo_seed=derive_seed(cfg.master_seed, "placebo"),
+        seed=derive_seed(cfg.master_seed, "sensitivity"), baselines=baselines,
+        n_bootstrap=cfg.placebo_bootstrap)
+    return [(ModelReport(label=spec.name(), family=spec.family, causal=spec.causal,
+                         analysis=None if isinstance(base, Exception) else base,
+                         placebo=placebo, sensitivity=sens), exc)
+            for spec, base, (placebo, sens, exc) in zip(specs, baselines, swept)]
 
 
 def _report_number(entry: dict, key: str, at: str):
@@ -397,7 +379,7 @@ _HASH_LINE = "# config_hash="
 def write_csv(path: Path, config_hash: str, header: list[str], rows) -> None:
     lines = [f"{_HASH_LINE}{config_hash}", ",".join(header)]
     for row in rows:
-        lines.append(",".join(str(v) for v in row))
+        lines.append(",".join(map(str, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

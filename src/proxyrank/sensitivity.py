@@ -9,17 +9,22 @@ construction; appending it to the feature set and re-running the analysis
 measures how much the ranking moves.
 
 Neither the placebo cohort nor the confounder draws depend on the model, so
-both tests take a list of models and run draw-major: each cohort is drawn
+both tests take a list of models and run cohort-major: each cohort is drawn
 and prepared once, every model is analyzed on it, and it is dropped before
-the next one is drawn.
+the next one is drawn. Each cohort depends only on (seed, config, run), so
+the cohorts are dealt to forked worker processes, one per CPU; the parent
+merges their records in cohort order, which gives the same values and the
+same errors as running the cohorts one by one.
 """
 from __future__ import annotations
 
+import os
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .analysis import AnalysisConfig, ModelSpec, analyze_model, prepare_cohort
+from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, analyze_model, prepare_cohort
 from .data import Dataset, DataValidationError
 from .ranking import rank_rmse
 from .rng import derive_seed, substream
@@ -126,40 +131,165 @@ def _weighted_ate(y: np.ndarray, a: np.ndarray, w: np.ndarray) -> float:
                  - np.average(y[~treated], weights=w[~treated]))
 
 
-def _sweep(cohorts, specs: list[ModelSpec], baselines: list, cfg: AnalysisConfig,
-           record) -> list:
-    """The draw-major loop behind ``analyze_baselines``, ``placebo_test`` and
-    ``confounding_overlap``: the cohort is the outer loop, the model the inner.
+class StageError(RuntimeError):
+    """A stage failed for a reason outside every model: an output directory
+    that cannot be written, or a sweep worker that returned no result."""
 
-    ``cohorts`` yields (key, dataset) pairs and is drawn one at a time. Each
-    dataset is prepared once, every spec still running is analyzed on it, and
-    ``record(i, key, result)`` turns spec i's result into a value. Returns,
-    per spec, the list of its values or the exception that ended it. A spec
-    whose entry in ``baselines`` is an exception is not run and keeps it; a
-    failing fit or record ends only its own spec; a failure to draw or
-    prepare a cohort ends every spec still running, with the error each of
-    them would have met when run on its own.
+
+@dataclass(frozen=True)
+class _Task:
+    """One sweep cohort. ``draw()`` returns (key, dataset); spec i's analysis
+    of the dataset becomes ``record(i, key, result)``; ``name`` says which
+    cohort it is in an error."""
+
+    name: str
+    draw: Callable[[], tuple]
+    record: Callable[[int, object, AnalysisResult], object]
+
+
+def _blas_threads() -> int:
+    """Threads one BLAS call may use, read as OpenBLAS reads them: the first
+    positive OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, else
+    one per CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return len(os.sched_getaffinity(0))
+
+
+def _max_workers() -> int:
+    """How many sweep workers may run at once: the CPUs this process may run
+    on, divided by the threads of one BLAS call, since a forked worker keeps
+    the parent's BLAS threads (its result bits depend on them). 1 where the
+    process cannot fork, so that the sweep runs in-process."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // _blas_threads())
+
+
+def _run_tasks(tasks: list[_Task], run: Callable[[_Task], object]) -> list:
+    """``[run(task) for task in tasks]``, computed on forked workers.
+
+    The tasks are dealt round-robin to ``min(_max_workers(), len(tasks))``
+    workers; with one, they run in-process. A worker inherits ``tasks`` and
+    ``run`` through fork, so nothing is pickled on the way in, and sends its
+    results back through a pipe in its task order. Every worker is joined
+    before this returns or raises. A worker that dies, or whose result
+    cannot be pickled, loses the rest of its tasks; once the other workers
+    are done, StageError names the first lost task in task order, so the
+    error does not depend on which worker failed first.
     """
-    out = [b if isinstance(b, Exception) else [] for b in baselines]
-    cohorts = iter(cohorts)
-    while live := [i for i, o in enumerate(out) if isinstance(o, list)]:
+    n_workers = min(_max_workers(), len(tasks))
+    if n_workers <= 1:
+        return [run(task) for task in tasks]
+    import multiprocessing  # loaded only by a sweep that forks
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    results = [None] * len(tasks)
+    lost = {}  # index of a worker's first task not returned -> why
+    procs, owing = [], {}  # owing: pipe -> (worker, indices of the tasks it owes)
+    try:
+        for w in range(n_workers):
+            owed = list(range(w, len(tasks), n_workers))
+            reader, writer = ctx.Pipe(duplex=False)
+
+            def work(owed=owed, writer=writer):
+                for t in owed:
+                    result = run(tasks[t])
+                    try:
+                        writer.send((True, result))
+                    except Exception as exc:  # pickling failed; nothing was sent
+                        writer.send((False, f"the sweep worker cannot return {tasks[t].name}: "
+                                            f"{type(exc).__name__}: {exc}"))
+                        return
+
+            proc = ctx.Process(target=work, name=f"proxyrank-sweep-{w}")
+            proc.start()
+            procs.append(proc)
+            writer.close()  # so the reader sees EOF once the worker is gone
+            owing[reader] = (proc, owed)
+        while owing:
+            for reader in wait(list(owing)):
+                proc, owed = owing[reader]
+                try:
+                    ok, value = reader.recv()
+                except EOFError:
+                    proc.join()
+                    ok, value = False, (f"the sweep worker died running {tasks[owed[0]].name} "
+                                        f"(exit code {proc.exitcode})")
+                except Exception as exc:  # a result that cannot be unpickled
+                    ok, value = False, (f"cannot read the result of {tasks[owed[0]].name}: "
+                                        f"{type(exc).__name__}: {exc}")
+                if ok:
+                    results[owed.pop(0)] = value
+                else:
+                    lost[owed[0]] = value
+                    owed.clear()
+                    proc.kill()
+                if not owed:
+                    del owing[reader]
+                    reader.close()
+    finally:
+        for reader, (proc, _) in owing.items():
+            proc.kill()
+            reader.close()
+        for proc in procs:
+            proc.join()
+    if lost:
+        raise StageError(lost[min(lost)])
+    return results
+
+
+def _analyze_cohort(task: _Task, specs: list[ModelSpec], live: list[int],
+                    cfg: AnalysisConfig):
+    """Draw ``task``'s cohort, prepare it once and record each spec of
+    ``live`` on it. Returns one value or exception per live spec, or the
+    exception that drawing or preparing the cohort raised."""
+    try:
+        key, cohort = task.draw()
+        prepared = prepare_cohort(cohort, cfg)
+    except Exception as exc:
+        return exc.with_traceback(None)  # hold no frame of the cohort
+    out = []
+    for i in live:
         try:
-            item = next(cohorts, None)
-            if item is None:
-                break
-            key, cohort = item
-            prepared = prepare_cohort(cohort, cfg)
+            out.append(task.record(i, key, analyze_model(prepared, specs[i], cfg)))
         except Exception as exc:
-            for i in live:
-                out[i] = exc.with_traceback(None)  # hold no frame of the cohort
-            break
-        for i in live:
-            try:
-                out[i].append(record(i, key, analyze_model(prepared, specs[i], cfg)))
-            except Exception as exc:
-                out[i] = exc.with_traceback(None)
-        del item, cohort, prepared  # only one sweep cohort is alive at a time
+            out.append(exc.with_traceback(None))
     return out
+
+
+def _sweep(tasks: list[_Task], specs: list[ModelSpec], baselines: list,
+           cfg: AnalysisConfig) -> list[tuple[list, Exception | None]]:
+    """The cohort-major loop behind ``analyze_baselines``, ``placebo_test``,
+    ``confounding_overlap`` and ``sensitivity_sweep``.
+
+    Each task's cohort is drawn and prepared once, and every spec whose
+    entry in ``baselines`` is not an exception is analyzed on it; the tasks
+    run on forked workers (``_run_tasks``), so only one cohort per worker is
+    alive at a time. Returns, per spec, its records in task order up to its
+    first failure, and the exception that ended it (None if none did): its
+    baseline's exception, else the first in task order, where a cohort that
+    fails to draw or prepare ends every spec with its error. These are the
+    values and errors of running the tasks one by one.
+    """
+    records = [[] for _ in specs]
+    errors = [b if isinstance(b, Exception) else None for b in baselines]
+    live = [i for i, e in enumerate(errors) if e is None]
+    if not live:
+        return list(zip(records, errors))
+    for result in _run_tasks(tasks, lambda task: _analyze_cohort(task, specs, live, cfg)):
+        for j, i in enumerate(live):
+            if errors[i] is not None:
+                continue
+            value = result if isinstance(result, Exception) else result[j]
+            if isinstance(value, Exception):
+                errors[i] = value
+            else:
+                records[i].append(value)
+    return list(zip(records, errors))
 
 
 def analyze_baselines(d: Dataset, specs: list[ModelSpec],
@@ -169,9 +299,9 @@ def analyze_baselines(d: Dataset, specs: list[ModelSpec],
     Returns one ``AnalysisResult`` per spec, or the exception its analysis
     raised; these are the baselines the sweeps compare against.
     """
-    out = _sweep([(None, d)], specs, [None] * len(specs), cfg,
-                 lambda i, key, result: result)
-    return [o if isinstance(o, Exception) else o[0] for o in out]
+    task = _Task("the observed cohort", lambda: (None, d), lambda i, key, result: result)
+    return [values[0] if exc is None else exc
+            for values, exc in _sweep([task], specs, [None] * len(specs), cfg)]
 
 
 def _placebo_ate(prepared, seed: int, n_bootstrap: int) -> tuple[float, float]:
@@ -195,6 +325,26 @@ def _placebo_ate(prepared, seed: int, n_bootstrap: int) -> tuple[float, float]:
     return ate, float(np.nanstd(draws, ddof=1))
 
 
+def _placebo_task(d: Dataset, baselines: list, seed: int, n_bootstrap: int) -> _Task:
+    """The placebo cohort: ``d`` with a fair-coin treatment. Its ATE and SE
+    depend on no model and are computed once, at the first record."""
+    ate_se = None
+
+    def draw():
+        fake = (substream(seed, "placebo-treatment").random(d.n) < 0.5).astype(np.int64)
+        return None, d.with_treatment(fake)
+
+    def record(i, key, result):
+        nonlocal ate_se
+        if ate_se is None:
+            ate_se = _placebo_ate(result.prepared, seed, n_bootstrap)
+        return PlaceboResult(
+            ate_estimate=ate_se[0], ate_se=ate_se[1],
+            rank_rmse_vs_original=rank_rmse(result.ranked.level, baselines[i].ranked.level),
+            levels=result.ranked.level)
+    return _Task("the placebo cohort", draw, record)
+
+
 def placebo_test(d: Dataset, specs: list[ModelSpec],
                  cfg: AnalysisConfig = AnalysisConfig(), seed: int = 0,
                  baselines: list | None = None, n_bootstrap: int = 200) -> list:
@@ -212,20 +362,9 @@ def placebo_test(d: Dataset, specs: list[ModelSpec],
     """
     if baselines is None:
         baselines = analyze_baselines(d, specs, cfg)
-    placebo_a = (substream(seed, "placebo-treatment").random(d.n) < 0.5).astype(np.int64)
-    ate_se = None
-
-    def record(i, key, result):
-        nonlocal ate_se
-        if ate_se is None:
-            ate_se = _placebo_ate(result.prepared, seed, n_bootstrap)
-        return PlaceboResult(
-            ate_estimate=ate_se[0], ate_se=ate_se[1],
-            rank_rmse_vs_original=rank_rmse(result.ranked.level, baselines[i].ranked.level),
-            levels=result.ranked.level)
-
-    out = _sweep([(None, d.with_treatment(placebo_a))], specs, baselines, cfg, record)
-    return [o if isinstance(o, Exception) else o[0] for o in out]
+    task = _placebo_task(d, baselines, seed, n_bootstrap)
+    return [values[0] if exc is None else exc
+            for values, exc in _sweep([task], specs, baselines, cfg)]
 
 
 @dataclass(frozen=True)
@@ -266,8 +405,8 @@ class SensitivityReport:
                 "summaries": [asdict(s) for s in self.summaries]}
 
 
-def _summarize(records: list[ConfoundingRecord],
-               configs: list[ConfounderConfig]) -> SensitivityReport:
+def _summarize(records: list[ConfoundingRecord], configs: list[ConfounderConfig],
+               placebo: PlaceboResult | None = None) -> SensitivityReport:
     summaries = []
     for ci, ccfg in enumerate(configs):
         sub = [rec for rec in records if rec.config_index == ci]
@@ -277,8 +416,29 @@ def _summarize(records: list[ConfoundingRecord],
             config_index=ci, alpha=ccfg.alpha, epsilon=ccfg.epsilon,
             mean_overlap=float(ov.mean()), sd_overlap=float(ov.std(ddof=1)) if len(ov) > 1 else 0.0,
             mean_rank_rmse=float(rr.mean()), sd_rank_rmse=float(rr.std(ddof=1)) if len(rr) > 1 else 0.0))
-    return SensitivityReport(placebo=None, records=tuple(records),
+    return SensitivityReport(placebo=placebo, records=tuple(records),
                              summaries=tuple(summaries))
+
+
+def _confounder_tasks(d: Dataset, baselines: list, configs: list[ConfounderConfig],
+                      runs: int, seed: int) -> list[_Task]:
+    """One task per (config, run): ``d`` with a synthetic confounder drawn
+    from a seed that depends on (seed, config index, run index) only."""
+    def task(ci: int, r: int) -> _Task:
+        def draw():
+            draw_cfg = replace(configs[ci], seed=derive_seed(seed, "confounder-run", ci, r))
+            u, corr_a, corr_y = generate_confounder(d, draw_cfg)
+            return (corr_a, corr_y), d.with_covariate(f"u_synth_{ci}_{r}", u)
+
+        def record(i, key, result):
+            base = baselines[i]
+            return ConfoundingRecord(
+                config_index=ci, alpha=configs[ci].alpha, epsilon=configs[ci].epsilon,
+                run=r, corr_u_a=key[0], corr_u_y=key[1],
+                overlap=overlap_fraction(base.ites.ite, result.ites.ite),
+                rank_rmse_vs_baseline=rank_rmse(base.ranked.level, result.ranked.level))
+        return _Task(f"the confounder cohort of config {ci}, run {r}", draw, record)
+    return [task(ci, r) for ci in range(len(configs)) for r in range(runs)]
 
 
 def confounding_overlap(d: Dataset, specs: list[ModelSpec],
@@ -291,30 +451,32 @@ def confounding_overlap(d: Dataset, specs: list[ModelSpec],
     For each (config, run) a confounder is drawn from a seed that depends on
     (seed, config index, run index) only, never on the model, so every spec
     faces identical draws. Each confounded cohort is drawn and prepared once
-    and analyzed with every spec before the next is drawn. Reports the
-    overlap of strictly-above-median units and the rank RMSE between
-    baseline and confounded-run levels. ``baselines`` are as in
-    ``placebo_test``. Returns one ``SensitivityReport`` per spec, or the
-    exception that ended the spec.
+    and analyzed with every spec. Reports the overlap of strictly-above-median
+    units and the rank RMSE between baseline and confounded-run levels.
+    ``baselines`` are as in ``placebo_test``. Returns one
+    ``SensitivityReport`` per spec, or the exception that ended the spec.
     """
     if baselines is None:
         baselines = analyze_baselines(d, specs, cfg)
+    tasks = _confounder_tasks(d, baselines, configs, runs, seed)
+    return [_summarize(values, configs) if exc is None else exc
+            for values, exc in _sweep(tasks, specs, baselines, cfg)]
 
-    def cohorts():
-        for ci, ccfg in enumerate(configs):
-            for r in range(runs):
-                draw_cfg = replace(ccfg, seed=derive_seed(seed, "confounder-run", ci, r))
-                u, corr_a, corr_y = generate_confounder(d, draw_cfg)
-                yield (ci, r, corr_a, corr_y), d.with_covariate(f"u_synth_{ci}_{r}", u)
 
-    def record(i, key, result):
-        ci, r, corr_a, corr_y = key
-        base = baselines[i]
-        return ConfoundingRecord(
-            config_index=ci, alpha=configs[ci].alpha, epsilon=configs[ci].epsilon, run=r,
-            corr_u_a=corr_a, corr_u_y=corr_y,
-            overlap=overlap_fraction(base.ites.ite, result.ites.ite),
-            rank_rmse_vs_baseline=rank_rmse(base.ranked.level, result.ranked.level))
-
-    out = _sweep(cohorts(), specs, baselines, cfg, record)
-    return [o if isinstance(o, Exception) else _summarize(o, configs) for o in out]
+def sensitivity_sweep(d: Dataset, specs: list[ModelSpec], configs: list[ConfounderConfig],
+                      runs: int, cfg: AnalysisConfig, placebo_seed: int, seed: int,
+                      baselines: list, n_bootstrap: int) -> list[tuple]:
+    """``placebo_test`` and ``confounding_overlap`` as one sweep: the placebo
+    cohort and every confounded cohort are one task list, so they share the
+    workers. Returns, per spec, (placebo result or None, sensitivity report
+    or None, exception or None): a spec whose placebo failed has neither,
+    and one that failed on a confounded cohort keeps its placebo result.
+    """
+    tasks = [_placebo_task(d, baselines, placebo_seed, n_bootstrap),
+             *_confounder_tasks(d, baselines, configs, runs, seed)]
+    out = []
+    for values, exc in _sweep(tasks, specs, baselines, cfg):
+        placebo = values[0] if values else None
+        report = _summarize(values[1:], configs, placebo) if exc is None else None
+        out.append((placebo, report, exc))
+    return out

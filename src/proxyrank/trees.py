@@ -180,15 +180,21 @@ def _is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _check_count(name: str, value, low: int, optional: bool = False) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``low`` (or None,
+    when ``optional``); NaN and 2.5 are not integers."""
+    if optional and value is None:
+        return
+    if not (_is_integer(value) and value >= low):
+        none = "None or " if optional else ""
+        raise ValueError(f"{name} must be {none}an integer >= {low}, got {value!r}")
+
+
 def _check_tree_params(max_depth, min_samples_leaf, seed, max_features=None) -> None:
-    """Raise ValueError for an out-of-range value; each test is written so
-    that NaN is out of range."""
-    if max_depth is not None and not max_depth >= 0:
-        raise ValueError(f"max_depth must be None or >= 0, got {max_depth}")
-    if not min_samples_leaf >= 1:
-        raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
-    if max_features is not None and not max_features >= 1:
-        raise ValueError(f"max_features must be None or >= 1, got {max_features}")
+    """Raise ValueError for a value of the wrong kind or out of range."""
+    _check_count("max_depth", max_depth, 0, optional=True)
+    _check_count("min_samples_leaf", min_samples_leaf, 1)
+    _check_count("max_features", max_features, 1, optional=True)
     if not _is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
 
@@ -251,8 +257,7 @@ class RandomForest:
     trees: list[RegressionTree] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not self.n_trees >= 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        _check_count("n_trees", self.n_trees, 1)
         _check_tree_params(self.max_depth, self.min_samples_leaf, self.seed)
 
     def fit(self, F: np.ndarray, y: np.ndarray, w: np.ndarray) -> "RandomForest":
@@ -305,6 +310,7 @@ class GradientBoostedTrees:
     def __post_init__(self) -> None:
         if not 0.0 < self.shrinkage < 2.0:
             raise ValueError(f"shrinkage must lie in (0, 2), got {self.shrinkage}")
+        _check_count("n_rounds", self.n_rounds, 1)
         _check_tree_params(self.max_depth, self.min_samples_leaf, self.seed)
 
     def fit(self, F: np.ndarray, y: np.ndarray, w: np.ndarray) -> "GradientBoostedTrees":

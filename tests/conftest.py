@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,14 @@ def small_sim():
 @pytest.fixture(scope="session")
 def small_confounded_sim():
     return simulate_cohort(SimConfig(n=1200, k=10, seed=11, mode="confounded"))
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a child process, such as a sweep worker, alive."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.kill()
+        proc.join()
+    assert not left, f"child processes left running: {left}"

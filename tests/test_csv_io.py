@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csv_oracle
-from proxyrank import (Dataset, GroundTruth, SimConfig, load_dataset, save_dataset,
-                       simulate_cohort)
+from proxyrank import (Dataset, GroundTruth, SimConfig, load_dataset, pipeline,
+                       save_dataset, simulate_cohort)
 from proxyrank.cli import main
 from proxyrank.data import _fast_table, save_simulated
 
@@ -250,3 +250,22 @@ def test_simulate_files_equal_frozen_writer(tmp_path):
     for name, schema in (("observed_schema.json", obs), ("oracle_schema.json", ora)):
         assert json.loads((tmp_path / "sim" / name).read_text()) == \
             {"config_hash": chash, **schema}
+
+
+# Cells of the run files' rows: labels, ints (Python and numpy), repr'd
+# floats, empty cells and flags.
+RUN_CELLS = st.one_of(st.text(alphabet="abc_xyz019", max_size=8), st.integers(),
+                      st.integers(-5, 5).map(np.int64), finite.map(repr), st.booleans(),
+                      st.just(""), st.none())
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.lists(st.lists(RUN_CELLS, max_size=6).map(tuple), max_size=12))
+def test_write_csv_bytes_equal_generator_join(tmp_path_factory, rows):
+    """``write_csv`` joins each row with ``map(str, row)``; the bytes are those
+    of the per-cell generator it replaced."""
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    pipeline.write_csv(path, "0123abcd", ["model", "k"], iter(rows))
+    lines = ["# config_hash=0123abcd", "model,k"]
+    lines += [",".join(str(v) for v in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

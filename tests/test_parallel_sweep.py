@@ -1,0 +1,182 @@
+"""The sensitivity sweep on forked workers: the same bytes for any worker
+count, a worker that dies or cannot return its result ends the op with exit
+2 and a StageError naming its cohort, and no worker outlives the op."""
+import hashlib
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import proxyrank.sensitivity as sensitivity
+from proxyrank import AnalysisConfig, ConfounderConfig, ModelError, ModelSpec
+from proxyrank.cli import main
+
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep forks its workers")
+
+# Two confounder configs x two runs plus the placebo cohort: five tasks.
+CONFIG = {"sim": {"n": 400, "k": 8}, "sensitivity_runs": 2, "placebo_bootstrap": 20,
+          "sensitivity_configs": [{"alpha": 1000.0, "epsilon": 1000000.0},
+                                  {"alpha": 100000.0, "epsilon": 4000000.0}],
+          "models": [{"family": "linear_wls", "label": "lin"},
+                     {"family": "svr_linear", "label": "svr", "hyperparams": {"epochs": 3}}]}
+# Trimming to the lower scores removes the treated arm from a cohort whose
+# confounder separates the arms (sum_scaled with a tiny epsilon) and from no
+# other cohort.
+CONFIG_CONFOUNDER_FAILS = dict(
+    CONFIG, analysis={"trim_lo": 0.05, "trim_hi": 0.45},
+    sensitivity_configs=[{"alpha": 1000.0, "epsilon": 1000000.0},
+                         {"alpha": 100000.0, "epsilon": 1.0, "posterior_mode": "sum_scaled"}])
+
+
+@pytest.fixture
+def time_limit():
+    """Turn a hang into a failure: past 60 s, a TimeoutError is raised in the
+    test, where ``main`` reports it as a stage failure."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past 60 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def workers(monkeypatch, n):
+    monkeypatch.setattr(sensitivity, "_max_workers", lambda: n)
+
+
+def run_cli(tmp_path, capsys, command, config, name):
+    cfgp = tmp_path / f"{name}.json"
+    cfgp.write_text(json.dumps(config))
+    rc = main([command, "--config", str(cfgp), "--out", str(tmp_path / name)])
+    assert multiprocessing.active_children() == []
+    captured = capsys.readouterr()
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted((tmp_path / name).iterdir())}
+    return rc, captured.out.replace(str(tmp_path / name), "OUT"), captured.err, files
+
+
+def in_confounded_cohort(prepared, config_index, run):
+    return f"u_synth_{config_index}_{run}" in prepared.full.covariate_names
+
+
+@pytest.mark.parametrize("command,config", [
+    ("run", CONFIG), ("sensitivity", CONFIG), ("run", CONFIG_CONFOUNDER_FAILS)])
+def test_same_bytes_for_one_two_and_three_workers(command, config, monkeypatch, tmp_path,
+                                                  capsys):
+    outs = []
+    for n in (1, 2, 3):
+        workers(monkeypatch, n)
+        outs.append(run_cli(tmp_path, capsys, command, config, f"w{n}"))
+    assert outs[0] == outs[1] == outs[2]
+    if config is CONFIG_CONFOUNDER_FAILS:
+        rc, _, err, _ = outs[0]
+        assert rc == 2 and err == "model branches failed: lin, svr\n"
+        report = json.loads((tmp_path / "w1" / "report.json").read_text())
+        for m in report["models"]:
+            assert m["error"] == "FitError: trimming would remove an entire treatment arm"
+            assert "placebo" in m  # the placebo cohort keeps both arms
+    else:
+        assert outs[0][0] == 0
+
+
+def test_model_failing_on_some_cohorts_same_for_any_worker_count(monkeypatch, tmp_path,
+                                                                  capsys):
+    real = sensitivity.analyze_model
+
+    def analyze(prepared, spec, cfg):
+        if spec.label == "svr" and in_confounded_cohort(prepared, 1, 0):
+            raise ModelError("injected failure on config 1")
+        return real(prepared, spec, cfg)
+    monkeypatch.setattr(sensitivity, "analyze_model", analyze)
+    outs = []
+    for n in (1, 3):
+        workers(monkeypatch, n)
+        outs.append(run_cli(tmp_path, capsys, "run", CONFIG, f"w{n}"))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 2 and outs[0][2] == "model branches failed: svr\n"
+    report = json.loads((tmp_path / "w1" / "report.json").read_text())
+    assert [m["error"] for m in report["models"]] == [
+        None, "ModelError: injected failure on config 1"]
+
+
+def test_public_sweeps_match_in_process(monkeypatch, small_sim):
+    d = small_sim.observed
+    specs = [ModelSpec(family="linear_wls", label="lr"),
+             ModelSpec(family="svr_linear", hyperparams={"epochs": 3}, label="svr")]
+    configs = [ConfounderConfig(alpha=1e3, epsilon=1e6), ConfounderConfig(alpha=1e5, epsilon=4e6)]
+    acfg = AnalysisConfig()
+
+    def sweeps():
+        conf = sensitivity.confounding_overlap(d, specs, configs, runs=2, cfg=acfg, seed=5)
+        placebo = sensitivity.placebo_test(d, specs, acfg, seed=7, n_bootstrap=20)
+        return ([c.to_dict() for c in conf],
+                [(p.to_dict(), p.levels.tolist()) for p in placebo])
+    workers(monkeypatch, 1)
+    serial = sweeps()
+    workers(monkeypatch, 3)  # one worker owes two of the four cohorts
+    assert sweeps() == serial
+
+
+def test_killed_worker_is_a_stage_error(monkeypatch, tmp_path, capsys, time_limit):
+    parent = os.getpid()
+    real = sensitivity.analyze_model
+
+    def analyze(prepared, spec, cfg):
+        if os.getpid() != parent and in_confounded_cohort(prepared, 0, 1):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(prepared, spec, cfg)
+    monkeypatch.setattr(sensitivity, "analyze_model", analyze)
+    workers(monkeypatch, 2)
+    rc, _, err, _ = run_cli(tmp_path, capsys, "run", CONFIG, "out")
+    assert rc == 2
+    assert err == ("stage failure: StageError: the sweep worker died running the "
+                   "confounder cohort of config 0, run 1 (exit code -9)\n")
+
+
+def test_unpicklable_result_is_a_stage_error(monkeypatch, tmp_path, capsys, time_limit):
+    monkeypatch.setattr(sensitivity, "overlap_fraction", lambda base, new: lambda: None)
+    workers(monkeypatch, 2)
+    rc, _, err, _ = run_cli(tmp_path, capsys, "sensitivity", CONFIG, "out")
+    assert rc == 2
+    assert err.startswith("stage failure: StageError: the sweep worker cannot return the "
+                          "confounder cohort of config 0, run 0: ")
+
+
+def test_failing_op_leaves_no_worker(monkeypatch, tmp_path, capsys, time_limit):
+    def broken(d, cfg):
+        raise ModelError("no confounder today")
+    monkeypatch.setattr(sensitivity, "generate_confounder", broken)
+    workers(monkeypatch, 2)
+    rc, _, err, _ = run_cli(tmp_path, capsys, "sensitivity", CONFIG, "out")
+    assert rc == 2 and err == "stage failure: ModelError: no confounder today\n"
+
+
+@pytest.mark.parametrize("threads,cpus,expected", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2), ({"OMP_NUM_THREADS": "2"}, 4, 2),
+    ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1), ({"OPENBLAS_NUM_THREADS": "x"}, 2, 1), ({}, 8, 1)])
+def test_max_workers_leaves_each_blas_thread_a_cpu(threads, cpus, expected, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in threads.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert sensitivity._max_workers() == expected
+
+
+def test_analyze_and_rank_load_no_multiprocessing(tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"sim": {"n": 300, "k": 5}}))
+    script = ("import sys\nfrom proxyrank.cli import main\n"
+              "for cmd in ('analyze', 'rank'):\n"
+              "    assert main([cmd, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sensitivity.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script, str(cfgp), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -41,6 +41,21 @@ BAD_MODELS = [
     ({"family": "svr_linear", "hyperparams": {"lr0": 0}}, "lr0 > 0"),
     ({"family": "svr_linear", "hyperparams": {"seed": 1.5}}, "seed must be an integer"),
     ({"family": "tree", "hyperparams": {"seed": 1.5}}, "seed must be an integer"),
+    # tree counts and sizes are integers, and boosting needs a round
+    ({"family": "forest", "hyperparams": {"n_trees": 2.5}},
+     "n_trees must be an integer >= 1, got 2.5"),
+    ({"family": "boosted_trees", "hyperparams": {"n_rounds": 2.5}},
+     "n_rounds must be an integer >= 1, got 2.5"),
+    ({"family": "boosted_trees", "hyperparams": {"n_rounds": 0}},
+     "n_rounds must be an integer >= 1, got 0"),
+    ({"family": "tree", "hyperparams": {"min_samples_leaf": 2.5}},
+     "min_samples_leaf must be an integer >= 1, got 2.5"),
+    ({"family": "tree", "hyperparams": {"max_depth": 2.5}},
+     "max_depth must be None or an integer >= 0, got 2.5"),
+    ({"family": "tree", "hyperparams": {"max_features": 2.5}},
+     "max_features must be None or an integer >= 1, got 2.5"),
+    ({"family": "forest", "hyperparams": {"max_depth": 2.5}},
+     "max_depth must be None or an integer >= 0, got 2.5"),
 ]
 
 # Out-of-range run settings; each would otherwise fail only at fit time, or
@@ -88,6 +103,9 @@ BAD_CONFIGS = [
     ({"models": [{"family": "linear_wls"},
                  {"family": "linear_wls", "hyperparams": {"l2": 5.0}}]},
      "two models are named 'iptw_linear_wls'"),
+    # interactions (on by default) need the treatment column
+    ({"models": [{"family": "linear_wls", "include_treatment": False}]},
+     r"models\[0\]: interaction features require the treatment column"),
 ]
 
 

@@ -4,6 +4,7 @@ per-model failures as running each model on its own."""
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,31 +130,34 @@ def test_cohort_failure_ends_every_model(monkeypatch):
         assert mr.sensitivity is None
 
 
-def count_calls(monkeypatch, fn) -> list:
-    """Count calls of ``fn`` through every proxyrank module that holds it."""
-    calls = []
+def count_calls(monkeypatch, fn, log: Path):
+    """Count calls of ``fn`` through every proxyrank module that holds it.
 
+    Each call appends one byte to ``log``, so calls made in forked sweep
+    workers count too; returns a function that reads the count."""
     def counted(*args, **kwargs):
-        calls.append(1)
+        with open(log, "ab") as fh:
+            fh.write(b".")
         return fn(*args, **kwargs)
     for name, module in list(sys.modules.items()):
         if name == "proxyrank" or name.startswith("proxyrank."):
             for key, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, key, counted)
-    return calls
+    return lambda: log.stat().st_size if log.exists() else 0
 
 
 @pytest.mark.parametrize("command,balance_calls", [("run", 1), ("sensitivity", 0)])
 def test_each_cohort_prepared_once(command, balance_calls, monkeypatch, tmp_path):
     cfg = RunConfig()
     draws = len(cfg.sensitivity_configs) * cfg.sensitivity_runs
-    prepare = count_calls(monkeypatch, analysis.prepare_cohort)
-    balance = count_calls(monkeypatch, propensity.balance_report)
-    confounders = count_calls(monkeypatch, sensitivity.generate_confounder)
+    prepare = count_calls(monkeypatch, analysis.prepare_cohort, tmp_path / "prepare")
+    balance = count_calls(monkeypatch, propensity.balance_report, tmp_path / "balance")
+    confounders = count_calls(monkeypatch, sensitivity.generate_confounder,
+                              tmp_path / "confounders")
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"sim": {"n": 600, "k": 8}}))
     assert main([command, "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 0
-    assert len(prepare) == 2 + draws  # baseline, placebo, one per confounder draw
-    assert len(balance) == balance_calls
-    assert len(confounders) == draws
+    assert prepare() == 2 + draws  # baseline, placebo, one per confounder draw
+    assert balance() == balance_calls
+    assert confounders() == draws
