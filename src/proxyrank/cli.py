@@ -19,10 +19,11 @@ import numpy as np
 from . import __version__
 from .analysis import prepare_cohort
 from .data import Dataset, SchemaError, load_dataset, load_schema, save_simulated
-from .pipeline import (REPORT_FILES, RunConfig, analyze_models, config_hash_of, draw_campaign,
-                       emit_report, read_json_object, run_pipeline, sweep_models, validate_model,
-                       write_balance, write_cate_by_k, write_csv, write_json, write_manifest,
-                       write_ranking, write_sensitivity, write_summary)
+from .pipeline import (REPORT_FILES, RunConfig, analyze_models, check_campaign_covariates,
+                       config_hash_of, draw_campaign, emit_report, read_json_object,
+                       run_pipeline, sweep_models, validate_model, write_balance,
+                       write_cate_by_k, write_csv, write_json, write_manifest, write_ranking,
+                       write_sensitivity, write_summary)
 from .simulate import ConfigError, simulate_cohort
 
 _CONFIG_ERRORS = (ConfigError, SchemaError, json.JSONDecodeError)
@@ -128,7 +129,9 @@ def cmd_sensitivity(args) -> int:
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    reports = analyze_models(_dataset_for(cfg, args), cfg)
+    d = _dataset_for(cfg, args)
+    check_campaign_covariates(cfg, d)
+    reports = analyze_models(d, cfg)
     campaign = draw_campaign(cfg)
     for m in reports:
         m.iv = validate_model(m, campaign, cfg.k_grid)

@@ -249,6 +249,7 @@ def run_pipeline(cfg: RunConfig, dataset: Dataset | None = None) -> RunReport:
         true_levels = (ground_truth_rank(dataset) if dataset.ground_truth is not None
                        else None)
 
+    check_campaign_covariates(cfg, observed)
     campaign = campaign_error = None
     try:
         campaign = draw_campaign(cfg)
@@ -271,6 +272,15 @@ def run_pipeline(cfg: RunConfig, dataset: Dataset | None = None) -> RunReport:
             except Exception as exc:
                 mr.error = f"{type(exc).__name__}: {exc}"
     return report
+
+
+def check_campaign_covariates(cfg: RunConfig, observed: Dataset) -> None:
+    """Raise ConfigError unless the campaign of ``cfg``, simulated with
+    ``sim.k`` covariates, has as many as ``observed``: every model fit on
+    ``observed`` predicts on the campaign."""
+    if observed.k != cfg.sim.k:
+        raise ConfigError(f"the dataset has {observed.k} covariates but the campaign is "
+                          f"simulated with sim.k = {cfg.sim.k}; set sim.k to {observed.k}")
 
 
 def draw_campaign(cfg: RunConfig) -> IVExperiment:

@@ -14,7 +14,9 @@ and prepared once, every model is analyzed on it, and it is dropped before
 the next one is drawn. Each cohort depends only on (seed, config, run), so
 the cohorts are dealt to forked worker processes, one per CPU; the parent
 merges their records in cohort order, which gives the same values and the
-same errors as running the cohorts one by one.
+same errors as running the cohorts one by one. The baselines both tests
+compare against run on the same workers, one model per task, on the
+observed cohort the parent prepared once.
 """
 from __future__ import annotations
 
@@ -133,7 +135,7 @@ def _weighted_ate(y: np.ndarray, a: np.ndarray, w: np.ndarray) -> float:
 
 class StageError(RuntimeError):
     """A stage failed for a reason outside every model: an output directory
-    that cannot be written, or a sweep worker that returned no result."""
+    that cannot be written, or a worker that returned no result."""
 
 
 @dataclass(frozen=True)
@@ -159,53 +161,54 @@ def _blas_threads() -> int:
 
 
 def _max_workers() -> int:
-    """How many sweep workers may run at once: the CPUs this process may run
-    on, divided by the threads of one BLAS call, since a forked worker keeps
-    the parent's BLAS threads (its result bits depend on them). 1 where the
-    process cannot fork, so that the sweep runs in-process."""
+    """How many workers may run at once: the CPUs this process may run on,
+    divided by the threads of one BLAS call, since a forked worker keeps the
+    parent's BLAS threads (its result bits depend on them). 1 where the
+    process cannot fork, so that every task runs in-process."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return max(1, len(os.sched_getaffinity(0)) // _blas_threads())
 
 
-def _run_tasks(tasks: list[_Task], run: Callable[[_Task], object]) -> list:
-    """``[run(task) for task in tasks]``, computed on forked workers.
+def _run_tasks(names: list[str], run: Callable[[int], object]) -> list:
+    """``[run(i) for i in range(len(names))]``, computed on forked workers.
 
-    The tasks are dealt round-robin to ``min(_max_workers(), len(tasks))``
-    workers; with one, they run in-process. A worker inherits ``tasks`` and
-    ``run`` through fork, so nothing is pickled on the way in, and sends its
-    results back through a pipe in its task order. Every worker is joined
-    before this returns or raises. A worker that dies, or whose result
-    cannot be pickled, loses the rest of its tasks; once the other workers
-    are done, StageError names the first lost task in task order, so the
-    error does not depend on which worker failed first.
+    The task indices are dealt round-robin to ``min(_max_workers(),
+    len(names))`` workers; with one, they run in-process. A worker inherits
+    ``run`` and whatever it reads through fork, so nothing is pickled on the
+    way in, and sends its results back through a pipe in its task order.
+    Every worker is joined before this returns or raises. A worker that
+    dies, or whose result cannot be pickled, loses the rest of its tasks;
+    once the other workers are done, StageError names (by ``names``) the
+    first lost task in task order, so the error does not depend on which
+    worker failed first.
     """
-    n_workers = min(_max_workers(), len(tasks))
+    n_workers = min(_max_workers(), len(names))
     if n_workers <= 1:
-        return [run(task) for task in tasks]
-    import multiprocessing  # loaded only by a sweep that forks
+        return [run(t) for t in range(len(names))]
+    import multiprocessing  # loaded only by a stage that forks
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    results = [None] * len(tasks)
+    results = [None] * len(names)
     lost = {}  # index of a worker's first task not returned -> why
     procs, owing = [], {}  # owing: pipe -> (worker, indices of the tasks it owes)
     try:
         for w in range(n_workers):
-            owed = list(range(w, len(tasks), n_workers))
+            owed = list(range(w, len(names), n_workers))
             reader, writer = ctx.Pipe(duplex=False)
 
             def work(owed=owed, writer=writer):
                 for t in owed:
-                    result = run(tasks[t])
+                    result = run(t)
                     try:
                         writer.send((True, result))
                     except Exception as exc:  # pickling failed; nothing was sent
-                        writer.send((False, f"the sweep worker cannot return {tasks[t].name}: "
+                        writer.send((False, f"the worker cannot return {names[t]}: "
                                             f"{type(exc).__name__}: {exc}"))
                         return
 
-            proc = ctx.Process(target=work, name=f"proxyrank-sweep-{w}")
+            proc = ctx.Process(target=work, name=f"proxyrank-worker-{w}")
             proc.start()
             procs.append(proc)
             writer.close()  # so the reader sees EOF once the worker is gone
@@ -217,10 +220,10 @@ def _run_tasks(tasks: list[_Task], run: Callable[[_Task], object]) -> list:
                     ok, value = reader.recv()
                 except EOFError:
                     proc.join()
-                    ok, value = False, (f"the sweep worker died running {tasks[owed[0]].name} "
+                    ok, value = False, (f"the worker died running {names[owed[0]]} "
                                         f"(exit code {proc.exitcode})")
                 except Exception as exc:  # a result that cannot be unpickled
-                    ok, value = False, (f"cannot read the result of {tasks[owed[0]].name}: "
+                    ok, value = False, (f"cannot read the result of {names[owed[0]]}: "
                                         f"{type(exc).__name__}: {exc}")
                 if ok:
                     results[owed.pop(0)] = value
@@ -263,8 +266,8 @@ def _analyze_cohort(task: _Task, specs: list[ModelSpec], live: list[int],
 
 def _sweep(tasks: list[_Task], specs: list[ModelSpec], baselines: list,
            cfg: AnalysisConfig) -> list[tuple[list, Exception | None]]:
-    """The cohort-major loop behind ``analyze_baselines``, ``placebo_test``,
-    ``confounding_overlap`` and ``sensitivity_sweep``.
+    """The cohort-major loop behind ``placebo_test``, ``confounding_overlap``
+    and ``sensitivity_sweep``.
 
     Each task's cohort is drawn and prepared once, and every spec whose
     entry in ``baselines`` is not an exception is analyzed on it; the tasks
@@ -280,7 +283,8 @@ def _sweep(tasks: list[_Task], specs: list[ModelSpec], baselines: list,
     live = [i for i, e in enumerate(errors) if e is None]
     if not live:
         return list(zip(records, errors))
-    for result in _run_tasks(tasks, lambda task: _analyze_cohort(task, specs, live, cfg)):
+    for result in _run_tasks([task.name for task in tasks],
+                             lambda t: _analyze_cohort(tasks[t], specs, live, cfg)):
         for j, i in enumerate(live):
             if errors[i] is not None:
                 continue
@@ -292,16 +296,37 @@ def _sweep(tasks: list[_Task], specs: list[ModelSpec], baselines: list,
     return list(zip(records, errors))
 
 
+def _baseline(prepared, spec: ModelSpec, cfg: AnalysisConfig):
+    """``spec``'s analysis of ``prepared`` as (model, ites, ranked), without
+    the cohort a worker would otherwise send back; or the exception the
+    analysis raised."""
+    try:
+        result = analyze_model(prepared, spec, cfg)
+    except Exception as exc:
+        return exc.with_traceback(None)  # hold no frame of the cohort
+    return result.model, result.ites, result.ranked
+
+
 def analyze_baselines(d: Dataset, specs: list[ModelSpec],
                       cfg: AnalysisConfig = AnalysisConfig()) -> list:
     """Every spec's analysis of ``d``, all on one prepared cohort.
 
-    Returns one ``AnalysisResult`` per spec, or the exception its analysis
-    raised; these are the baselines the sweeps compare against.
+    The cohort is prepared once, in this process, and the specs are dealt to
+    forked workers (``_run_tasks``), which inherit it; each sends back only
+    its spec's model, effects and ranking, and every result refers to this
+    process's prepared cohort. Returns one ``AnalysisResult`` per spec, or
+    the exception its analysis raised (every spec gets the exception of
+    preparing the cohort, if that fails); these are the baselines the sweeps
+    compare against.
     """
-    task = _Task("the observed cohort", lambda: (None, d), lambda i, key, result: result)
-    return [values[0] if exc is None else exc
-            for values, exc in _sweep([task], specs, [None] * len(specs), cfg)]
+    try:
+        prepared = prepare_cohort(d, cfg)
+    except Exception as exc:
+        return [exc.with_traceback(None)] * len(specs)
+    names = [f"the baseline of model {spec.name()!r}" for spec in specs]
+    values = _run_tasks(names, lambda i: _baseline(prepared, specs[i], cfg))
+    return [value if isinstance(value, Exception) else AnalysisResult(prepared, spec, *value)
+            for spec, value in zip(specs, values)]
 
 
 def _placebo_ate(prepared, seed: int, n_bootstrap: int) -> tuple[float, float]:

@@ -245,6 +245,42 @@ class RegressionTree:
                 "max_features": self.max_features, "seed": self.seed,
                 "root": self.root.to_dict()}
 
+    def __getstate__(self) -> dict:
+        """The fields, with the nodes as preorder arrays of value, feature
+        (-1 at a leaf) and threshold: pickle would recurse once per level of
+        the linked nodes and fail on a deep tree."""
+        state = dict(self.__dict__, root=None)
+        if self.root is not None:
+            nodes, stack = [], [self.root]
+            while stack:
+                node = stack.pop()
+                nodes.append(node)
+                if not node.is_leaf:
+                    stack += (node.right, node.left)
+            state["root"] = (np.array([n.value for n in nodes], dtype=np.float64),
+                             np.array([-1 if n.is_leaf else n.feature for n in nodes],
+                                      dtype=np.int64),
+                             np.array([n.threshold for n in nodes], dtype=np.float64))
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Rebuild the nodes from ``__getstate__``'s preorder arrays."""
+        arrays = state["root"]
+        self.__dict__.update(state, root=None)
+        if arrays is None:
+            return
+        open_nodes = []  # split nodes still missing a child
+        for value, feature, threshold in zip(*(a.tolist() for a in arrays)):
+            node = _Node(value=value, feature=feature, threshold=threshold)
+            if self.root is None:
+                self.root = node
+            elif open_nodes[-1].left is None:
+                open_nodes[-1].left = node
+            else:
+                open_nodes.pop().right = node
+            if feature >= 0:
+                open_nodes.append(node)
+
 
 @dataclass
 class RandomForest:

@@ -1,12 +1,13 @@
 """Degenerate inputs driven through `rank --data` and `run --data` on small
 hand-made CSVs: a treatment that a covariate separates, a constant covariate
-column, and effect estimates that all tie. Each pins the exit code and the
-written levels."""
+column, effect estimates that all tie, and a covariate count the campaign
+cannot match. Each pins the exit code and the written levels or error."""
 import json
 
 import numpy as np
 import pytest
 
+import proxyrank.sensitivity as sensitivity
 from proxyrank import Dataset, save_dataset
 from proxyrank.cli import main
 
@@ -95,3 +96,19 @@ def test_tied_effect_estimates(command, tmp_path, capsys):
     assert [int(r[4]) for r in rows] == np.repeat([4, 3, 2, 1], N // 4).tolist()
     top_10 = [int(r[5]) for r in rows]
     assert top_10 == [1] * (N // 10) + [0] * (N - N // 10)
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_covariate_count_the_campaign_cannot_match(command, tmp_path, capsys, monkeypatch):
+    # The campaign would be simulated with 8 covariates, the CSV has 4: a
+    # config error before the cohort is prepared, and no file is written.
+    def no_fit(*args):
+        raise AssertionError("a cohort was prepared")
+    monkeypatch.setattr(sensitivity, "prepare_cohort", no_fit)
+    rc, out = drive(tmp_path, command, dict(LINEAR, sim={"n": 400, "k": 8}),
+                    Dataset(X, A, X[:, 0] + A + NOISE))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "config error: the dataset has 4 covariates but the campaign is simulated with "
+        "sim.k = 8; set sim.k to 4\n")
+    assert list(out.iterdir()) == []

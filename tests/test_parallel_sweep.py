@@ -1,6 +1,7 @@
-"""The sensitivity sweep on forked workers: the same bytes for any worker
-count, a worker that dies or cannot return its result ends the op with exit
-2 and a StageError naming its cohort, and no worker outlives the op."""
+"""The baselines and the sensitivity sweep on forked workers: the same bytes
+for any worker count, a worker that dies or cannot return its result ends
+the op with exit 2 and a StageError naming its model or cohort, and no
+worker outlives the op."""
 import hashlib
 import json
 import multiprocessing
@@ -24,6 +25,16 @@ CONFIG = {"sim": {"n": 400, "k": 8}, "sensitivity_runs": 2, "placebo_bootstrap":
                                   {"alpha": 100000.0, "epsilon": 4000000.0}],
           "models": [{"family": "linear_wls", "label": "lin"},
                      {"family": "svr_linear", "label": "svr", "hyperparams": {"epochs": 3}}]}
+# The three tree families next to the closed-form fit: four baseline tasks,
+# so one of three workers owes two.
+TREES = dict(CONFIG, models=[
+    {"family": "tree", "label": "tree", "hyperparams": {"max_depth": 4}},
+    {"family": "forest", "label": "forest", "hyperparams": {"n_trees": 3}},
+    {"family": "boosted_trees", "label": "boosted_trees", "hyperparams": {"n_rounds": 3}},
+    {"family": "linear_wls", "label": "lin"}])
+# The simulated outcome takes negative values, so the poisson fit raises.
+POISSON = dict(CONFIG, models=[{"family": "linear_wls", "label": "lin"},
+                               {"family": "poisson", "label": "poisson"}])
 # Trimming to the lower scores removes the treated arm from a cohort whose
 # confounder separates the arms (sum_scaled with a tiny epsilon) and from no
 # other cohort.
@@ -66,7 +77,9 @@ def in_confounded_cohort(prepared, config_index, run):
 
 
 @pytest.mark.parametrize("command,config", [
-    ("run", CONFIG), ("sensitivity", CONFIG), ("run", CONFIG_CONFOUNDER_FAILS)])
+    ("run", CONFIG), ("sensitivity", CONFIG), ("run", CONFIG_CONFOUNDER_FAILS),
+    ("rank", CONFIG), ("analyze", CONFIG), ("validate", CONFIG), ("run", TREES),
+    ("rank", TREES), ("analyze", TREES)])
 def test_same_bytes_for_one_two_and_three_workers(command, config, monkeypatch, tmp_path,
                                                   capsys):
     outs = []
@@ -105,6 +118,24 @@ def test_model_failing_on_some_cohorts_same_for_any_worker_count(monkeypatch, tm
         None, "ModelError: injected failure on config 1"]
 
 
+@pytest.mark.parametrize("command", ["run", "rank"])
+def test_model_raising_in_a_worker_fails_as_in_process(command, monkeypatch, tmp_path, capsys):
+    outs = []
+    for n in (1, 2):
+        workers(monkeypatch, n)
+        outs.append(run_cli(tmp_path, capsys, command, POISSON, f"w{n}"))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 2
+    assert outs[0][2] == {
+        "run": "model branches failed: poisson\n",
+        "rank": "stage failure: ModelError: poisson family requires non-negative outcomes\n",
+    }[command]
+    if command == "run":
+        report = json.loads((tmp_path / "w2" / "report.json").read_text())
+        assert [m["error"] for m in report["models"]] == [
+            None, "ModelError: poisson family requires non-negative outcomes"]
+
+
 def test_public_sweeps_match_in_process(monkeypatch, small_sim):
     d = small_sim.observed
     specs = [ModelSpec(family="linear_wls", label="lr"),
@@ -135,8 +166,42 @@ def test_killed_worker_is_a_stage_error(monkeypatch, tmp_path, capsys, time_limi
     workers(monkeypatch, 2)
     rc, _, err, _ = run_cli(tmp_path, capsys, "run", CONFIG, "out")
     assert rc == 2
-    assert err == ("stage failure: StageError: the sweep worker died running the "
+    assert err == ("stage failure: StageError: the worker died running the "
                    "confounder cohort of config 0, run 1 (exit code -9)\n")
+
+
+@pytest.mark.parametrize("command", ["rank", "run"])
+def test_killed_baseline_worker_is_a_stage_error(command, monkeypatch, tmp_path, capsys,
+                                                 time_limit):
+    parent = os.getpid()
+    real = sensitivity.analyze_model
+
+    def analyze(prepared, spec, cfg):
+        if os.getpid() != parent and spec.label == "forest":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(prepared, spec, cfg)
+    monkeypatch.setattr(sensitivity, "analyze_model", analyze)
+    workers(monkeypatch, 2)
+    rc, _, err, _ = run_cli(tmp_path, capsys, command, TREES, "out")
+    assert rc == 2
+    assert err == ("stage failure: StageError: the worker died running the baseline of "
+                   "model 'forest' (exit code -9)\n")
+
+
+def test_unpicklable_baseline_is_a_stage_error(monkeypatch, tmp_path, capsys, time_limit):
+    real = sensitivity.analyze_model
+
+    def analyze(prepared, spec, cfg):
+        result = real(prepared, spec, cfg)
+        if spec.label == "forest":
+            result.model.params["hook"] = lambda: None
+        return result
+    monkeypatch.setattr(sensitivity, "analyze_model", analyze)
+    workers(monkeypatch, 2)
+    rc, _, err, _ = run_cli(tmp_path, capsys, "analyze", TREES, "out")
+    assert rc == 2
+    assert err.startswith("stage failure: StageError: the worker cannot return the baseline "
+                          "of model 'forest': ")
 
 
 def test_unpicklable_result_is_a_stage_error(monkeypatch, tmp_path, capsys, time_limit):
@@ -144,7 +209,7 @@ def test_unpicklable_result_is_a_stage_error(monkeypatch, tmp_path, capsys, time
     workers(monkeypatch, 2)
     rc, _, err, _ = run_cli(tmp_path, capsys, "sensitivity", CONFIG, "out")
     assert rc == 2
-    assert err.startswith("stage failure: StageError: the sweep worker cannot return the "
+    assert err.startswith("stage failure: StageError: the worker cannot return the "
                           "confounder cohort of config 0, run 0: ")
 
 
@@ -170,13 +235,34 @@ def test_max_workers_leaves_each_blas_thread_a_cpu(threads, cpus, expected, monk
 
 
 def test_analyze_and_rank_load_no_multiprocessing(tmp_path):
+    # As many BLAS threads as CPUs leave room for one worker, which runs
+    # in-process.
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"sim": {"n": 300, "k": 5}}))
     script = ("import sys\nfrom proxyrank.cli import main\n"
               "for cmd in ('analyze', 'rank'):\n"
               "    assert main([cmd, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
               "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(sensitivity.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(sensitivity.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS=str(os.cpu_count()))
     out = subprocess.run([sys.executable, "-c", script, str(cfgp), str(tmp_path / "out")],
                          env=env, capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_analyze_forks_two_workers_and_reaps_them(monkeypatch, tmp_path, capsys, time_limit):
+    real_fork, children = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
+    workers(monkeypatch, 2)
+    rc, _, err, files = run_cli(tmp_path, capsys, "analyze", CONFIG, "out")
+    assert rc == 0 and err == "" and set(files) == {"ite.csv", "balance.csv", "propensity.json"}
+    assert len(children) == 2
+    for pid in children:
+        with pytest.raises(ChildProcessError):  # joined, so not a zombie either
+            os.waitpid(pid, os.WNOHANG)

@@ -1,8 +1,9 @@
 """The presorted split search grows exactly the trees of a per-node sort, and
-the tree estimators validate their hyperparameters and keep no reference to
-their inputs after ``fit``."""
+the tree estimators validate their hyperparameters, keep no reference to
+their inputs after ``fit`` and pickle at any depth."""
 import gc
 import json
+import pickle
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import tree_oracle
 from proxyrank import trees
-from proxyrank.trees import (GradientBoostedTrees, RandomForest, RegressionTree,
+from proxyrank.trees import (GradientBoostedTrees, RandomForest, RegressionTree, _Node,
                              _presort, _presort_sample)
 
 
@@ -124,6 +125,41 @@ class TestInputsFreedAfterFit:
             assert predict_ref() is None
         finally:
             gc.enable()
+
+
+class TestPickle:
+    def test_deep_chain_round_trips(self):
+        # Split i sends x <= i + 0.5 to a leaf and the rest one level down:
+        # 5,000 levels, far past the recursion limit of a node-by-node pickle.
+        depth = 5000
+        tree = RegressionTree(max_depth=None, min_samples_leaf=1, seed=3)
+        tree.root = node = _Node(value=-1.0)
+        for i in range(depth):
+            node.feature, node.threshold = 0, i + 0.5
+            node.left, node.right = _Node(value=float(i)), _Node(value=i + 1.0)
+            node = node.right
+        F = np.arange(-1.0, depth + 2.0).reshape(-1, 1)
+        back = pickle.loads(pickle.dumps(tree))
+        np.testing.assert_array_equal(back.predict(F), tree.predict(F))
+        np.testing.assert_array_equal(back.predict(F), np.clip(np.arange(-1, depth + 2), 0, depth))
+        assert (back.max_depth, back.min_samples_leaf, back.seed) == (None, 1, 3)
+
+    @pytest.mark.parametrize("make", [
+        lambda: RegressionTree(max_features=2, seed=4),
+        lambda: RandomForest(n_trees=3, min_samples_leaf=2),
+        lambda: GradientBoostedTrees(n_rounds=4, max_depth=2),
+        lambda: RegressionTree(max_depth=0),
+    ])
+    def test_fitted_model_round_trips(self, make):
+        F, y, w = tie_heavy(1, 150, 5)
+        model = make().fit(F, y, w)
+        back = pickle.loads(pickle.dumps(model))
+        assert back.to_dict() == model.to_dict()
+        assert dump(back) == dump(model)
+        np.testing.assert_array_equal(back.predict(F), model.predict(F))
+
+    def test_unfitted_tree_round_trips(self):
+        assert pickle.loads(pickle.dumps(RegressionTree(seed=9))) == RegressionTree(seed=9)
 
 
 class TestDegenerateHyperparameters:
