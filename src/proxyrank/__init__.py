@@ -9,6 +9,7 @@ simulated campaigns) an instrumental-variable validation.
 
 __version__ = "0.1.0"
 
+from . import parallel  # first: it pins the BLAS threads before numpy loads
 from .analysis import (AnalysisConfig, AnalysisResult, ModelSpec, PreparedCohort,
                        analyze_model, prepare_cohort, run_analysis)
 from .data import (Dataset, DataValidationError, GroundTruth, SchemaError,

@@ -72,6 +72,10 @@ class AnalysisConfig:
             raise ConfigError("analysis needs 0 <= trim_lo < trim_hi <= 1")
         if not self.propensity_l2 >= 0.0:
             raise ConfigError("analysis.propensity_l2 must be >= 0")
+        if not self.propensity_tol > 0.0:
+            raise ConfigError("analysis.propensity_tol must be > 0")
+        if not self.propensity_max_iter >= 1:
+            raise ConfigError("analysis.propensity_max_iter must be >= 1")
         if not self.n_levels >= 1:
             raise ConfigError("analysis.n_levels must be >= 1")
         if self.report_range is not None and not (len(self.report_range) == 2

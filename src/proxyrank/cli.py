@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 config error, 2 stage failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, replace
 from itertools import repeat
@@ -26,7 +25,7 @@ from .pipeline import (REPORT_FILES, RunConfig, analyze_models, check_campaign_c
                        write_sensitivity, write_summary)
 from .simulate import ConfigError, simulate_cohort
 
-_CONFIG_ERRORS = (ConfigError, SchemaError, json.JSONDecodeError)
+_CONFIG_ERRORS = (ConfigError, SchemaError)
 
 
 def _load_config(args) -> RunConfig:

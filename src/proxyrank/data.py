@@ -193,8 +193,10 @@ def load_schema(path: str | Path) -> dict:
     p = Path(path)
     if not p.exists():
         raise SchemaError(f"schema file not found: {p}")
-    with open(p, encoding="utf-8") as fh:
-        schema = json.load(fh)
+    try:
+        schema = json.loads(p.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"schema is not valid JSON: {exc}") from None
     _check_schema(schema)
     return schema
 

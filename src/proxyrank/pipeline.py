@@ -26,7 +26,8 @@ from .data import Dataset
 from .outcomes import ModelError, check_hyperparams, compute_ite
 from .ranking import rank_rmse, top_fraction_indices
 from .rng import derive_seed
-from .sensitivity import (ConfounderConfig, PlaceboResult, SensitivityReport, StageError,
+from .parallel import StageError
+from .sensitivity import (ConfounderConfig, PlaceboResult, SensitivityReport,
                           analyze_baselines, sensitivity_sweep)
 from .simulate import ConfigError, SimConfig, ground_truth_rank, simulate_cohort
 from .validation import (DEFAULT_K_GRID, IVExperiment, IVResult, simulate_campaign,
@@ -47,7 +48,7 @@ def read_json_object(path: str | Path, what: str) -> dict:
         raise ConfigError(f"{what} file not found: {p}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} root must be a JSON object")
@@ -164,6 +165,8 @@ class RunConfig:
             raise ConfigError("placebo_bootstrap must be >= 2")
         if not self.k_grid or not all(0.0 < k <= 100.0 for k in self.k_grid):
             raise ConfigError(f"k_grid must hold values in (0, 100], got {list(self.k_grid)}")
+        if len(set(self.k_grid)) != len(self.k_grid):  # one ranking.csv column each
+            raise ConfigError(f"k_grid must not repeat a value, got {list(self.k_grid)}")
 
     def resolved_sim(self) -> SimConfig:
         if self.sim_seed_explicit:

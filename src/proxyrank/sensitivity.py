@@ -11,16 +11,13 @@ measures how much the ranking moves.
 Neither the placebo cohort nor the confounder draws depend on the model, so
 both tests take a list of models and run cohort-major: each cohort is drawn
 and prepared once, every model is analyzed on it, and it is dropped before
-the next one is drawn. Each cohort depends only on (seed, config, run), so
-the cohorts are dealt to forked worker processes, one per CPU; the parent
-merges their records in cohort order, which gives the same values and the
-same errors as running the cohorts one by one. The baselines both tests
-compare against run on the same workers, one model per task, on the
-observed cohort the parent prepared once.
+the next one is drawn. The cohorts, and the baselines both tests compare
+against (one model per task, on the observed cohort prepared once), are the
+tasks of ``parallel.run_tasks``; the records merge in task order, which gives
+the values and errors of running the tasks one by one.
 """
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
@@ -28,6 +25,7 @@ import numpy as np
 
 from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, analyze_model, prepare_cohort
 from .data import Dataset, DataValidationError
+from .parallel import run_tasks
 from .ranking import rank_rmse
 from .rng import derive_seed, substream
 
@@ -133,11 +131,6 @@ def _weighted_ate(y: np.ndarray, a: np.ndarray, w: np.ndarray) -> float:
                  - np.average(y[~treated], weights=w[~treated]))
 
 
-class StageError(RuntimeError):
-    """A stage failed for a reason outside every model: an output directory
-    that cannot be written, or a worker that returned no result."""
-
-
 @dataclass(frozen=True)
 class _Task:
     """One sweep cohort. ``draw()`` returns (key, dataset); spec i's analysis
@@ -147,102 +140,6 @@ class _Task:
     name: str
     draw: Callable[[], tuple]
     record: Callable[[int, object, AnalysisResult], object]
-
-
-def _blas_threads() -> int:
-    """Threads one BLAS call may use, read as OpenBLAS reads them: the first
-    positive OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, else
-    one per CPU."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return len(os.sched_getaffinity(0))
-
-
-def _max_workers() -> int:
-    """How many workers may run at once: the CPUs this process may run on,
-    divided by the threads of one BLAS call, since a forked worker keeps the
-    parent's BLAS threads (its result bits depend on them). 1 where the
-    process cannot fork, so that every task runs in-process."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, len(os.sched_getaffinity(0)) // _blas_threads())
-
-
-def _run_tasks(names: list[str], run: Callable[[int], object]) -> list:
-    """``[run(i) for i in range(len(names))]``, computed on forked workers.
-
-    The task indices are dealt round-robin to ``min(_max_workers(),
-    len(names))`` workers; with one, they run in-process. A worker inherits
-    ``run`` and whatever it reads through fork, so nothing is pickled on the
-    way in, and sends its results back through a pipe in its task order.
-    Every worker is joined before this returns or raises. A worker that
-    dies, or whose result cannot be pickled, loses the rest of its tasks;
-    once the other workers are done, StageError names (by ``names``) the
-    first lost task in task order, so the error does not depend on which
-    worker failed first.
-    """
-    n_workers = min(_max_workers(), len(names))
-    if n_workers <= 1:
-        return [run(t) for t in range(len(names))]
-    import multiprocessing  # loaded only by a stage that forks
-    from multiprocessing.connection import wait
-
-    ctx = multiprocessing.get_context("fork")
-    results = [None] * len(names)
-    lost = {}  # index of a worker's first task not returned -> why
-    procs, owing = [], {}  # owing: pipe -> (worker, indices of the tasks it owes)
-    try:
-        for w in range(n_workers):
-            owed = list(range(w, len(names), n_workers))
-            reader, writer = ctx.Pipe(duplex=False)
-
-            def work(owed=owed, writer=writer):
-                for t in owed:
-                    result = run(t)
-                    try:
-                        writer.send((True, result))
-                    except Exception as exc:  # pickling failed; nothing was sent
-                        writer.send((False, f"the worker cannot return {names[t]}: "
-                                            f"{type(exc).__name__}: {exc}"))
-                        return
-
-            proc = ctx.Process(target=work, name=f"proxyrank-worker-{w}")
-            proc.start()
-            procs.append(proc)
-            writer.close()  # so the reader sees EOF once the worker is gone
-            owing[reader] = (proc, owed)
-        while owing:
-            for reader in wait(list(owing)):
-                proc, owed = owing[reader]
-                try:
-                    ok, value = reader.recv()
-                except EOFError:
-                    proc.join()
-                    ok, value = False, (f"the worker died running {names[owed[0]]} "
-                                        f"(exit code {proc.exitcode})")
-                except Exception as exc:  # a result that cannot be unpickled
-                    ok, value = False, (f"cannot read the result of {names[owed[0]]}: "
-                                        f"{type(exc).__name__}: {exc}")
-                if ok:
-                    results[owed.pop(0)] = value
-                else:
-                    lost[owed[0]] = value
-                    owed.clear()
-                    proc.kill()
-                if not owed:
-                    del owing[reader]
-                    reader.close()
-    finally:
-        for reader, (proc, _) in owing.items():
-            proc.kill()
-            reader.close()
-        for proc in procs:
-            proc.join()
-    if lost:
-        raise StageError(lost[min(lost)])
-    return results
 
 
 def _analyze_cohort(task: _Task, specs: list[ModelSpec], live: list[int],
@@ -271,7 +168,7 @@ def _sweep(tasks: list[_Task], specs: list[ModelSpec], baselines: list,
 
     Each task's cohort is drawn and prepared once, and every spec whose
     entry in ``baselines`` is not an exception is analyzed on it; the tasks
-    run on forked workers (``_run_tasks``), so only one cohort per worker is
+    run on forked workers (``run_tasks``), so only one cohort per worker is
     alive at a time. Returns, per spec, its records in task order up to its
     first failure, and the exception that ended it (None if none did): its
     baseline's exception, else the first in task order, where a cohort that
@@ -283,8 +180,8 @@ def _sweep(tasks: list[_Task], specs: list[ModelSpec], baselines: list,
     live = [i for i, e in enumerate(errors) if e is None]
     if not live:
         return list(zip(records, errors))
-    for result in _run_tasks([task.name for task in tasks],
-                             lambda t: _analyze_cohort(tasks[t], specs, live, cfg)):
+    for result in run_tasks([task.name for task in tasks],
+                            lambda t: _analyze_cohort(tasks[t], specs, live, cfg)):
         for j, i in enumerate(live):
             if errors[i] is not None:
                 continue
@@ -312,7 +209,7 @@ def analyze_baselines(d: Dataset, specs: list[ModelSpec],
     """Every spec's analysis of ``d``, all on one prepared cohort.
 
     The cohort is prepared once, in this process, and the specs are dealt to
-    forked workers (``_run_tasks``), which inherit it; each sends back only
+    forked workers (``run_tasks``), which inherit it; each sends back only
     its spec's model, effects and ranking, and every result refers to this
     process's prepared cohort. Returns one ``AnalysisResult`` per spec, or
     the exception its analysis raised (every spec gets the exception of
@@ -324,7 +221,7 @@ def analyze_baselines(d: Dataset, specs: list[ModelSpec],
     except Exception as exc:
         return [exc.with_traceback(None)] * len(specs)
     names = [f"the baseline of model {spec.name()!r}" for spec in specs]
-    values = _run_tasks(names, lambda i: _baseline(prepared, specs[i], cfg))
+    values = run_tasks(names, lambda i: _baseline(prepared, specs[i], cfg))
     return [value if isinstance(value, Exception) else AnalysisResult(prepared, spec, *value)
             for spec, value in zip(specs, values)]
 

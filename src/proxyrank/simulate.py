@@ -100,6 +100,8 @@ class SimConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n <= 0:
             raise ConfigError("n must be positive")
+        if self.k < 0:
+            raise ConfigError("k must be >= 0")
         if len(self.cate_levels) < 1:
             raise ConfigError("need at least one effect group")
         if self.embed_groups and self.k < len(self.cate_levels):

@@ -1,9 +1,11 @@
 import multiprocessing
 
+# Before numpy: importing proxyrank pins numpy's BLAS to one thread, which it
+# can do only while numpy is not loaded, so the suite runs the users' path.
+from proxyrank import Dataset, SimConfig, simulate_cohort
+
 import numpy as np
 import pytest
-
-from proxyrank import Dataset, SimConfig, simulate_cohort
 
 
 # A small run config: every stage of a run at n=600 in about a second.

@@ -138,6 +138,12 @@ class TestLoad:
         (tmp_path / "bad.json").write_text(json.dumps({"outcome": "y"}))
         with pytest.raises(SchemaError, match="treatment"):
             load_schema(tmp_path / "bad.json")
+        (tmp_path / "broken.json").write_text("{bad")
+        with pytest.raises(SchemaError, match="^schema is not valid JSON: "):
+            load_schema(tmp_path / "broken.json")
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+        with pytest.raises(SchemaError, match="^schema is not valid JSON: 'utf-8' codec"):
+            load_schema(tmp_path / "binary.json")
 
     @pytest.mark.parametrize("schema,match", BAD_SCHEMAS)
     def test_bad_schema_map_rejected(self, tmp_path, schema, match):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import proxyrank.parallel as parallel
 import proxyrank.sensitivity as sensitivity
 from proxyrank import AnalysisConfig, ConfounderConfig, ModelError, ModelSpec
 from proxyrank.cli import main
@@ -42,6 +43,18 @@ CONFIG_CONFOUNDER_FAILS = dict(
     CONFIG, analysis={"trim_lo": 0.05, "trim_hi": 0.45},
     sensitivity_configs=[{"alpha": 1000.0, "epsilon": 1000000.0},
                          {"alpha": 100000.0, "epsilon": 1.0, "posterior_mode": "sum_scaled"}])
+# Every variable that sets a BLAS thread count, and the import path of a
+# subprocess that runs proxyrank.
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = str(Path(sensitivity.__file__).parents[1])
+
+
+class TwoArgError(Exception):
+    """Pickles, but cannot be rebuilt: unpickling calls the class with the
+    one message argument."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
 
 
 @pytest.fixture
@@ -58,7 +71,13 @@ def time_limit():
 
 
 def workers(monkeypatch, n):
-    monkeypatch.setattr(sensitivity, "_max_workers", lambda: n)
+    monkeypatch.setattr(parallel, "_max_workers", lambda: n)
+
+
+def subprocess_env(**blas):
+    """This process's environment without a BLAS variable, plus ``blas``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    return dict(env, PYTHONPATH=SRC, **blas)
 
 
 def run_cli(tmp_path, capsys, command, config, name):
@@ -213,6 +232,29 @@ def test_unpicklable_result_is_a_stage_error(monkeypatch, tmp_path, capsys, time
                           "confounder cohort of config 0, run 0: ")
 
 
+@pytest.mark.parametrize("command", ["rank", "run"])
+def test_unrebuildable_baseline_is_a_stage_error(command, monkeypatch, tmp_path, capsys,
+                                                 time_limit):
+    # The one difference from a serial run: in-process, the model fails with
+    # its own error.
+    real = sensitivity.analyze_model
+
+    def analyze(prepared, spec, cfg):
+        if spec.label == "svr":
+            raise TwoArgError("svr", "injected")
+        return real(prepared, spec, cfg)
+    monkeypatch.setattr(sensitivity, "analyze_model", analyze)
+    workers(monkeypatch, 1)
+    rc, _, err, _ = run_cli(tmp_path, capsys, command, CONFIG, "w1")
+    assert rc == 2 and err == {"run": "model branches failed: svr\n",
+                               "rank": "stage failure: TwoArgError: svr: injected\n"}[command]
+    workers(monkeypatch, 2)
+    rc, _, err, _ = run_cli(tmp_path, capsys, command, CONFIG, "w2")
+    assert rc == 2
+    assert err.startswith("stage failure: StageError: cannot read the result of the baseline "
+                          "of model 'svr': TypeError: ")
+
+
 def test_failing_op_leaves_no_worker(monkeypatch, tmp_path, capsys, time_limit):
     def broken(d, cfg):
         raise ModelError("no confounder today")
@@ -222,32 +264,64 @@ def test_failing_op_leaves_no_worker(monkeypatch, tmp_path, capsys, time_limit):
     assert rc == 2 and err == "stage failure: ModelError: no confounder today\n"
 
 
-@pytest.mark.parametrize("threads,cpus,expected", [
-    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2), ({"OMP_NUM_THREADS": "2"}, 4, 2),
-    ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1), ({"OPENBLAS_NUM_THREADS": "x"}, 2, 1), ({}, 8, 1)])
-def test_max_workers_leaves_each_blas_thread_a_cpu(threads, cpus, expected, monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+@pytest.mark.parametrize("threads,cpus", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2), ({"OMP_NUM_THREADS": "2"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "4"}, 2), ({"OPENBLAS_NUM_THREADS": "x"}, 2), ({}, 8)])
+def test_max_workers_is_the_cpu_count(threads, cpus, monkeypatch):
+    for var in BLAS_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in threads.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert sensitivity._max_workers() == expected
+    assert parallel._max_workers() == cpus
 
 
 def test_analyze_and_rank_load_no_multiprocessing(tmp_path):
-    # As many BLAS threads as CPUs leave room for one worker, which runs
-    # in-process.
+    # One CPU leaves room for one worker, which runs in-process.
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"sim": {"n": 300, "k": 5}}))
-    script = ("import sys\nfrom proxyrank.cli import main\n"
+    script = ("import os, sys\n"
+              "if hasattr(os, 'sched_setaffinity'):\n"
+              "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+              "from proxyrank.cli import main\n"
               "for cmd in ('analyze', 'rank'):\n"
               "    assert main([cmd, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
               "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(sensitivity.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS=str(os.cpu_count()))
+    env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", script, str(cfgp), str(tmp_path / "out")],
                          env=env, capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("value,expected", [(None, "1"), ("3", "3")])
+def test_import_pins_one_blas_thread_unless_set(value, expected):
+    # The value numpy's BLAS reads when numpy is first imported, and after.
+    script = ("import os, sys\n"
+              "seen = []\n"
+              "class Spy:\n"
+              "    def find_spec(self, name, path=None, target=None):\n"
+              "        if name == 'numpy':\n"
+              "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+              "sys.meta_path.insert(0, Spy())\n"
+              "import proxyrank\n"
+              "print(seen[0], os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    env = subprocess_env(**({} if value is None else {"OPENBLAS_NUM_THREADS": value}))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == [expected, expected]
+
+
+def test_rank_writes_the_same_bytes_without_a_blas_variable(tmp_path):
+    # At n=5000 the ranking's last bits depend on the BLAS thread count.
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"sim": {"n": 5000}, "models": [{"family": "linear_wls"}]}))
+    outs = []
+    for name, blas in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        subprocess.run([sys.executable, "-m", "proxyrank.cli", "rank", "--config", str(cfgp),
+                        "--out", str(tmp_path / name)], env=subprocess_env(**blas),
+                       capture_output=True, check=True)
+        outs.append((tmp_path / name / "ranking.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_analyze_forks_two_workers_and_reaps_them(monkeypatch, tmp_path, capsys, time_limit):

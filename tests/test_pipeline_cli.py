@@ -106,6 +106,11 @@ BAD_CONFIGS = [
     # interactions (on by default) need the treatment column
     ({"models": [{"family": "linear_wls", "include_treatment": False}]},
      r"models\[0\]: interaction features require the treatment column"),
+    # a repeated k would repeat a ranking.csv column, which load_dataset refuses
+    ({"k_grid": [10, 10]}, r"k_grid must not repeat a value, got \[10.0, 10.0\]"),
+    ({"analysis": {"propensity_max_iter": 0}}, "propensity_max_iter must be >= 1"),
+    ({"analysis": {"propensity_tol": -1}}, "propensity_tol must be > 0"),
+    ({"sim": {"k": -1, "embed_groups": False}}, "k must be >= 0"),
 ]
 
 
@@ -333,13 +338,14 @@ class TestCli:
                             "--out", str(tmp_path / "x")) == 1
 
     @pytest.mark.parametrize("content,problem", [("[1, 2]", "root must be a JSON object"),
-                                                 ("{bad", "is not valid JSON")])
+                                                 ("{bad", "is not valid JSON"),
+                                                 (b"\xff\xfe{}", "is not valid JSON")])
     @pytest.mark.parametrize("command,flag,what", [("run", "--config", "config"),
                                                    ("report", "--from", "report")])
     def test_bad_json_file_exit_code(self, command, flag, what, content, problem,
                                      tmp_path, capsys):
         src = tmp_path / "in.json"
-        src.write_text(content)
+        src.write_bytes(content.encode() if isinstance(content, str) else content)
         assert self.run_cli(command, flag, str(src), "--out", str(tmp_path / "x")) == 1
         assert f"config error: {what} {problem}" in capsys.readouterr().err
 
