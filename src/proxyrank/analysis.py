@@ -13,7 +13,8 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .outcomes import FeatureMap, ITETable, OutcomeModel, compute_ite, fit_outcome_model
+from .outcomes import (FeatureMap, ITETable, OutcomeModel, compute_ite, fit_outcome_model,
+                       make_estimator)
 from .propensity import (BalanceReport, PropensityFit, balance_report,
                          fit_propensity, stabilized_weights, trim_extremes)
 from .ranking import RankedCohort, rank_and_bucket
@@ -35,8 +36,9 @@ class ModelSpec:
     interactions: bool = True
     label: str = ""
 
-    def __post_init__(self) -> None:
-        self.feature_map()  # raises ModelError for a map no fit can use
+    def __post_init__(self) -> None:  # the one check of a spec: raises ModelError
+        self.feature_map()
+        make_estimator(self.family, self.hyperparams)
 
     def name(self) -> str:
         if self.label:
@@ -69,18 +71,18 @@ class AnalysisConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.trim_lo < self.trim_hi <= 1.0:
-            raise ConfigError("analysis needs 0 <= trim_lo < trim_hi <= 1")
+            raise ConfigError("trim_lo and trim_hi need 0 <= trim_lo < trim_hi <= 1")
         if not self.propensity_l2 >= 0.0:
-            raise ConfigError("analysis.propensity_l2 must be >= 0")
+            raise ConfigError("propensity_l2 must be >= 0")
         if not self.propensity_tol > 0.0:
-            raise ConfigError("analysis.propensity_tol must be > 0")
+            raise ConfigError("propensity_tol must be > 0")
         if not self.propensity_max_iter >= 1:
-            raise ConfigError("analysis.propensity_max_iter must be >= 1")
+            raise ConfigError("propensity_max_iter must be >= 1")
         if not self.n_levels >= 1:
-            raise ConfigError("analysis.n_levels must be >= 1")
+            raise ConfigError("n_levels must be >= 1")
         if self.report_range is not None and not (len(self.report_range) == 2
                                                   and self.report_range[0] < self.report_range[1]):
-            raise ConfigError(f"analysis.report_range must be [lo, hi] with lo < hi, "
+            raise ConfigError(f"report_range must be [lo, hi] with lo < hi, "
                               f"got {list(self.report_range)}")
 
 

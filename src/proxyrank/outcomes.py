@@ -3,15 +3,8 @@
 Every family minimizes a weighted empirical loss sum_i w_i * L(y_i, f(x_i, a_i));
 with unit weights each fit reduces exactly to the ordinary (non-causal)
 regression. The per-unit effect estimate is f(x, 1) - f(x, 0), with both
-counterfactual predictions retained.
-
-Families
---------
-linear_wls      closed-form weighted least squares
-poisson         log-link Poisson regression (IRLS), for non-negative outcomes
-svr_linear      linear epsilon-insensitive regression by subgradient descent
-tree / forest / boosted_trees
-                weighted CART variants consuming (x, a) raw
+counterfactual predictions retained. ``ESTIMATORS`` maps each family to
+its estimator class.
 
 Linear-type families use a design of [1 | x | a | a*x] by default; without
 the interaction block they cannot express heterogeneous effects (their
@@ -22,33 +15,24 @@ live on wildly different scales.
 """
 from __future__ import annotations
 
-import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .data import Dataset
 from .rng import substream
-from .trees import GradientBoostedTrees, RandomForest, RegressionTree, _is_integer
-
-FAMILIES = ("linear_wls", "poisson", "svr_linear", "tree", "forest", "boosted_trees")
-_TREE_CLASSES = {"tree": RegressionTree, "forest": RandomForest,
-                 "boosted_trees": GradientBoostedTrees}
-_TREE_FAMILIES = tuple(_TREE_CLASSES)
-
-_LOSS_KIND = {
-    "linear_wls": "squared_error",
-    "poisson": "poisson_deviance",
-    "svr_linear": "epsilon_insensitive",
-    "tree": "squared_error",
-    "forest": "squared_error",
-    "boosted_trees": "squared_error",
-}
+from .trees import (GradientBoostedTrees, RandomForest, RegressionTree, _TreeModel,
+                    _check_count, _is_integer)
 
 
 class ModelError(ValueError):
     pass
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ModelError(message)
 
 
 @dataclass(frozen=True)
@@ -75,10 +59,11 @@ class FeatureMap:
             cols.append(a.reshape(-1, 1) * X)
         return np.hstack(cols)
 
-    def tree_design(self, X: np.ndarray, a: np.ndarray) -> np.ndarray:
-        if self.include_treatment:
-            return np.hstack([X, a.reshape(-1, 1).astype(np.float64)])
-        return np.asarray(X, dtype=np.float64)
+    def features(self, estimator, X: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """The design, or [x | a] raw when ``estimator`` is a tree model."""
+        if not isinstance(estimator, _TreeModel):
+            return self.design(X, a)
+        return np.hstack([X, a[:, None].astype(np.float64)]) if self.include_treatment else X
 
 
 @dataclass
@@ -88,17 +73,18 @@ class OutcomeModel:
     family: str
     feature_map: FeatureMap
     n_features: int
-    params: dict
     loss_kind: str
     final_loss: float
     n_iter: int
-    _predictor: object = field(default=None, repr=False)
+    _predictor: object = field(repr=False)
+    params: dict = field(repr=False)  # the estimator's hyperparameters and fitted state
 
     @property
     def heterogeneous(self) -> bool:
-        """Whether the model can express unit-varying effects."""
-        return (self.family in _TREE_FAMILIES and self.feature_map.include_treatment) \
-            or self.feature_map.interactions
+        """Whether the model can express unit-varying effects: a tree model
+        crosses a with x itself, a linear-type one needs the a*x block."""
+        return self.feature_map.interactions or (
+            self.feature_map.include_treatment and isinstance(self._predictor, _TreeModel))
 
     def predict(self, X: np.ndarray, a: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -106,44 +92,7 @@ class OutcomeModel:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ModelError(f"expected {self.n_features} covariates, got "
                              f"{X.shape[1] if X.ndim == 2 else 'non-matrix'}")
-        if self.family in _TREE_FAMILIES:
-            return self._predictor.predict(self.feature_map.tree_design(X, a))
-        D = self.feature_map.design(X, a)
-        if self.family == "linear_wls":
-            return D @ np.asarray(self.params["coefficients"])
-        if self.family == "poisson":
-            eta = D @ np.asarray(self.params["coefficients"])
-            return np.exp(np.clip(eta, -30.0, 30.0))
-        if self.family == "svr_linear":
-            theta = np.asarray(self.params["theta"])
-            return D @ theta * self.params["y_scale"] + self.params["y_mean"]
-        raise ModelError(f"unknown family {self.family!r}")
-
-
-# Out-of-range hyperparameter values of the non-tree families:
-# family -> ((name, is_bad, message), ...). The tree classes check their own.
-# Each test is written so that NaN is out of range.
-_BAD_VALUES = {
-    "linear_wls": (("l2", lambda v: not v >= 0, "l2 must be >= 0"),),
-    "svr_linear": (
-        ("C", lambda v: not v > 0, "svr_linear requires C > 0 and epsilon >= 0"),
-        ("epsilon", lambda v: not v >= 0, "svr_linear requires C > 0 and epsilon >= 0"),
-        ("lr0", lambda v: not v > 0, "svr_linear requires lr0 > 0"),
-        ("epochs", lambda v: not (_is_integer(v) and v >= 1),
-         "svr_linear epochs must be an integer >= 1"),
-        ("batch_size", lambda v: not (_is_integer(v) and v >= 1),
-         "svr_linear batch_size must be an integer >= 1"),
-        ("seed", lambda v: not _is_integer(v), "svr_linear seed must be an integer")),
-}
-
-
-def _check_values(family: str, hyperparams: dict) -> None:
-    """Raise ModelError for an out-of-range value in ``hyperparams``; names
-    it does not hold are not checked. ``fit_outcome_model`` calls this with
-    its arguments and ``check_hyperparams`` with a config's."""
-    for name, is_bad, message in _BAD_VALUES.get(family, ()):
-        if name in hyperparams and is_bad(hyperparams[name]):
-            raise ModelError(message)
+        return self._predictor.predict(self.feature_map.features(self._predictor, X, a))
 
 
 def _fit_linear_wls(D, y, w, l2=0.0):
@@ -254,32 +203,105 @@ def _fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
     return params, loss, t
 
 
-_FITTERS = {"linear_wls": _fit_linear_wls, "poisson": _fit_poisson, "svr_linear": _fit_svr}
+class _KernelModel:
+    """Base of the linear-type estimators, whose kernel returns the training loss."""
+
+    def loss(self, D: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+        return self.train_loss  # the kernel's, on the data of the last fit
 
 
-def check_hyperparams(family: str, hyperparams: dict) -> None:
-    """Raise ModelError unless ``family`` is known, accepts every name in
-    ``hyperparams``, and accepts each value. Tree families check the values
-    by constructing the estimator; the others with ``_check_values``."""
-    if family not in FAMILIES:
-        raise ModelError(f"unknown family {family!r}; choose from {FAMILIES}")
-    if not isinstance(hyperparams, dict):
-        raise ModelError(f"{family} hyperparams must be an object, got {hyperparams!r}")
-    if family in _TREE_CLASSES:
-        try:
-            _TREE_CLASSES[family](**hyperparams)
-        except (TypeError, ValueError) as exc:
-            raise ModelError(f"bad {family} hyperparams: {exc}") from None
-        return
-    accepted = list(inspect.signature(_FITTERS[family]).parameters)[3:]  # after D, y, w
+@dataclass
+class LinearWLS(_KernelModel):
+    """Closed-form weighted least squares; ``l2`` penalizes all but the intercept."""
+
+    l2: float = 0.0
+    loss_kind = "squared_error"
+    n_iter = 1
+
+    def __post_init__(self) -> None:
+        _require(self.l2 >= 0, "l2 must be >= 0")
+
+    def fit(self, D: np.ndarray, y: np.ndarray, w: np.ndarray) -> "LinearWLS":
+        self.coefficients, self.train_loss = _fit_linear_wls(D, y, w, **asdict(self))
+        return self
+
+    def predict(self, D: np.ndarray) -> np.ndarray:
+        return D @ self.coefficients
+
+
+@dataclass
+class PoissonRegression(_KernelModel):
+    """Log-link Poisson regression by IRLS, for non-negative outcomes."""
+
+    tol: float = 1e-8
+    max_iter: int = 100
+    loss_kind = "poisson_deviance"
+
+    def __post_init__(self) -> None:
+        _require(self.tol > 0, "poisson requires tol > 0")
+        _check_count("max_iter", self.max_iter, 1)
+
+    def fit(self, D: np.ndarray, y: np.ndarray, w: np.ndarray) -> "PoissonRegression":
+        self.coefficients, self.train_loss, self.n_iter = _fit_poisson(D, y, w, **asdict(self))
+        return self
+
+    def predict(self, D: np.ndarray) -> np.ndarray:
+        return np.exp(np.clip(D @ self.coefficients, -30.0, 30.0))
+
+
+@dataclass
+class LinearSVR(_KernelModel):
+    """Linear epsilon-insensitive regression by subgradient descent (``_fit_svr``)."""
+
+    epsilon: float = 0.1
+    C: float = 1.0
+    lr0: float = 0.1
+    epochs: int = 30
+    batch_size: int = 64
+    grad_clip: float | None = 1.0
+    seed: int = 0
+    loss_kind = "epsilon_insensitive"
+
+    def __post_init__(self) -> None:
+        _require(self.C > 0 and self.epsilon >= 0, "svr_linear requires C > 0 and epsilon >= 0")
+        _require(self.lr0 > 0, "svr_linear requires lr0 > 0")
+        for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size)):
+            _require(_is_integer(value) and value >= 1,
+                     f"svr_linear {name} must be an integer >= 1")
+        _require(_is_integer(self.seed), "svr_linear seed must be an integer")
+        _require(self.grad_clip is None or self.grad_clip > 0,
+                 "svr_linear grad_clip must be None or > 0")
+
+    def fit(self, D: np.ndarray, y: np.ndarray, w: np.ndarray) -> "LinearSVR":
+        fitted, self.train_loss, self.n_iter = _fit_svr(D, y, w, **asdict(self))
+        vars(self).update(fitted)  # theta, y_mean, y_scale; epsilon and C as given
+        return self
+
+    def predict(self, D: np.ndarray) -> np.ndarray:
+        return D @ self.theta * self.y_scale + self.y_mean
+
+
+# The one place a family is decided. Each estimator checks its hyperparameters
+# when built and has fit(F, y, w), predict(F), loss(F, y, w), loss_kind, n_iter.
+ESTIMATORS = {"linear_wls": LinearWLS, "poisson": PoissonRegression, "svr_linear": LinearSVR,
+              "tree": RegressionTree, "forest": RandomForest, "boosted_trees": GradientBoostedTrees}
+FAMILIES = tuple(ESTIMATORS)
+
+
+def make_estimator(family: str, hyperparams: dict):
+    """The unfitted estimator of ``family``; raises ModelError for a bad name or value."""
+    _require(family in ESTIMATORS, f"unknown family {family!r}; choose from {FAMILIES}")
+    accepted = [f.name for f in fields(ESTIMATORS[family]) if f.init]
     unknown = sorted(set(hyperparams) - set(accepted))
-    if unknown:
-        raise ModelError(f"{family} does not accept hyperparams {unknown}; "
-                         f"it accepts {accepted}")
+    _require(not unknown, f"{family} does not accept hyperparams {unknown}; "
+                          f"it accepts {accepted}")
+    flags = sorted(name for name, value in hyperparams.items() if isinstance(value, bool))
+    _require(not flags, f"{family} hyperparams {flags} must be numbers, not booleans")
     try:
-        _check_values(family, hyperparams)
-    except TypeError as exc:
-        raise ModelError(f"bad {family} hyperparams: {exc}") from None
+        return ESTIMATORS[family](**hyperparams)
+    except (TypeError, ValueError) as exc:  # a ModelError keeps its own text
+        raise exc if isinstance(exc, ModelError) else ModelError(
+            f"bad {family} hyperparams: {exc}") from None
 
 
 def fit_outcome_model(d: Dataset, weights: np.ndarray | None = None,
@@ -292,49 +314,17 @@ def fit_outcome_model(d: Dataset, weights: np.ndarray | None = None,
     Weights must be positive; rescaling them all by a constant does not
     change the fitted model.
     """
-    if family not in FAMILIES:
-        raise ModelError(f"unknown family {family!r}; choose from {FAMILIES}")
-    _check_values(family, hyperparams)
+    est = make_estimator(family, hyperparams)
     fm = feature_map or FeatureMap()
-    X, a, y = d.covariates, d.treatment, d.outcome
     w = np.ones(d.n) if weights is None else np.asarray(weights, dtype=np.float64)
-    if len(w) != d.n:
-        raise ModelError("weights length differs from dataset length")
-    if d.n == 0:
-        raise ModelError("cannot fit on an empty dataset")
-    if w.min() <= 0.0:
-        raise ModelError("weights must be positive")
-
-    if family in _TREE_FAMILIES:
-        F = fm.tree_design(X, a)
-        if family == "tree":
-            predictor = RegressionTree(**hyperparams).fit(F, y, w)
-            n_iter = 1
-        elif family == "forest":
-            predictor = RandomForest(**hyperparams).fit(F, y, w)
-            n_iter = predictor.n_trees
-        else:
-            predictor = GradientBoostedTrees(**hyperparams).fit(F, y, w)
-            n_iter = predictor.n_rounds
-        resid = y - predictor.predict(F)
-        model = OutcomeModel(family=family, feature_map=fm, n_features=d.k,
-                             params={}, loss_kind=_LOSS_KIND[family],
-                             final_loss=float(np.sum(w * resid ** 2)), n_iter=n_iter)
-        model._predictor = predictor
-        return model
-
-    D = fm.design(X, a)
-    if family == "linear_wls":
-        coef, loss = _fit_linear_wls(D, y, w, **hyperparams)
-        params, n_iter = {"coefficients": coef}, 1
-    elif family == "poisson":
-        coef, loss, n_iter = _fit_poisson(D, y, w, **hyperparams)
-        params = {"coefficients": coef}
-    else:
-        params, loss, n_iter = _fit_svr(D, y, w, **hyperparams)
-    return OutcomeModel(family=family, feature_map=fm, n_features=d.k,
-                        params=params, loss_kind=_LOSS_KIND[family],
-                        final_loss=loss, n_iter=n_iter)
+    _require(len(w) == d.n, "weights length differs from dataset length")
+    _require(d.n > 0, "cannot fit on an empty dataset")
+    _require(w.min() > 0.0, "weights must be positive")  # NaN is not
+    F = fm.features(est, d.covariates, d.treatment)
+    est.fit(F, d.outcome, w)
+    return OutcomeModel(family=family, feature_map=fm, n_features=d.k, loss_kind=est.loss_kind,
+                        final_loss=est.loss(F, d.outcome, w), n_iter=est.n_iter,
+                        _predictor=est, params=vars(est))
 
 
 @dataclass(frozen=True)

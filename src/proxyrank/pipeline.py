@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, PreparedCohort
 from .data import Dataset
-from .outcomes import ModelError, check_hyperparams, compute_ite
+from .outcomes import compute_ite
 from .ranking import rank_rmse, top_fraction_indices
 from .rng import derive_seed
 from .parallel import StageError
@@ -88,8 +88,8 @@ def _load(tp, value, key: str):
     """JSON ``value`` as a value of the annotated type ``tp`` of the field at
     dotted ``key``: a config dataclass from an object, whose fields are
     loaded in turn; a tuple from a list; a float from any finite number.
-    Raises ConfigError naming the key when a value has the wrong JSON type or
-    an object has a key its class has no field for."""
+    Raises ConfigError naming the key for a value of the wrong JSON type, a
+    key its class has no field for, or a range error of the section."""
     if get_origin(tp) is UnionType:  # ``X | None``
         if value is None:
             return None
@@ -102,12 +102,11 @@ def _load(tp, value, key: str):
         unknown = sorted(set(value) - set(hints))
         if unknown:
             raise ConfigError(f"unknown config keys: {[prefix + k for k in unknown]}")
+        kwargs = {k: _load(hints[k], v, prefix + k) for k, v in value.items()}
         try:
-            return tp(**{k: _load(hints[k], v, prefix + k) for k, v in value.items()})
-        except ConfigError:
-            raise
-        except ValueError as exc:  # a range check that raises its own error type
-            raise ConfigError(f"{key}: {exc}") from None
+            return tp(**kwargs)
+        except ValueError as exc:  # a range check of this section, ConfigError included
+            raise ConfigError(f"{key}: {exc}" if key else str(exc)) from None
     if get_origin(tp) is tuple and is_dataclass(get_args(tp)[0]):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key} must be a list of objects, got {value!r}")
@@ -150,10 +149,6 @@ class RunConfig:
             raise ConfigError("config must declare at least one outcome model")
         labels = set()
         for spec in self.models:
-            try:
-                check_hyperparams(spec.family, spec.hyperparams)
-            except ModelError as exc:
-                raise ConfigError(f"bad model spec {spec.name()!r}: {exc}") from None
             if spec.name() in labels:
                 raise ConfigError(f"two models are named {spec.name()!r}")
             labels.add(spec.name())

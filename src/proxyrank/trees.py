@@ -199,15 +199,26 @@ def _check_tree_params(max_depth, min_samples_leaf, seed, max_features=None) -> 
         raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
+class _TreeModel:
+    """What the tree models share as outcome estimators (``outcomes.ESTIMATORS``)."""
+
+    loss_kind = "squared_error"
+
+    def loss(self, F: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+        resid = y - self.predict(F)
+        return float(np.sum(w * resid ** 2))
+
+
 @dataclass
-class RegressionTree:
+class RegressionTree(_TreeModel):
     """CART regression tree with frequency-weighted splits and leaf means."""
 
     max_depth: int | None = 8
     min_samples_leaf: int = 5
     max_features: int | None = None  # per-split subsample; None = all
     seed: int = 0
-    root: _Node | None = None
+    root: _Node | None = field(default=None, init=False)
+    n_iter = 1  # trees per fit
 
     def __post_init__(self) -> None:
         _check_tree_params(self.max_depth, self.min_samples_leaf, self.seed, self.max_features)
@@ -283,14 +294,15 @@ class RegressionTree:
 
 
 @dataclass
-class RandomForest:
+class RandomForest(_TreeModel):
     """Bagging over weighted regression trees with per-split feature subsampling."""
 
     n_trees: int = 100
     min_samples_leaf: int = 20
     max_depth: int | None = None
     seed: int = 0
-    trees: list[RegressionTree] = field(default_factory=list)
+    trees: list[RegressionTree] = field(default_factory=list, init=False)
+    n_iter = property(lambda self: self.n_trees)
 
     def __post_init__(self) -> None:
         _check_count("n_trees", self.n_trees, 1)
@@ -327,7 +339,7 @@ class RandomForest:
 
 
 @dataclass
-class GradientBoostedTrees:
+class GradientBoostedTrees(_TreeModel):
     """Least-squares gradient boosting: shallow trees fit to residuals.
 
     With squared loss and weighted-mean leaves, the weighted training loss is
@@ -339,9 +351,10 @@ class GradientBoostedTrees:
     shrinkage: float = 0.1
     min_samples_leaf: int = 5
     seed: int = 0
-    base_value: float = 0.0
-    trees: list[RegressionTree] = field(default_factory=list)
-    train_losses: list[float] = field(default_factory=list)
+    base_value: float = field(default=0.0, init=False)
+    trees: list[RegressionTree] = field(default_factory=list, init=False)
+    train_losses: list[float] = field(default_factory=list, init=False)
+    n_iter = property(lambda self: self.n_rounds)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.shrinkage < 2.0:

@@ -234,14 +234,26 @@ class TestPoisson:
 
 class TestValidationAndPersistence:
     def test_nonpositive_weights_rejected(self, toy_dataset):
-        w = np.ones(toy_dataset.n)
-        w[3] = 0.0
-        with pytest.raises(ModelError, match="positive"):
-            fit_outcome_model(toy_dataset, w, "linear_wls")
+        for bad in (0.0, np.nan):
+            w = np.ones(toy_dataset.n)
+            w[3] = bad
+            with pytest.raises(ModelError, match="positive"):
+                fit_outcome_model(toy_dataset, w, "linear_wls")
 
     def test_unknown_family(self, toy_dataset):
         with pytest.raises(ModelError, match="unknown family"):
             fit_outcome_model(toy_dataset, None, "cnn")
+
+    @pytest.mark.parametrize("family,hyperparams,match", [
+        ("svr_linear", {"grad_clip": 0}, "grad_clip must be None or > 0"),
+        ("poisson", {"max_iter": 0}, "max_iter must be an integer >= 1"),
+        ("linear_wls", {"l2": True}, "not booleans"),
+        ("tree", {"root": None}, r"tree does not accept hyperparams \['root'\]"),
+    ])
+    def test_bad_hyperparams_rejected_before_fitting(self, toy_dataset, family,
+                                                     hyperparams, match):
+        with pytest.raises(ModelError, match=match):
+            fit_outcome_model(toy_dataset, None, family, **hyperparams)
 
     def test_weight_length_mismatch(self, toy_dataset):
         with pytest.raises(ModelError, match="length"):

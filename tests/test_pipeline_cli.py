@@ -1,14 +1,15 @@
 import hashlib
 import json
 import os
+import re
 import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from proxyrank import (ConfigError, Dataset, RunConfig, StageError, emit_report, pipeline,
-                       run_pipeline, save_dataset)
+from proxyrank import (FAMILIES, ConfigError, Dataset, RunConfig, StageError, emit_report,
+                       pipeline, run_pipeline, save_dataset)
 from proxyrank.cli import main
 from proxyrank.pipeline import REPORT_FILES
 
@@ -56,6 +57,33 @@ BAD_MODELS = [
      "max_features must be None or an integer >= 1, got 2.5"),
     ({"family": "forest", "hyperparams": {"max_depth": 2.5}},
      "max_depth must be None or an integer >= 0, got 2.5"),
+    # grad_clip 0 would zero every step, and -1 reverse it
+    ({"family": "svr_linear", "hyperparams": {"grad_clip": 0}}, "grad_clip must be None or > 0"),
+    ({"family": "svr_linear", "hyperparams": {"grad_clip": -1}}, "grad_clip must be None or > 0"),
+    ({"family": "svr_linear", "hyperparams": {"grad_clip": "x"}}, "bad svr_linear hyperparams"),
+    ({"family": "poisson", "hyperparams": {"tol": 0}}, "poisson requires tol > 0"),
+    ({"family": "poisson", "hyperparams": {"tol": float("nan")}}, "poisson requires tol > 0"),
+    ({"family": "poisson", "hyperparams": {"tol": "x"}}, "bad poisson hyperparams"),
+    ({"family": "poisson", "hyperparams": {"max_iter": 2.5}},
+     "max_iter must be an integer >= 1, got 2.5"),
+    ({"family": "poisson", "hyperparams": {"max_iter": 0}},
+     "max_iter must be an integer >= 1, got 0"),
+    # no family has a boolean hyperparameter
+    ({"family": "linear_wls", "hyperparams": {"l2": True}},
+     r"linear_wls hyperparams \['l2'\] must be numbers, not booleans"),
+    ({"family": "svr_linear", "hyperparams": {"C": True, "epsilon": False}},
+     r"svr_linear hyperparams \['C', 'epsilon'\] must be numbers"),
+    ({"family": "svr_linear", "hyperparams": {"lr0": True}}, "must be numbers, not booleans"),
+    ({"family": "boosted_trees", "hyperparams": {"shrinkage": True}},
+     "must be numbers, not booleans"),
+    # a tree model's fitted state is not a hyperparameter
+    ({"family": "tree", "hyperparams": {"root": None}},
+     r"^models\[0\]: tree does not accept hyperparams \['root'\]; it accepts "
+     r"\['max_depth', 'min_samples_leaf', 'max_features', 'seed'\]$"),
+    ({"family": "forest", "hyperparams": {"trees": []}},
+     r"forest does not accept hyperparams \['trees'\]"),
+    ({"family": "boosted_trees", "hyperparams": {"base_value": 1.0, "train_losses": []}},
+     r"boosted_trees does not accept hyperparams \['base_value', 'train_losses'\]"),
 ]
 
 # Out-of-range run settings; each would otherwise fail only at fit time, or
@@ -111,7 +139,25 @@ BAD_CONFIGS = [
     ({"analysis": {"propensity_max_iter": 0}}, "propensity_max_iter must be >= 1"),
     ({"analysis": {"propensity_tol": -1}}, "propensity_tol must be > 0"),
     ({"sim": {"k": -1, "embed_groups": False}}, "k must be >= 0"),
+    # a section's own range error names the section, once
+    ({"sim": {"k": -1, "embed_groups": False}}, r"^sim: k must be >= 0$"),
+    ({"sim": {"n": 0}}, r"^sim: n must be positive$"),
+    ({"analysis": {"propensity_tol": -1}}, r"^analysis: propensity_tol must be > 0$"),
+    ({"analysis": {"trim_lo": 0.9, "trim_hi": 0.1}},
+     r"^analysis: trim_lo and trim_hi need 0 <= trim_lo < trim_hi <= 1$"),
+    ({"models": [{"family": "linear_wls"}, {"family": "svr_linear", "hyperparams": {"C": 0}}]},
+     r"^models\[1\]: svr_linear requires C > 0 and epsilon >= 0$"),
 ]
+
+# The hyperparameters each family accepts, in the order its error lists them.
+ACCEPTED = {
+    "linear_wls": ["l2"],
+    "poisson": ["tol", "max_iter"],
+    "svr_linear": ["epsilon", "C", "lr0", "epochs", "batch_size", "grad_clip", "seed"],
+    "tree": ["max_depth", "min_samples_leaf", "max_features", "seed"],
+    "forest": ["n_trees", "min_samples_leaf", "max_depth", "seed"],
+    "boosted_trees": ["n_rounds", "max_depth", "shrinkage", "min_samples_leaf", "seed"],
+}
 
 
 def balance_numbers(path: Path) -> list[float]:
@@ -175,6 +221,13 @@ class TestRunConfig:
     def test_bad_setting_rejected_at_load(self, fragment, match):
         with pytest.raises(ConfigError, match=match):
             RunConfig.from_dict(fragment)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_unknown_hyperparam_lists_the_accepted_ones(self, family):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{family} does not accept hyperparams ['bogus']; "
+                f"it accepts {ACCEPTED[family]}")):
+            RunConfig.from_dict({"models": [{"family": family, "hyperparams": {"bogus": 1}}]})
 
     def test_config_hash_stable_and_sensitive(self):
         c1 = RunConfig.from_dict(TINY)
@@ -324,6 +377,22 @@ class TestCli:
         assert self.run_cli("rank", "--config", str(cfgp),
                             "--out", str(tmp_path / "r")) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), "x", True], ids=["nan", "str", "true"])
+    @pytest.mark.parametrize("family,name",
+                             [(f, name) for f in FAMILIES for name in ACCEPTED[f]])
+    def test_every_hyperparam_rejects_nan_str_and_bool_at_load(self, family, name, value,
+                                                               tmp_path, capsys):
+        """Exit 1 at load, for every name of every family: never a fit that
+        fails (exit 2) or runs on a value that configures nothing."""
+        model = {"family": family, "label": "m", "hyperparams": {name: value}}
+        with pytest.raises(ConfigError, match=r"^models\[0\]: "):
+            RunConfig.from_dict({"models": [model]})
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(dict(TINY, models=[model])))
+        assert self.run_cli("rank", "--config", str(cfgp),
+                            "--out", str(tmp_path / "r")) == 1
+        assert capsys.readouterr().err.startswith("config error: models[0]: ")
 
     @pytest.mark.parametrize("fragment", [f for f, _ in BAD_CONFIGS])
     def test_bad_setting_exit_code(self, fragment, tmp_path, capsys):
