@@ -65,6 +65,10 @@ class FeatureMap:
             return self.design(X, a)
         return np.hstack([X, a[:, None].astype(np.float64)]) if self.include_treatment else X
 
+    def heterogeneous(self, estimator) -> bool:
+        """Can a fit on ``features`` vary its effect by unit? Trees cross a with x themselves."""
+        return self.interactions or (self.include_treatment and isinstance(estimator, _TreeModel))
+
 
 @dataclass
 class OutcomeModel:
@@ -73,18 +77,13 @@ class OutcomeModel:
     family: str
     feature_map: FeatureMap
     n_features: int
-    loss_kind: str
     final_loss: float
-    n_iter: int
     _predictor: object = field(repr=False)
-    params: dict = field(repr=False)  # the estimator's hyperparameters and fitted state
 
-    @property
-    def heterogeneous(self) -> bool:
-        """Whether the model can express unit-varying effects: a tree model
-        crosses a with x itself, a linear-type one needs the a*x block."""
-        return self.feature_map.interactions or (
-            self.feature_map.include_treatment and isinstance(self._predictor, _TreeModel))
+    loss_kind = property(lambda self: self._predictor.loss_kind)
+    n_iter = property(lambda self: self._predictor.n_iter)
+    params = property(lambda self: vars(self._predictor))  # hyperparameters and fitted state
+    heterogeneous = property(lambda self: self.feature_map.heterogeneous(self._predictor))
 
     def predict(self, X: np.ndarray, a: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -203,15 +202,8 @@ def _fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
     return params, loss, t
 
 
-class _KernelModel:
-    """Base of the linear-type estimators, whose kernel returns the training loss."""
-
-    def loss(self, D: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-        return self.train_loss  # the kernel's, on the data of the last fit
-
-
 @dataclass
-class LinearWLS(_KernelModel):
+class LinearWLS:
     """Closed-form weighted least squares; ``l2`` penalizes all but the intercept."""
 
     l2: float = 0.0
@@ -222,15 +214,18 @@ class LinearWLS(_KernelModel):
         _require(self.l2 >= 0, "l2 must be >= 0")
 
     def fit(self, D: np.ndarray, y: np.ndarray, w: np.ndarray) -> "LinearWLS":
-        self.coefficients, self.train_loss = _fit_linear_wls(D, y, w, **asdict(self))
+        self.coefficients, _ = _fit_linear_wls(D, y, w, **asdict(self))
         return self
 
     def predict(self, D: np.ndarray) -> np.ndarray:
         return D @ self.coefficients
 
+    def loss(self, D: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+        return float(np.sum(w * (y - self.predict(D)) ** 2))
+
 
 @dataclass
-class PoissonRegression(_KernelModel):
+class PoissonRegression:
     """Log-link Poisson regression by IRLS, for non-negative outcomes."""
 
     tol: float = 1e-8
@@ -242,15 +237,18 @@ class PoissonRegression(_KernelModel):
         _check_count("max_iter", self.max_iter, 1)
 
     def fit(self, D: np.ndarray, y: np.ndarray, w: np.ndarray) -> "PoissonRegression":
-        self.coefficients, self.train_loss, self.n_iter = _fit_poisson(D, y, w, **asdict(self))
+        self.coefficients, _, self.n_iter = _fit_poisson(D, y, w, **asdict(self))
         return self
 
     def predict(self, D: np.ndarray) -> np.ndarray:
         return np.exp(np.clip(D @ self.coefficients, -30.0, 30.0))
 
+    def loss(self, D: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+        return _poisson_deviance(y, self.predict(D), w)
+
 
 @dataclass
-class LinearSVR(_KernelModel):
+class LinearSVR:
     """Linear epsilon-insensitive regression by subgradient descent (``_fit_svr``)."""
 
     epsilon: float = 0.1
@@ -273,12 +271,16 @@ class LinearSVR(_KernelModel):
                  "svr_linear grad_clip must be None or > 0")
 
     def fit(self, D: np.ndarray, y: np.ndarray, w: np.ndarray) -> "LinearSVR":
-        fitted, self.train_loss, self.n_iter = _fit_svr(D, y, w, **asdict(self))
+        fitted, _, self.n_iter = _fit_svr(D, y, w, **asdict(self))
         vars(self).update(fitted)  # theta, y_mean, y_scale; epsilon and C as given
         return self
 
     def predict(self, D: np.ndarray) -> np.ndarray:
         return D @ self.theta * self.y_scale + self.y_mean
+
+    def loss(self, D: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+        resid = (y - self.y_mean) / self.y_scale - D @ self.theta  # on the kernel's scale
+        return float(np.sum(w * np.maximum(np.abs(resid) - self.epsilon, 0.0)))
 
 
 # The one place a family is decided. Each estimator checks its hyperparameters
@@ -297,6 +299,8 @@ def make_estimator(family: str, hyperparams: dict):
                           f"it accepts {accepted}")
     flags = sorted(name for name, value in hyperparams.items() if isinstance(value, bool))
     _require(not flags, f"{family} hyperparams {flags} must be numbers, not booleans")
+    infinite = sorted(n for n, v in hyperparams.items() if isinstance(v, float) and math.isinf(v))
+    _require(not infinite, f"{family} hyperparams {infinite} must be finite")
     try:
         return ESTIMATORS[family](**hyperparams)
     except (TypeError, ValueError) as exc:  # a ModelError keeps its own text
@@ -304,10 +308,8 @@ def make_estimator(family: str, hyperparams: dict):
             f"bad {family} hyperparams: {exc}") from None
 
 
-def fit_outcome_model(d: Dataset, weights: np.ndarray | None = None,
-                      family: str = "linear_wls",
-                      feature_map: FeatureMap | None = None,
-                      **hyperparams) -> OutcomeModel:
+def fit_outcome_model(d: Dataset, weights: np.ndarray | None = None, family: str = "linear_wls",
+                      feature_map: FeatureMap | None = None, **hyperparams) -> OutcomeModel:
     """Fit a weighted outcome regressor of the requested family.
 
     ``weights=None`` or all-ones gives exactly the ordinary regression fit.
@@ -322,9 +324,8 @@ def fit_outcome_model(d: Dataset, weights: np.ndarray | None = None,
     _require(w.min() > 0.0, "weights must be positive")  # NaN is not
     F = fm.features(est, d.covariates, d.treatment)
     est.fit(F, d.outcome, w)
-    return OutcomeModel(family=family, feature_map=fm, n_features=d.k, loss_kind=est.loss_kind,
-                        final_loss=est.loss(F, d.outcome, w), n_iter=est.n_iter,
-                        _predictor=est, params=vars(est))
+    return OutcomeModel(family=family, feature_map=fm, n_features=d.k,
+                        final_loss=est.loss(F, d.outcome, w), _predictor=est)
 
 
 @dataclass(frozen=True)

@@ -205,8 +205,7 @@ class _TreeModel:
     loss_kind = "squared_error"
 
     def loss(self, F: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-        resid = y - self.predict(F)
-        return float(np.sum(w * resid ** 2))
+        return float(np.sum(w * (y - self.predict(F)) ** 2))
 
 
 @dataclass

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from proxyrank import Dataset, FeatureMap, ModelError, compute_ite, fit_outcome_model
+from proxyrank.outcomes import _fit_linear_wls, _fit_poisson, _fit_svr
 
 from conftest import make_dataset
 
@@ -258,6 +259,19 @@ class TestValidationAndPersistence:
     def test_weight_length_mismatch(self, toy_dataset):
         with pytest.raises(ModelError, match="length"):
             fit_outcome_model(toy_dataset, np.ones(3), "linear_wls")
+
+    @pytest.mark.parametrize("family,kernel,hyperparams", [
+        ("linear_wls", _fit_linear_wls, {}), ("linear_wls", _fit_linear_wls, {"l2": 0.5}),
+        ("poisson", _fit_poisson, {}), ("svr_linear", _fit_svr, {"epochs": 3}),
+    ])
+    def test_final_loss_is_the_kernels_to_the_bit(self, family, kernel, hyperparams):
+        # the estimator recomputes the loss from its fit; the kernel's own is discarded
+        d = linear_data(noise=0.5)
+        d = Dataset(d.covariates, d.treatment, np.abs(d.outcome))  # poisson needs y >= 0
+        w = np.random.default_rng(1).uniform(0.5, 2.0, d.n)
+        D = FeatureMap().design(d.covariates, d.treatment)
+        loss = kernel(D, d.outcome, w, **hyperparams)[1]
+        assert fit_outcome_model(d, w, family, **hyperparams).final_loss == loss
 
     def test_loss_kind_labels(self, toy_dataset):
         assert fit_outcome_model(toy_dataset, None, "linear_wls").loss_kind == "squared_error"

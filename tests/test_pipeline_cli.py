@@ -84,6 +84,11 @@ BAD_MODELS = [
      r"forest does not accept hyperparams \['trees'\]"),
     ({"family": "boosted_trees", "hyperparams": {"base_value": 1.0, "train_losses": []}},
      r"boosted_trees does not accept hyperparams \['base_value', 'train_losses'\]"),
+    # infinity, which JSON reads, configures nothing either
+    ({"family": "linear_wls", "hyperparams": {"l2": float("inf")}},
+     r"^models\[0\]: linear_wls hyperparams \['l2'\] must be finite$"),
+    ({"family": "svr_linear", "hyperparams": {"lr0": float("inf"), "C": float("-inf")}},
+     r"svr_linear hyperparams \['C', 'lr0'\] must be finite"),
 ]
 
 # Out-of-range run settings; each would otherwise fail only at fit time, or
@@ -378,7 +383,8 @@ class TestCli:
                             "--out", str(tmp_path / "r")) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [float("nan"), "x", True], ids=["nan", "str", "true"])
+    @pytest.mark.parametrize("value", [float("nan"), "x", True, float("inf")],
+                             ids=["nan", "str", "true", "inf"])
     @pytest.mark.parametrize("family,name",
                              [(f, name) for f in FAMILIES for name in ACCEPTED[f]])
     def test_every_hyperparam_rejects_nan_str_and_bool_at_load(self, family, name, value,

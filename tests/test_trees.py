@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tree_oracle
-from proxyrank import trees
+from proxyrank import fit_outcome_model, trees
 from proxyrank.trees import (GradientBoostedTrees, RandomForest, RegressionTree, _Node,
                              _presort, _presort_sample)
 
@@ -127,17 +127,23 @@ class TestInputsFreedAfterFit:
             gc.enable()
 
 
+def deep_chain(depth: int) -> _Node:
+    """Split i sends x0 <= i + 0.5 to a leaf of value i and the rest one
+    level down: ``depth`` levels, far past the recursion limit of a
+    node-by-node pickle when ``depth`` is 5,000."""
+    root = node = _Node(value=-1.0)
+    for i in range(depth):
+        node.feature, node.threshold = 0, i + 0.5
+        node.left, node.right = _Node(value=float(i)), _Node(value=i + 1.0)
+        node = node.right
+    return root
+
+
 class TestPickle:
     def test_deep_chain_round_trips(self):
-        # Split i sends x <= i + 0.5 to a leaf and the rest one level down:
-        # 5,000 levels, far past the recursion limit of a node-by-node pickle.
         depth = 5000
         tree = RegressionTree(max_depth=None, min_samples_leaf=1, seed=3)
-        tree.root = node = _Node(value=-1.0)
-        for i in range(depth):
-            node.feature, node.threshold = 0, i + 0.5
-            node.left, node.right = _Node(value=float(i)), _Node(value=i + 1.0)
-            node = node.right
+        tree.root = deep_chain(depth)
         F = np.arange(-1.0, depth + 2.0).reshape(-1, 1)
         back = pickle.loads(pickle.dumps(tree))
         np.testing.assert_array_equal(back.predict(F), tree.predict(F))
@@ -157,6 +163,19 @@ class TestPickle:
         assert back.to_dict() == model.to_dict()
         assert dump(back) == dump(model)
         np.testing.assert_array_equal(back.predict(F), model.predict(F))
+
+    def test_outcome_model_with_a_deep_tree_round_trips(self, toy_dataset):
+        # what a worker sends back: the tree must travel as arrays, not
+        # also node by node through the model's params
+        model = fit_outcome_model(toy_dataset, None, "tree")
+        model._predictor.root = deep_chain(5000)
+        back = pickle.loads(pickle.dumps(model))
+        X = np.zeros((5002, toy_dataset.k))
+        X[:, 0] = np.arange(-1.0, 5001.0)
+        a = np.arange(5002) % 2
+        np.testing.assert_array_equal(back.predict(X, a), model.predict(X, a))
+        assert back.params is vars(back._predictor)
+        assert back.params["root"] is back._predictor.root
 
     def test_unfitted_tree_round_trips(self):
         assert pickle.loads(pickle.dumps(RegressionTree(seed=9))) == RegressionTree(seed=9)
