@@ -37,8 +37,7 @@ class ModelSpec:
     label: str = ""
 
     def __post_init__(self) -> None:  # the one check of a spec: raises ModelError
-        self.feature_map()
-        make_estimator(self.family, self.hyperparams)
+        self.feature_map().check(make_estimator(self.family, self.hyperparams))
 
     def name(self) -> str:
         if self.label:

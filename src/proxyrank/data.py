@@ -7,13 +7,18 @@ ground truth (used only by evaluation code, never by estimators).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from contextlib import ExitStack
+import os
+from collections.abc import Callable, Iterator
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+from .parallel import iter_tasks
 
 
 class SchemaError(ValueError):
@@ -217,20 +222,19 @@ _NUMPY_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 _BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
 
 
-def _fast_table(body: list[str], width: int) -> np.ndarray | None:
-    """The body lines as a (rows, width) float64 table, parsed in C, or None
-    when the per-cell scan must decide instead.
+def _parse_rows(body: list[str], width: int) -> np.ndarray | None:
+    """The lines as a (rows, width) float64 table, parsed in C, or None when
+    the per-cell scan must decide instead.
 
     ``np.loadtxt`` converts with ``PyOS_string_to_double``, the converter of
     ``float()``, so an accepted table is bit-identical to the per-cell scan.
     It is accepted only where the two provably agree: no quoting (a quote
     makes a cell unparseable), one row per line (``loadtxt`` skips blank
     lines, hence the shape check), no cell the csv module would refuse as
-    too long, and every value finite. Anything else, including every
-    error, is left to the scan and its messages; the treatment check that
-    follows either path finds the same first bad row.
+    too long, and every value finite. Each check holds line by line, so a
+    body is accepted exactly when each of its ranges is.
     """
-    if (not body or not _BLANK_LINES.isdisjoint(body)
+    if (not _BLANK_LINES.isdisjoint(body)
             or max(map(len, body)) > csv.field_size_limit()
             or any(c in line for line in body for c in _NUMPY_ONLY_SPACES)):
         return None
@@ -244,6 +248,28 @@ def _fast_table(body: list[str], width: int) -> np.ndarray | None:
     return table
 
 
+def _fast_table(body: list[str], width: int, what: str = "the CSV body") -> np.ndarray | None:
+    """The body lines as a (rows, width) float64 table, or None when the
+    per-cell scan must decide instead.
+
+    Each row range is parsed by ``_parse_rows`` on the worker pool, which
+    inherits ``body`` through fork (``map_row_ranges``), and the blocks are
+    joined in row order. If any range declines, so does the whole body, and
+    every error is left to the scan and its messages; the treatment check
+    that follows either path finds the same first bad row.
+    """
+    if not body:
+        return None
+    tables = []
+    with closing(map_row_ranges(len(body), what,
+                                lambda lo, hi: _parse_rows(body[lo:hi], width))) as ranges:
+        for table in ranges:
+            if table is None:
+                return None
+            tables.append(table)
+    return tables[0] if len(tables) == 1 else np.concatenate(tables)
+
+
 def load_dataset(path: str | Path, schema: dict) -> Dataset:
     """Load a CSV (header row required, one unit per row) into a Dataset.
 
@@ -254,10 +280,11 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
     Row indices in error messages are 0-based data rows (the header is not
     counted). Row order is preserved. Lines starting with ``#`` are skipped.
 
-    An all-numeric, all-finite file is parsed in C; any other file (quoted
-    or non-numeric cells, ragged or blank rows, non-finite values) is
-    scanned cell by cell with ``float()``. Both give the same arrays, bit
-    for bit, and the scan gives every error message.
+    An all-numeric, all-finite file is parsed in C, range by range on the
+    worker pool; any other file (quoted or non-numeric cells, ragged or
+    blank rows, non-finite values) is scanned cell by cell with ``float()``.
+    Both give the same arrays, bit for bit, and the scan gives every error
+    message.
     """
     _check_schema(schema)
     p = Path(path)
@@ -275,7 +302,7 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
     if len(col_index) != width:
         dup = next(name for j, name in enumerate(header) if col_index[name] != j)
         raise SchemaError(f"duplicate column name {dup!r} in header")
-    table = _fast_table(lines[reader.line_num:], width)
+    table = _fast_table(lines[reader.line_num:], width, p.name)
     if table is None:
         rows = list(reader)
         if not rows:
@@ -324,8 +351,24 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
     return Dataset(X, a.astype(np.int64), y, tuple(cov_cols), gt)
 
 
-# Rows formatted per write: bounds the cell strings alive at once.
+# Rows per range of a table that is formatted or parsed on the worker pool.
 _BLOCK_ROWS = 4096
+
+
+def map_row_ranges(n_rows: int, what: str, run: Callable[[int, int], object]) -> Iterator:
+    """Yield ``run(lo, hi)`` for contiguous row ranges ``[lo, hi)`` that cover
+    ``range(n_rows)``, in row order, computed on the worker pool.
+
+    Every range holds ``_BLOCK_ROWS`` rows except the last, which takes the
+    rest (up to ``2 * _BLOCK_ROWS - 1``), so a table of fewer than two ranges
+    is a single task, run in-process. The ranges are tasks of
+    ``parallel.iter_tasks``, named ``rows lo-(hi-1) of <what>`` in its
+    errors; close the iterator (``contextlib.closing``) to stop early.
+    """
+    starts = list(range(0, n_rows, _BLOCK_ROWS))[:max(1, n_rows // _BLOCK_ROWS)]
+    bounds = list(zip(starts, starts[1:] + [n_rows]))
+    return iter_tasks([f"rows {lo}-{hi - 1} of {what}" for lo, hi in bounds],
+                      lambda t: run(*bounds[t]))
 
 
 def _text_rows(columns: list[np.ndarray]) -> list[str]:
@@ -337,36 +380,57 @@ def _text_rows(columns: list[np.ndarray]) -> list[str]:
 def _write_csvs(d: Dataset, targets: list[tuple[Path, bool]], treatment_col: str,
                 outcome_col: str, header_comment: str | None) -> list[dict]:
     """Write ``d`` to each (path, include_ground_truth) target and return each
-    target's schema map. Every cell is formatted once, however many targets
-    it goes to."""
+    target's schema map.
+
+    The row ranges of ``map_row_ranges`` are formatted on the worker pool,
+    every cell once however many targets it goes to, and written in row
+    order. Each target is written under a temporary name in its directory
+    and renamed only once complete, so an interrupted write leaves no
+    partial file under the target's name.
+    """
     any_gt = any(with_gt for _, with_gt in targets)
     if any_gt and d.ground_truth is None:
         raise DataValidationError("dataset has no ground truth to write")
     names = list(d.covariate_names)
-    schemas = []
-    with ExitStack() as stack:
-        files = []
-        for path, with_gt in targets:
-            header = names + [treatment_col, outcome_col]
-            schema = {"treatment": treatment_col, "outcome": outcome_col, "covariates": names}
-            if with_gt:
-                header += list(_GT_FIELDS)
-                schema["ground_truth"] = {f: f for f in _GT_FIELDS}
-            fh = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            csv.writer(fh).writerow(header)  # numeric cells never need quoting
-            files.append((fh, with_gt))
-            schemas.append(schema)
-        for lo in range(0, d.n, _BLOCK_ROWS):
-            block = slice(lo, lo + _BLOCK_ROWS)
-            rows = _text_rows([*d.covariates[block].T, d.treatment[block], d.outcome[block]])
-            if any_gt:
-                gt_rows = _text_rows([getattr(d.ground_truth, f)[block] for f in _GT_FIELDS])
-                rows_gt = list(map(",".join, zip(rows, gt_rows)))
-            for fh, with_gt in files:
-                fh.write("\r\n".join(rows_gt if with_gt else rows))
-                fh.write("\r\n")
+    heads, schemas = [], []
+    for path, with_gt in targets:
+        header = names + [treatment_col, outcome_col]
+        schema = {"treatment": treatment_col, "outcome": outcome_col, "covariates": names}
+        if with_gt:
+            header += list(_GT_FIELDS)
+            schema["ground_truth"] = {f: f for f in _GT_FIELDS}
+        text = io.StringIO(newline="")
+        if header_comment:
+            text.write(f"# {header_comment}\n")
+        csv.writer(text).writerow(header)  # numeric cells never need quoting
+        heads.append(text.getvalue().encode("utf-8"))
+        schemas.append(schema)
+
+    def range_text(lo: int, hi: int) -> list[bytes]:
+        rows = _text_rows([*d.covariates[lo:hi].T, d.treatment[lo:hi], d.outcome[lo:hi]])
+        if any_gt:
+            gt_rows = _text_rows([getattr(d.ground_truth, f)[lo:hi] for f in _GT_FIELDS])
+            rows_gt = list(map(",".join, zip(rows, gt_rows)))
+        return [("\r\n".join(rows_gt if with_gt else rows) + "\r\n").encode("utf-8")
+                for _, with_gt in targets]
+
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in targets]
+    try:
+        with ExitStack() as stack:
+            files = [stack.enter_context(open(temp, "wb")) for temp in temps]
+            for fh, head in zip(files, heads):
+                fh.write(head)
+            ranges = map_row_ranges(d.n, " and ".join(path.name for path, _ in targets),
+                                    range_text)
+            for texts in stack.enter_context(closing(ranges)):
+                for fh, text in zip(files, texts):
+                    fh.write(text)
+        for temp, (path, _) in zip(temps, targets):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
     return schemas
 
 

@@ -65,6 +65,13 @@ class FeatureMap:
             return self.design(X, a)
         return np.hstack([X, a[:, None].astype(np.float64)]) if self.include_treatment else X
 
+    def check(self, estimator) -> None:
+        """Raise ModelError if ``interactions: false`` would configure nothing:
+        a tree on [x | a] crosses a with x itself."""
+        if isinstance(estimator, _TreeModel) and self.include_treatment and not self.interactions:
+            raise ModelError("tree families cross the treatment with x themselves: "
+                             "interactions: false needs include_treatment: false")
+
     def heterogeneous(self, estimator) -> bool:
         """Can a fit on ``features`` vary its effect by unit? Trees cross a with x themselves."""
         return self.interactions or (self.include_treatment and isinstance(estimator, _TreeModel))
@@ -318,6 +325,7 @@ def fit_outcome_model(d: Dataset, weights: np.ndarray | None = None, family: str
     """
     est = make_estimator(family, hyperparams)
     fm = feature_map or FeatureMap()
+    fm.check(est)
     w = np.ones(d.n) if weights is None else np.asarray(weights, dtype=np.float64)
     _require(len(w) == d.n, "weights length differs from dataset length")
     _require(d.n > 0, "cannot fit on an empty dataset")

@@ -7,7 +7,7 @@ already set is kept, and the output is then that thread count's.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -25,27 +25,32 @@ def _max_workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def run_tasks(names: list[str], run: Callable[[int], object]) -> list:
-    """``[run(i) for i in range(len(names))]``, computed on forked workers.
+def iter_tasks(names: list[str], run: Callable[[int], object]) -> Iterator:
+    """Yield ``run(i)`` for ``i in range(len(names))``, in task order,
+    computed on forked workers.
 
     The task indices are dealt round-robin to ``min(_max_workers(),
-    len(names))`` workers; with one, they run in-process. A worker inherits
-    ``run`` and whatever it reads through fork, so nothing is pickled on the
-    way in, and sends its results back through a pipe in its task order.
-    Every worker is joined before this returns or raises. A worker that
-    dies, or whose result cannot be pickled, loses the rest of its tasks;
-    once the other workers are done, StageError names (by ``names``) the
-    first lost task in task order, so the error does not depend on which
-    worker failed first.
+    len(names))`` workers; with one, they run in-process, one per yield. A
+    worker inherits ``run`` and whatever it reads through fork, so nothing is
+    pickled on the way in, and sends its results back through a pipe in its
+    task order; a result that arrives before its turn waits in this process.
+    Every worker is joined before the generator finishes, raises or is
+    closed, so close it (``contextlib.closing``) when stopping early. A
+    worker that dies, or whose result cannot be pickled, loses the rest of
+    its tasks, and StageError names (by ``names``) the first lost task in
+    task order once every earlier result has been yielded, so the error does
+    not depend on which worker failed first.
     """
     n_workers = min(_max_workers(), len(names))
     if n_workers <= 1:
-        return [run(t) for t in range(len(names))]
+        for t in range(len(names)):
+            yield run(t)
+        return
     import multiprocessing  # loaded only by a stage that forks
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    results = [None] * len(names)
+    arrived = {}  # index of a task whose result is here but not yet yielded -> result
     lost = {}  # index of a worker's first task not returned -> why
     procs, owing = [], {}  # owing: pipe -> (worker, indices of the tasks it owes)
     try:
@@ -68,33 +73,42 @@ def run_tasks(names: list[str], run: Callable[[int], object]) -> list:
             procs.append(proc)
             writer.close()  # so the reader sees EOF once the worker is gone
             owing[reader] = (proc, owed)
-        while owing:
-            for reader in wait(list(owing)):
-                proc, owed = owing[reader]
-                try:
-                    ok, value = reader.recv()
-                except EOFError:
-                    proc.join()
-                    ok, value = False, (f"the worker died running {names[owed[0]]} "
-                                        f"(exit code {proc.exitcode})")
-                except Exception as exc:  # a result that cannot be unpickled
-                    ok, value = False, (f"cannot read the result of {names[owed[0]]}: "
-                                        f"{type(exc).__name__}: {exc}")
-                if ok:
-                    results[owed.pop(0)] = value
-                else:
-                    lost[owed[0]] = value
-                    owed.clear()
-                    proc.kill()
-                if not owed:
-                    del owing[reader]
-                    reader.close()
+        for t in range(len(names)):
+            # Every task before t has been yielded, so t is the first lost one
+            # if its worker has failed.
+            while t not in arrived and t not in lost:
+                for reader in wait(list(owing)):
+                    proc, owed = owing[reader]
+                    try:
+                        ok, value = reader.recv()
+                    except EOFError:
+                        proc.join()
+                        ok, value = False, (f"the worker died running {names[owed[0]]} "
+                                            f"(exit code {proc.exitcode})")
+                    except Exception as exc:  # a result that cannot be unpickled
+                        ok, value = False, (f"cannot read the result of {names[owed[0]]}: "
+                                            f"{type(exc).__name__}: {exc}")
+                    if ok:
+                        arrived[owed.pop(0)] = value
+                    else:
+                        lost[owed[0]] = value
+                        owed.clear()
+                        proc.kill()
+                    if not owed:
+                        del owing[reader]
+                        reader.close()
+            if t in lost:
+                raise StageError(lost[t])
+            yield arrived.pop(t)
     finally:
         for reader, (proc, _) in owing.items():
             proc.kill()
             reader.close()
         for proc in procs:
             proc.join()
-    if lost:
-        raise StageError(lost[min(lost)])
-    return results
+
+
+def run_tasks(names: list[str], run: Callable[[int], object]) -> list:
+    """``[run(i) for i in range(len(names))]``, computed on forked workers
+    by ``iter_tasks``, with its errors."""
+    return list(iter_tasks(names, run))

@@ -385,10 +385,17 @@ _HASH_LINE = "# config_hash="
 
 
 def write_csv(path: Path, config_hash: str, header: list[str], rows) -> None:
-    lines = [f"{_HASH_LINE}{config_hash}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(str, row)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv_text(path, config_hash, header,
+                   ["".join(",".join(map(str, row)) + "\n" for row in rows)])
+
+
+def write_csv_text(path: Path, config_hash: str, header: list[str], chunks) -> None:
+    """Write a run CSV: the config-hash line, the header, then each chunk of
+    rows (each row ending in a newline) as it comes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{_HASH_LINE}{config_hash}\n{','.join(header)}\n")
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def config_hash_of(path: Path) -> str | None:

@@ -78,36 +78,43 @@ def fit_propensity(d: Dataset, l2: float = 0.0, tol: float = 1e-6,
     n, k = Xs.shape
     D = np.hstack([np.ones((n, 1)), Xs])
 
-    def objective(w: np.ndarray) -> float:
-        eta = D @ w
+    # eta = D @ w of the current iterate and its objective value are carried
+    # from the accepted trial, never recomputed for a w already evaluated.
+    def objective(w: np.ndarray, eta: np.ndarray) -> float:
         return float(np.mean(a * eta - np.logaddexp(0.0, eta))
                      - 0.5 * l2 * float(w[1:] @ w[1:]))
 
-    def gradient(w: np.ndarray) -> np.ndarray:
-        g = D.T @ (a - _sigmoid(D @ w)) / n
+    def gradient(w: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        g = D.T @ (a - _sigmoid(eta)) / n
         g[1:] -= l2 * w[1:]
         return g
 
     w = np.zeros(k + 1)
+    eta = D @ w
+    f = objective(w, eta)
     step = 1.0
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        g = gradient(w)
+        g = gradient(w, eta)
         if float(np.max(np.abs(g))) < tol:
             n_iter -= 1
             break
-        f0 = objective(w)
         gsq = float(g @ g)
         t = step
-        while t > 1e-14 and objective(w + t * g) < f0 + 0.5 * t * gsq:
+        while True:  # backtrack; once t falls to 1e-14 the step is taken unchecked
+            trial = w + t * g
+            eta_trial = D @ trial
+            f_trial = objective(trial, eta_trial)
+            if t <= 1e-14 or not f_trial < f + 0.5 * t * gsq:
+                break
             t *= 0.5
-        w = w + t * g
+        w, eta, f = trial, eta_trial, f_trial
         step = min(t * 2.0, 1e6)
-    grad_norm = float(np.max(np.abs(gradient(w))))
+    grad_norm = float(np.max(np.abs(gradient(w, eta))))
 
     # |eta| capped at 30 keeps scores strictly inside (0, 1) even when the
     # data are separable and the unpenalized optimum diverges
-    scores = _sigmoid(np.clip(D @ w, -30.0, 30.0))
+    scores = _sigmoid(np.clip(eta, -30.0, 30.0))
     coef = w[1:] / sd
     intercept = float(w[0] - np.sum(w[1:] * mu / sd))
     return PropensityFit(coefficients=coef, intercept=intercept, scores=scores,

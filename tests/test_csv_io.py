@@ -6,6 +6,11 @@ the same exception type with the same message, on any text; the writers must
 produce the same bytes.
 """
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csv_oracle
-from proxyrank import (Dataset, GroundTruth, SimConfig, load_dataset, pipeline,
-                       save_dataset, simulate_cohort)
+from proxyrank import (Dataset, GroundTruth, SimConfig, data, load_dataset, parallel,
+                       pipeline, save_dataset, simulate_cohort)
+from proxyrank.data import DataValidationError
 from proxyrank.cli import main
 from proxyrank.data import _fast_table, save_simulated
 
@@ -269,3 +275,102 @@ def test_write_csv_bytes_equal_generator_join(tmp_path_factory, rows):
     lines = ["# config_hash=0123abcd", "model,k"]
     lines += [",".join(str(v) for v in row) for row in rows]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.fixture
+def ranges(monkeypatch):
+    """``ranges(workers, block)``: cut tables into ranges of ``block`` rows
+    and run them on ``workers`` workers."""
+    def set_ranges(workers, block):
+        monkeypatch.setattr(parallel, "_max_workers", lambda: workers)
+        monkeypatch.setattr(data, "_BLOCK_ROWS", block)
+    return set_ranges
+
+
+def random_dataset(n, seed=0):
+    rng = np.random.default_rng(seed)
+    y0, y1 = rng.standard_normal(n), rng.standard_normal(n)
+    gt = GroundTruth(rng.integers(1, 5, n), y1 - y0, y0, y1, rng.integers(0, 2, n))
+    return Dataset(rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-5, 5, (n, 3)),
+                   rng.integers(0, 2, n), rng.standard_normal(n), ("u", "v", "w"), gt)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the ranges run on forked workers")
+class TestRangesOnThePool:
+    """Tables cut into row ranges of 4 rows, formatted and parsed on 1 to 3
+    workers: a table of 7 rows or fewer is one range."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 3, 7, 8, 13])
+    def test_save_bytes_equal_oracle(self, ranges, tmp_path, workers, n):
+        d = random_dataset(n)
+        ranges(workers, 4)
+        got = (save_simulated(d, tmp_path / "obs.csv", tmp_path / "ora.csv", header_comment="h"),
+               save_dataset(d, tmp_path / "gt.csv", include_ground_truth=True))
+        want = (csv_oracle.save_dataset(d.without_ground_truth(), tmp_path / "obs0.csv",
+                                        header_comment="h"),
+                csv_oracle.save_dataset(d, tmp_path / "ora0.csv", include_ground_truth=True,
+                                        header_comment="h"),
+                csv_oracle.save_dataset(d, tmp_path / "gt0.csv", include_ground_truth=True))
+        assert got == (want[:2], want[2])
+        for new, old in (("obs", "obs0"), ("ora", "ora0"), ("gt", "gt0")):
+            assert (tmp_path / f"{new}.csv").read_bytes() == \
+                (tmp_path / f"{old}.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{name}.csv" for name in ("obs", "obs0", "ora", "ora0", "gt", "gt0"))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [3, 7, 8, 13])
+    def test_load_equals_oracle(self, ranges, tmp_path, workers, n):
+        path = tmp_path / "d.csv"
+        schema = csv_oracle.save_dataset(random_dataset(n), path, include_ground_truth=True,
+                                         header_comment="h")
+        ranges(workers, 4)
+        assert_same_load(path, schema)
+        assert outcome_of(load_dataset, path, schema)[0] == "ok"
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("bad,message", [
+        ("nan", "non-finite value in column 'y' at row 12"),
+        ('"0.5"', None),  # the scan reads a quoted cell: no error
+        ('"u12"', "unparseable value 'u12' in column 'y' at row 12"),
+        ("short", "row 12 is short: no value for column 'y'")])
+    def test_bad_cell_in_the_last_range(self, ranges, tmp_path, workers, bad, message):
+        lines = [",".join(HEADER)] + [f"{i},{i / 3!r},{i % 2},{i * 1.5!r}" for i in range(13)]
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ("" if bad == "short" else f",{bad}")
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        ranges(workers, 4)  # rows 8-12 are the last of three ranges
+        for schema in SCHEMAS:
+            assert_same_load(path, schema)
+        got = outcome_of(load_dataset, path, SCHEMAS[0])
+        if message is None:
+            assert got[0] == "ok"
+        else:
+            assert got == ("raised", DataValidationError, message)
+
+
+def test_killed_simulate_leaves_no_partial_csv(tmp_path):
+    # The process dies after writing the first 64-row range of each file.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sim": {"n": 300, "k": 6}}))
+    script = ("import os, signal, sys\n"
+              "import proxyrank.data as data, proxyrank.parallel as parallel\n"
+              "from proxyrank.cli import main\n"
+              "parallel._max_workers = lambda: 1\n"
+              "data._BLOCK_ROWS = 64\n"
+              "real, calls = data._text_rows, []\n"
+              "def text_rows(columns):\n"
+              "    calls.append(1)\n"
+              "    if len(calls) == 3:\n"
+              "        os.kill(os.getpid(), signal.SIGKILL)\n"
+              "    return real(columns)\n"
+              "data._text_rows = text_rows\n"
+              "main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(data.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+                          env=env, capture_output=True)
+    assert proc.returncode == -signal.SIGKILL
+    left = {p.name for p in (tmp_path / "out").iterdir()}
+    assert "observed.csv" not in left and "oracle.csv" not in left
+    assert left  # the temporary files a killed process cannot remove

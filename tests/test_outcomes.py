@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from proxyrank import Dataset, FeatureMap, ModelError, compute_ite, fit_outcome_model
+from proxyrank import (Dataset, FeatureMap, ModelError, ModelSpec, RunConfig, compute_ite,
+                       fit_outcome_model)
 from proxyrank.outcomes import _fit_linear_wls, _fit_poisson, _fit_svr
 
 from conftest import make_dataset
@@ -163,6 +164,18 @@ class TestTreeFamilies:
         base = m.predict(X, d.treatment)
         for delta in (-eps, eps):
             np.testing.assert_array_equal(m.predict(X + delta, d.treatment), base)
+
+    @pytest.mark.parametrize("family", ["tree", "forest", "boosted_trees"])
+    def test_interactions_off_needs_treatment_off(self, family):
+        d = make_dataset(n=60, k=2)
+        with pytest.raises(ModelError, match="interactions: false needs include_treatment"):
+            fit_outcome_model(d, None, family, feature_map=FeatureMap(interactions=False))
+        with pytest.raises(ModelError, match="interactions: false needs include_treatment"):
+            ModelSpec(family=family, interactions=False)
+        # trees on [x] only, as above
+        cfg = RunConfig.from_dict({"models": [{"family": family, "include_treatment": False,
+                                               "interactions": False}]})
+        assert cfg.models[0].feature_map() == FeatureMap(False, False)
 
     def test_boosting_loss_non_increasing(self):
         d = make_dataset(n=250, k=4, seed=3)

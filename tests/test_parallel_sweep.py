@@ -13,10 +13,13 @@ from pathlib import Path
 
 import pytest
 
+import proxyrank.data as data
 import proxyrank.parallel as parallel
 import proxyrank.sensitivity as sensitivity
-from proxyrank import AnalysisConfig, ConfounderConfig, ModelError, ModelSpec
+from proxyrank import (AnalysisConfig, ConfounderConfig, ModelError, ModelSpec, RunConfig,
+                       load_dataset, load_schema)
 from proxyrank.cli import main
+from proxyrank.pipeline import analyze_models
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep forks its workers")
 
@@ -340,3 +343,74 @@ def test_analyze_forks_two_workers_and_reaps_them(monkeypatch, tmp_path, capsys,
     for pid in children:
         with pytest.raises(ChildProcessError):  # joined, so not a zombie either
             os.waitpid(pid, os.WNOHANG)
+
+
+def count_forks(monkeypatch):
+    """The pids of the processes forked from here on."""
+    real_fork, children = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
+    return children
+
+
+def test_analyze_data_same_bytes_for_one_two_and_three_workers(monkeypatch, tmp_path, capsys):
+    # Ranges of 64 rows: the 400-row CSV is parsed in six, and ite.csv's
+    # rows (two models on the trimmed cohort) are formatted in twelve.
+    simulated = run_cli(tmp_path, capsys, "simulate", CONFIG, "sim")
+    assert simulated[0] == 0
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
+    outs = []
+    for n in (1, 2, 3):
+        workers(monkeypatch, n)
+        children = count_forks(monkeypatch)
+        rc = main(["analyze", "--data", str(tmp_path / "sim" / "observed.csv"),
+                   "--schema", str(tmp_path / "sim" / "observed_schema.json"),
+                   "--out", str(tmp_path / f"w{n}")])
+        assert rc == 0 and multiprocessing.active_children() == []
+        # load, baselines and ite.csv each fork min(n, tasks) workers
+        assert len(children) == {1: 0, 2: 6, 3: 8}[n]
+        outs.append({p.name: p.read_bytes() for p in (tmp_path / f"w{n}").iterdir()})
+    assert outs[0] == outs[1] == outs[2]
+    assert set(outs[0]) == {"ite.csv", "balance.csv", "propensity.json"}
+    # ite.csv as its rows were built before the split, one cell at a time
+    cfg = RunConfig()
+    d = load_dataset(tmp_path / "sim" / "observed.csv",
+                     load_schema(tmp_path / "sim" / "observed_schema.json"))
+    lines = [f"# config_hash={cfg.config_hash()}", "model,index,ite,y_hat_1,y_hat_0"]
+    for m in analyze_models(d, cfg):
+        ites = m.analysis.ites
+        lines += [",".join([m.label, str(i), repr(float(y1 - y0)), repr(float(y1)),
+                            repr(float(y0))])
+                  for i, (y1, y0) in enumerate(zip(ites.y_hat_1, ites.y_hat_0))]
+    assert outs[0]["ite.csv"] == ("\n".join(lines) + "\n").encode()
+
+
+def test_killed_formatting_worker_is_a_stage_error(monkeypatch, tmp_path, capsys, time_limit):
+    parent = os.getpid()
+    real = data._text_rows
+
+    def text_rows(columns):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(columns)
+    monkeypatch.setattr(data, "_text_rows", text_rows)
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
+    workers(monkeypatch, 2)
+    rc, _, err, files = run_cli(tmp_path, capsys, "simulate", CONFIG, "out")
+    assert rc == 2
+    assert err == ("stage failure: StageError: the worker died running rows 0-63 of "
+                   "observed.csv and oracle.csv (exit code -9)\n")
+    assert files == {}  # not even a temporary file
+
+
+def test_simulate_small_cohort_forks_nothing(monkeypatch, tmp_path, capsys):
+    children = count_forks(monkeypatch)
+    workers(monkeypatch, 2)
+    rc, _, _, files = run_cli(tmp_path, capsys, "simulate", {"sim": {"n": 300}}, "out")
+    assert rc == 0 and "observed.csv" in files and "oracle.csv" in files
+    assert children == []

@@ -152,6 +152,11 @@ BAD_CONFIGS = [
      r"^analysis: trim_lo and trim_hi need 0 <= trim_lo < trim_hi <= 1$"),
     ({"models": [{"family": "linear_wls"}, {"family": "svr_linear", "hyperparams": {"C": 0}}]},
      r"^models\[1\]: svr_linear requires C > 0 and epsilon >= 0$"),
+    # a tree on [x | a] crosses a with x itself, so interactions: false would
+    # configure nothing
+    ({"models": [{"family": "linear_wls"}, {"family": "forest", "interactions": False}]},
+     r"^models\[1\]: tree families cross the treatment with x themselves: "
+     r"interactions: false needs include_treatment: false$"),
 ]
 
 # The hyperparameters each family accepts, in the order its error lists them.

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from proxyrank import (Dataset, FitError, PropensityFit, SimConfig, balance_report,
                        fit_propensity, simulate_cohort, stabilized_weights,
                        trim_extremes)
+from proxyrank.propensity import _sigmoid
 
 from conftest import make_dataset
 
@@ -74,6 +75,59 @@ class TestFit:
         fit = fit_propensity(small_sim.observed, max_iter=2)
         assert not fit.converged
         assert fit.n_iter == 2
+
+
+def ascent_recomputing(d, l2=0.0, tol=1e-6, max_iter=500):
+    """The ascent of ``fit_propensity`` with ``D @ w`` and the objective
+    recomputed wherever needed: (w, eta, n_iter, grad_norm, floor steps)."""
+    a = d.treatment.astype(np.float64)
+    sd = d.covariates.std(axis=0)
+    sd = np.where(sd == 0.0, 1.0, sd)
+    D = np.hstack([np.ones((d.n, 1)), (d.covariates - d.covariates.mean(axis=0)) / sd])
+
+    def objective(w):
+        eta = D @ w
+        return float(np.mean(a * eta - np.logaddexp(0.0, eta))
+                     - 0.5 * l2 * float(w[1:] @ w[1:]))
+
+    def gradient(w):
+        g = D.T @ (a - _sigmoid(D @ w)) / d.n
+        g[1:] -= l2 * w[1:]
+        return g
+
+    w, step, n_iter, floor = np.zeros(d.k + 1), 1.0, 0, 0
+    for n_iter in range(1, max_iter + 1):
+        g = gradient(w)
+        if float(np.max(np.abs(g))) < tol:
+            n_iter -= 1
+            break
+        f0, gsq, t = objective(w), float(g @ g), step
+        while t > 1e-14 and objective(w + t * g) < f0 + 0.5 * t * gsq:
+            t *= 0.5
+        floor += t <= 1e-14
+        w = w + t * g
+        step = min(t * 2.0, 1e6)
+    return w, D @ w, n_iter, float(np.max(np.abs(gradient(w)))), floor
+
+
+class TestAscentReusesIterates:
+    """Carrying each iterate's D @ w and objective value changes no bit."""
+
+    @pytest.mark.parametrize("kwargs", [{}, {"l2": 0.1}, {"max_iter": 1}, {"max_iter": 3},
+                                        {"tol": 1e-300, "max_iter": 200},
+                                        {"l2": 1e15, "max_iter": 5}])
+    def test_same_bits_as_recomputing(self, small_confounded_sim, kwargs):
+        d = small_confounded_sim.observed
+        fit = fit_propensity(d, **kwargs)
+        w, eta, n_iter, grad_norm, floor = ascent_recomputing(d, **kwargs)
+        assert (fit.n_iter, fit.grad_norm) == (n_iter, grad_norm)
+        assert fit.converged == (grad_norm < kwargs.get("tol", 1e-6))
+        assert fit.scores.tobytes() == _sigmoid(np.clip(eta, -30.0, 30.0)).tobytes()
+        sd = d.covariates.std(axis=0)
+        assert fit.coefficients.tobytes() == (w[1:] / np.where(sd == 0.0, 1.0, sd)).tobytes()
+        # Under this penalty no step above 1e-14 passes the line search, so
+        # every step is taken at the floor.
+        assert floor == (5 if kwargs.get("l2") == 1e15 else 0)
 
 
 class TestTrim:
