@@ -234,7 +234,7 @@ def _parse_rows(body: list[str], width: int) -> np.ndarray | None:
     too long, and every value finite. Each check holds line by line, so a
     body is accepted exactly when each of its ranges is.
     """
-    if (not _BLANK_LINES.isdisjoint(body)
+    if (not body or not _BLANK_LINES.isdisjoint(body)
             or max(map(len, body)) > csv.field_size_limit()
             or any(c in line for line in body for c in _NUMPY_ONLY_SPACES)):
         return None
@@ -248,26 +248,145 @@ def _parse_rows(body: list[str], width: int) -> np.ndarray | None:
     return table
 
 
-def _fast_table(body: list[str], width: int, what: str = "the CSV body") -> np.ndarray | None:
-    """The body lines as a (rows, width) float64 table, or None when the
-    per-cell scan must decide instead.
+def _read_header(fh) -> tuple[list[str], int] | None:
+    """The header row of the binary CSV file ``fh``, read as the scan reads
+    it, and the byte offset where the body starts; None when the scan must
+    decide: no header, or a header that is not UTF-8 or that the csv module
+    refuses."""
+    taken = 0  # bytes of the lines the csv reader has taken
 
-    Each row range is parsed by ``_parse_rows`` on the worker pool, which
-    inherits ``body`` through fork (``map_row_ranges``), and the blocks are
-    joined in row order. If any range declines, so does the whole body, and
-    every error is left to the scan and its messages; the treatment check
-    that follows either path finds the same first bad row.
+    def lines():
+        nonlocal taken
+        for raw in fh:  # up to each b"\n"; a bare "\r" ends a line inside
+            for line in io.StringIO(raw.decode("utf-8"), newline=""):
+                taken += len(line.encode("utf-8"))
+                if not line.startswith("#"):
+                    yield line
+    try:
+        return next(csv.reader(lines())), taken
+    except (StopIteration, UnicodeDecodeError, csv.Error):
+        return None
+
+
+# Bytes per read of the scan that finds where each row range of a body starts.
+_SCAN_BYTES = 1 << 20
+
+
+def _range_starts(fh, start: int, every: int) -> tuple[list[int], int, int]:
+    """Scan the binary file ``fh`` from byte ``start`` to its end: the byte
+    offsets where lines ``0, every, 2 * every, ...`` start, the number of
+    lines and the end offset. A line ends at each ``\\n`` byte, and a last
+    line may have none."""
+    fh.seek(start)
+    starts, n_lines, pos, last = [start], 0, start, b"\n"
+    while block := fh.read(_SCAN_BYTES):
+        ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+        # Line L starts right after the L-th "\n" of the body.
+        firsts = np.arange(len(starts) * every, n_lines + len(ends) + 1, every)
+        starts += (pos + 1 + ends[firsts - n_lines - 1]).tolist()
+        n_lines += len(ends)
+        pos += len(block)
+        last = block[-1:]
+    return starts, n_lines + int(last != b"\n"), pos
+
+
+def _fast_table(p: Path, fh, start: int, width: int) -> np.ndarray | None:
+    """The body of ``p``, from byte ``start``, as a (rows, width) float64
+    table parsed in C, or None when the per-cell scan must decide instead.
+
+    The parent only finds where each range of ``_BLOCK_ROWS`` body lines
+    starts (``_range_starts``). Each range is a task of ``map_row_ranges``:
+    it reads and decodes its own bytes, splits them into lines as a file
+    opened with ``newline=""`` does, drops the ``#`` lines and parses the
+    rest with ``_parse_rows``, or declines when its bytes are not UTF-8. A
+    range starts right after a ``\\n`` byte, which never cuts a UTF-8
+    character or a ``\\r\\n``, so the ranges' lines, joined in order, are
+    the lines of the whole body. If any range declines, so does the body,
+    and every error is left to the scan and its messages.
     """
-    if not body:
+    every = _BLOCK_ROWS
+    starts, n_lines, end = _range_starts(fh, start, every)
+
+    def parse(lo: int, hi: int) -> np.ndarray | None:
+        first = starts[lo // every]
+        with open(p, "rb") as part:
+            part.seek(first)
+            raw = part.read((starts[hi // every] if hi < n_lines else end) - first)
+        try:
+            text = io.StringIO(raw.decode("utf-8"), newline="")
+        except UnicodeDecodeError:
+            return None
+        body = [line for line in text if not line.startswith("#")]
+        return _parse_rows(body, width) if body else np.empty((0, width))
+    if not n_lines:
         return None
     tables = []
-    with closing(map_row_ranges(len(body), what,
-                                lambda lo, hi: _parse_rows(body[lo:hi], width))) as ranges:
+    with closing(map_row_ranges(n_lines, p.name, parse)) as ranges:
         for table in ranges:
             if table is None:
                 return None
             tables.append(table)
-    return tables[0] if len(tables) == 1 else np.concatenate(tables)
+    table = tables[0] if len(tables) == 1 else np.concatenate(tables)
+    return table if len(table) else None
+
+
+def _not_utf8(p: Path) -> DataValidationError:
+    """The error for a file that is not UTF-8. It names the first line that
+    does not decode: the header, a 0-based data row as the scan counts them,
+    or a comment line before one of those."""
+    bad = None
+    records = 0  # records the csv reader has completed, the header included
+
+    def lines():
+        nonlocal bad
+        for line in fh:
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = (records, line.startswith("#"), exc.reason)
+                return
+            if not line.startswith("#"):
+                yield line
+    with open(p, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for _ in csv.reader(lines()):
+            records += 1
+    record, comment, reason = bad
+    where = "the header" if record == 0 else f"row {record - 1}"
+    return DataValidationError(
+        f"{'a comment line before ' if comment else ''}{where} is not UTF-8 ({reason})")
+
+
+def _column_index(header: list[str]) -> dict[str, int]:
+    col_index = {name: j for j, name in enumerate(header)}
+    if len(col_index) != len(header):
+        dup = next(name for j, name in enumerate(header) if col_index[name] != j)
+        raise SchemaError(f"duplicate column name {dup!r} in header")
+    return col_index
+
+
+def _scan_rows(p: Path) -> tuple[list[str], dict[str, int], list[list[str]]]:
+    """The header, its column index and every body row of ``p``, as the csv
+    module splits them."""
+    try:
+        with open(p, newline="", encoding="utf-8") as fh:
+            lines = [line for line in fh if not line.startswith("#")]
+    except UnicodeDecodeError:
+        raise _not_utf8(p) from None
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataValidationError("no data rows") from None
+    col_index = _column_index(header)
+    rows = list(reader)
+    if not rows:
+        raise DataValidationError("no data rows")
+    width = len(header)
+    long_row = next((i for i, row in enumerate(rows) if len(row) > width), None)
+    if long_row is not None:
+        raise DataValidationError(f"row {long_row} has {len(rows[long_row])} cells; "
+                                  f"the header has {width}")
+    return header, col_index, rows
 
 
 def load_dataset(path: str | Path, schema: dict) -> Dataset:
@@ -279,38 +398,29 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
     omitted, every column not claimed by another role is used, in file order.
     Row indices in error messages are 0-based data rows (the header is not
     counted). Row order is preserved. Lines starting with ``#`` are skipped.
+    A file that is not UTF-8 raises DataValidationError naming its first
+    undecodable row.
 
     An all-numeric, all-finite file is parsed in C, range by range on the
-    worker pool; any other file (quoted or non-numeric cells, ragged or
-    blank rows, non-finite values) is scanned cell by cell with ``float()``.
-    Both give the same arrays, bit for bit, and the scan gives every error
-    message.
+    worker pool, each worker reading its own range from the file; any other
+    file (quoted or non-numeric cells, ragged or blank rows, non-finite
+    values, bytes that are not UTF-8) is scanned cell by cell with
+    ``float()``. Both give the same arrays, bit for bit, and the scan gives
+    every error message.
     """
     _check_schema(schema)
     p = Path(path)
     if not p.exists():
         raise SchemaError(f"data file not found: {p}")
-    with open(p, newline="", encoding="utf-8") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataValidationError("no data rows") from None
-    width = len(header)
-    col_index = {name: j for j, name in enumerate(header)}
-    if len(col_index) != width:
-        dup = next(name for j, name in enumerate(header) if col_index[name] != j)
-        raise SchemaError(f"duplicate column name {dup!r} in header")
-    table = _fast_table(lines[reader.line_num:], width, p.name)
+    table = None
+    with open(p, "rb") as fh:
+        head = _read_header(fh)
+        if head is not None:
+            header, start = head
+            col_index = _column_index(header)
+            table = _fast_table(p, fh, start, len(header))
     if table is None:
-        rows = list(reader)
-        if not rows:
-            raise DataValidationError("no data rows")
-        long_row = next((i for i, row in enumerate(rows) if len(row) > width), None)
-        if long_row is not None:
-            raise DataValidationError(f"row {long_row} has {len(rows[long_row])} cells; "
-                                      f"the header has {width}")
+        header, col_index, rows = _scan_rows(p)
 
     tre_col = schema["treatment"]
     out_col = schema["outcome"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, PreparedCohort
-from .data import Dataset
+from .data import Dataset, map_row_ranges
 from .outcomes import compute_ite
 from .ranking import rank_rmse, top_fraction_indices
 from .rng import derive_seed
@@ -420,23 +421,35 @@ def write_ranking(out: Path, config_hash: str, reports: list[ModelReport], k_gri
                   true_levels: np.ndarray | None = None) -> Path:
     """Write ranking.csv: per model and unit the effect estimate, rank and
     level, the true level when ``true_levels`` is given, and a 0/1 flag per
-    top-k% threshold of ``k_grid``."""
+    top-k% threshold of ``k_grid``. The rows are formatted in the row ranges
+    of ``map_row_ranges``, on the worker pool."""
     header = ["model", "index", "ite", "rank", "level"]
     if true_levels is not None:
         header.append("true_level")
     header += [f"top_{int(k) if float(k).is_integer() else k}" for k in k_grid]
-    rows = []
+    labels, index, ites, per_model = [], [], [], []
     for m in reports:
         ranked = m.analysis.ranked
-        columns = [ranked.rank.tolist(), ranked.level.tolist()]
+        labels += repeat(m.label, ranked.n)
+        index += range(ranked.n)
+        ites.append(ranked.ite)
+        columns = [ranked.rank, ranked.level]
         if true_levels is not None:
-            columns.append(true_levels.tolist())
+            columns.append(true_levels)
         for k in k_grid:
             flags = np.zeros(ranked.n, dtype=int)
             flags[top_fraction_indices(ranked.ite, k)] = 1
-            columns.append(flags.tolist())
-        rows += zip(repeat(m.label), range(ranked.n), map(repr, ranked.ite.tolist()), *columns)
-    write_csv(out / "ranking.csv", config_hash, header, rows)
+            columns.append(flags)
+        per_model.append(columns)
+    ite = np.concatenate(ites)
+    columns = [np.concatenate(c) for c in zip(*per_model)]
+    row = ("{},{},{!r}" + ",{}" * len(columns) + "\n").format
+
+    def ranking_rows(lo: int, hi: int) -> str:
+        return "".join(map(row, labels[lo:hi], index[lo:hi], ite[lo:hi].tolist(),
+                           *(c[lo:hi].tolist() for c in columns)))
+    with closing(map_row_ranges(len(labels), "ranking.csv", ranking_rows)) as chunks:
+        write_csv_text(out / "ranking.csv", config_hash, header, chunks)
     return out / "ranking.csv"
 
 

@@ -74,9 +74,12 @@ def fit_propensity(d: Dataset, l2: float = 0.0, tol: float = 1e-6,
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
-    Xs = (X - mu) / sd
-    n, k = Xs.shape
-    D = np.hstack([np.ones((n, 1)), Xs])
+    # The design [1 | (X - mu) / sd], built in place: one n x (k + 1) array.
+    n, k = X.shape
+    D = np.empty((n, k + 1))
+    D[:, 0] = 1.0
+    np.subtract(X, mu, out=D[:, 1:])
+    D[:, 1:] /= sd
 
     # eta = D @ w of the current iterate and its objective value are carried
     # from the accepted trial, never recomputed for a w already evaluated.

@@ -22,7 +22,7 @@ from proxyrank import (Dataset, GroundTruth, SimConfig, data, load_dataset, para
                        pipeline, save_dataset, simulate_cohort)
 from proxyrank.data import DataValidationError
 from proxyrank.cli import main
-from proxyrank.data import _fast_table, save_simulated
+from proxyrank.data import _parse_rows, save_simulated
 
 HEADER = ["x0", "x1", "a", "y"]
 SCHEMAS = [{"treatment": "a", "outcome": "y", "covariates": ["x0", "x1"]},
@@ -147,7 +147,7 @@ class TestFastPath:
     """The C parse takes clean files and leaves everything else to the scan."""
 
     def test_clean_file_is_parsed_in_c(self):
-        table = _fast_table(["1.5,-0.0,1,2e-308\r\n", "3,4,0,5"], 4)
+        table = _parse_rows(["1.5,-0.0,1,2e-308\r\n", "3,4,0,5"], 4)
         assert table.tolist() == [[1.5, -0.0, 1.0, 2e-308], [3.0, 4.0, 0.0, 5.0]]
 
     @pytest.mark.parametrize("body", [
@@ -157,7 +157,7 @@ class TestFastPath:
         pytest.param(["1," + "0" * 131_073 + ",0,3\n"], id="over_field_limit"),
     ])
     def test_other_bodies_are_scanned(self, body):
-        assert _fast_table(body, 4) is None
+        assert _parse_rows(body, 4) is None
 
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0,
@@ -348,6 +348,159 @@ class TestRangesOnThePool:
             assert got[0] == "ok"
         else:
             assert got == ("raised", DataValidationError, message)
+
+
+def body_text(rows, ends="\n", final=True):
+    """The header and ``rows`` after a comment line, each line ended by the
+    next of ``ends`` in turn; without a last line end unless ``final``."""
+    lines = ["# config_hash=h", ",".join(HEADER), *rows]
+    text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+    return text if final else text.rstrip("\r\n")
+
+
+ROWS = [f"{i},{i / 3!r},{i % 2},{i * 1.5!r}" for i in range(13)]
+# Files whose body is cut into ranges of physical lines: with ranges of 4
+# lines, body lines 4 and 8 start a range.
+RANGE_FILES = {
+    "lf": body_text(ROWS),
+    "crlf": body_text(ROWS, "\r\n"),
+    "bare_cr": body_text(ROWS, "\r"),
+    "mixed_ends": body_text(ROWS, ["\n", "\r\n", "\r", "\r\n"]),
+    "no_last_newline": body_text(ROWS, final=False),
+    "crlf_no_last_newline": body_text(ROWS, "\r\n", final=False),
+    "comment_mid_body": body_text(ROWS[:6] + ["# mid-body"] + ROWS[6:]),
+    "comment_at_range_start": body_text(ROWS[:4] + ["# range start"] + ROWS[4:]),
+    "comments_fill_a_range": body_text(ROWS[:4] + ["#"] * 4 + ROWS[4:]),
+    "blank_line_at_range_boundary": body_text(ROWS[:4] + [""] + ROWS[4:]),
+    "blank_last_line": body_text(ROWS + [""]),
+    "quoted_multiline_header": '"x0\r\n",x1,a,y\r\n' + "\r\n".join(ROWS) + "\r\n",
+    "comment_inside_quoted_header": '# c\n"x0\n# dropped\nx0",x1,a,y\n' + "\n".join(ROWS),
+    "header_only": body_text([]),
+    "comments_only_body": body_text(["# a", "# b"]),
+    "non_ascii_header": "é,x1,a,y\n" + "\n".join(ROWS) + "\n",
+}
+# The files the per-cell scan reads in ranges of 4 lines; the others are
+# parsed in C.
+SCANNED = {"blank_line_at_range_boundary", "blank_last_line", "header_only",
+           "comments_only_body"}
+# (workers, range lines, bytes per read of the parent's scan)
+RANGE_SETTINGS = [(1, 4, 1 << 20), (2, 4, 5), (3, 4, 1 << 20), (2, 1, 1 << 20), (3, 1, 7)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the ranges run on forked workers")
+class TestRangesReadFromTheFile:
+    """Each worker reads its range of body lines from the file itself; the
+    parent reads the header and finds where each range starts."""
+
+    @pytest.mark.parametrize("workers,block,scan", RANGE_SETTINGS)
+    @pytest.mark.parametrize("name", list(RANGE_FILES))
+    def test_load_equals_oracle(self, ranges, monkeypatch, tmp_path, name, workers, block,
+                                scan):
+        path = tmp_path / "d.csv"
+        path.write_bytes(RANGE_FILES[name].encode("utf-8"))
+        ranges(workers, block)
+        monkeypatch.setattr(data, "_SCAN_BYTES", scan)
+        scanned, scan_rows = [], data._scan_rows
+        monkeypatch.setattr(data, "_scan_rows", lambda p: scanned.append(p) or scan_rows(p))
+        for schema in SCHEMAS:
+            assert_same_load(path, schema)
+        assert bool(scanned) == (name in SCANNED)
+
+    @pytest.mark.parametrize("scan", [1, 2, 5, 1 << 20])
+    def test_range_starts(self, monkeypatch, tmp_path, scan):
+        # Lines end at each b"\n" only: "bb\r\rccc\n" is one of them.
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"h\na\r\nbb\r\rccc\n\nd")
+        monkeypatch.setattr(data, "_SCAN_BYTES", scan)
+        with open(path, "rb") as fh:
+            assert data._range_starts(fh, 2, 1) == ([2, 5, 13, 14], 4, 15)
+            assert data._range_starts(fh, 2, 2) == ([2, 13], 4, 15)
+            assert data._range_starts(fh, 2, 3) == ([2, 14], 4, 15)
+            assert data._range_starts(fh, 2, 5) == ([2], 4, 15)
+            assert data._range_starts(fh, 14, 1) == ([14], 1, 15)
+            assert data._range_starts(fh, 15, 1) == ([15], 0, 15)
+        # After a last "\n" no line starts, though the offset of the end is
+        # listed where the next line would start.
+        path.write_bytes(b"h\na\n")
+        with open(path, "rb") as fh:
+            assert data._range_starts(fh, 2, 1) == ([2, 4], 1, 4)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("where,message", [
+        ("row", "row 12 is not UTF-8 (invalid start byte)"),
+        ("header", "the header is not UTF-8 (invalid start byte)"),
+        ("comment", "a comment line before row 9 is not UTF-8 (invalid start byte)"),
+        ("first_comment", "a comment line before the header is not UTF-8 "
+                          "(invalid continuation byte)"),
+        ("quoted_cell", "row 5 is not UTF-8 (invalid start byte)")])
+    def test_not_utf8_names_its_row(self, ranges, tmp_path, capsys, workers, where, message):
+        text = body_text(ROWS).encode("utf-8")
+        lines = text.split(b"\n")  # the comment line, the header, rows 0-12
+        if where == "row":
+            lines[14] += b"\xff"
+        elif where == "header":
+            lines[1] = lines[1].replace(b"x1", b"x\xff")
+        elif where == "comment":
+            lines.insert(11, b"# \xff")
+        elif where == "first_comment":
+            lines[0] += b"\xc3("
+        else:  # the second line of a quoted cell of row 5
+            lines[7] = b'5,"1.6\n\xff",1,7.5'
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\n".join(lines))
+        ranges(workers, 4)  # rows 8-12 are the last of three ranges
+        for schema in SCHEMAS:
+            assert outcome_of(load_dataset, path, schema) == \
+                ("raised", DataValidationError, message)
+        (tmp_path / "schema.json").write_text(json.dumps(SCHEMAS[0]))
+        assert main(["analyze", "--data", str(path), "--schema", str(tmp_path / "schema.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"stage failure: DataValidationError: {message}\n"
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parent_reads_no_body_line(self, ranges, monkeypatch, tmp_path, workers):
+        """In the parent, the file yields the comment and header lines and
+        then only reads of at most ``_SCAN_BYTES``; the workers read the body."""
+        path = tmp_path / "d.csv"
+        schema = csv_oracle.save_dataset(random_dataset(40), path, include_ground_truth=True,
+                                         header_comment="h")
+        head = path.read_bytes().split(b"\n", 2)
+        parent, got = os.getpid(), []
+
+        class Spy:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def __iter__(self):
+                for line in self.fh:
+                    got.append(("line", len(line)))
+                    yield line
+
+            def read(self, size=-1):
+                block = self.fh.read(size)
+                got.append(("read", len(block)))
+                return block
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        def spy_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            return Spy(fh) if os.getpid() == parent else fh
+        monkeypatch.setattr(data, "open", spy_open, raising=False)
+        monkeypatch.setattr(data, "_SCAN_BYTES", 256)
+        ranges(workers, 4)
+        assert_same_load(path, schema)
+        lines = [size for kind, size in got if kind == "line"]
+        reads = [size for kind, size in got if kind == "read"]
+        assert lines == [len(head[0]) + 1, len(head[1]) + 1]
+        assert max(reads) == 256 and path.stat().st_size > 10 * 256
 
 
 def test_killed_simulate_leaves_no_partial_csv(tmp_path):

@@ -20,6 +20,7 @@ from proxyrank import (AnalysisConfig, ConfounderConfig, ModelError, ModelSpec, 
                        load_dataset, load_schema)
 from proxyrank.cli import main
 from proxyrank.pipeline import analyze_models
+from proxyrank.ranking import top_fraction_indices
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep forks its workers")
 
@@ -104,6 +105,8 @@ def in_confounded_cohort(prepared, config_index, run):
     ("rank", TREES), ("analyze", TREES)])
 def test_same_bytes_for_one_two_and_three_workers(command, config, monkeypatch, tmp_path,
                                                   capsys):
+    # Ranges of 64 rows: ranking.csv and ite.csv are formatted in several.
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
     outs = []
     for n in (1, 2, 3):
         workers(monkeypatch, n)
@@ -388,6 +391,60 @@ def test_analyze_data_same_bytes_for_one_two_and_three_workers(monkeypatch, tmp_
                             repr(float(y0))])
                   for i, (y1, y0) in enumerate(zip(ites.y_hat_1, ites.y_hat_0))]
     assert outs[0]["ite.csv"] == ("\n".join(lines) + "\n").encode()
+
+
+def test_rank_data_same_bytes_for_one_two_and_three_workers(monkeypatch, tmp_path, capsys):
+    # Ranges of 64 rows: the 400-row CSV is parsed in six, and ranking.csv's
+    # 800 rows (two models on the full cohort) are formatted in twelve.
+    assert run_cli(tmp_path, capsys, "simulate", CONFIG, "sim")[0] == 0
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
+    outs = []
+    for n in (1, 2, 3):
+        workers(monkeypatch, n)
+        children = count_forks(monkeypatch)
+        rc = main(["rank", "--data", str(tmp_path / "sim" / "observed.csv"),
+                   "--schema", str(tmp_path / "sim" / "observed_schema.json"),
+                   "--out", str(tmp_path / f"w{n}")])
+        assert rc == 0 and multiprocessing.active_children() == []
+        # load, baselines and ranking.csv each fork min(n, tasks) workers
+        assert len(children) == {1: 0, 2: 6, 3: 8}[n]
+        outs.append((tmp_path / f"w{n}" / "ranking.csv").read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+    # ranking.csv as its rows were built before the split, one cell at a time
+    cfg = RunConfig()
+    d = load_dataset(tmp_path / "sim" / "observed.csv",
+                     load_schema(tmp_path / "sim" / "observed_schema.json"))
+    lines = [f"# config_hash={cfg.config_hash()}",
+             ",".join(["model", "index", "ite", "rank", "level"]
+                      + [f"top_{int(k) if float(k).is_integer() else k}" for k in cfg.k_grid])]
+    for m in analyze_models(d, cfg):
+        ranked = m.analysis.ranked
+        flags = [set(top_fraction_indices(ranked.ite, k).tolist()) for k in cfg.k_grid]
+        lines += [",".join([m.label, str(i), repr(float(ranked.ite[i])), str(int(ranked.rank[i])),
+                            str(int(ranked.level[i])), *(str(int(i in f)) for f in flags)])
+                  for i in range(ranked.n)]
+    assert outs[0] == ("\n".join(lines) + "\n").encode()
+
+
+def test_killed_parsing_worker_is_a_stage_error(monkeypatch, tmp_path, capsys, time_limit):
+    assert run_cli(tmp_path, capsys, "simulate", CONFIG, "sim")[0] == 0
+    parent = os.getpid()
+    real = data._parse_rows
+
+    def parse_rows(body, width):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(body, width)
+    monkeypatch.setattr(data, "_parse_rows", parse_rows)
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
+    workers(monkeypatch, 2)
+    rc = main(["analyze", "--data", str(tmp_path / "sim" / "observed.csv"),
+               "--schema", str(tmp_path / "sim" / "observed_schema.json"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2 and multiprocessing.active_children() == []
+    assert capsys.readouterr().err == ("stage failure: StageError: the worker died running "
+                                       "rows 0-63 of observed.csv (exit code -9)\n")
+    assert not (tmp_path / "out" / "ite.csv").exists()
 
 
 def test_killed_formatting_worker_is_a_stage_error(monkeypatch, tmp_path, capsys, time_limit):

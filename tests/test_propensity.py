@@ -8,6 +8,7 @@ from proxyrank import (Dataset, FitError, PropensityFit, SimConfig, balance_repo
                        trim_extremes)
 from proxyrank.propensity import _sigmoid
 
+import propensity_oracle
 from conftest import make_dataset
 
 
@@ -128,6 +129,27 @@ class TestAscentReusesIterates:
         # Under this penalty no step above 1e-14 passes the line search, so
         # every step is taken at the floor.
         assert floor == (5 if kwargs.get("l2") == 1e15 else 0)
+
+
+class TestDesignInPlace:
+    """The design [1 | (X - mu) / sd] built in one array gives the fit of the
+    separate ``Xs`` and ``np.hstack`` (``tests/propensity_oracle.py``)."""
+
+    @pytest.mark.parametrize("cohort", ["clean", "confounded_l2", "zero_variance"])
+    def test_same_fit_bytes_as_hstack_design(self, small_sim, small_confounded_sim, cohort):
+        kwargs = {"l2": 0.1} if cohort == "confounded_l2" else {}
+        if cohort == "zero_variance":
+            d = make_dataset(n=500, k=4, seed=3)
+            X = d.covariates.copy()
+            X[:, 2] = 7.5
+            d = Dataset(X, d.treatment, d.outcome)
+        else:
+            d = (small_sim if cohort == "clean" else small_confounded_sim).observed
+        got, want = fit_propensity(d, **kwargs), propensity_oracle.fit_propensity(d, **kwargs)
+        for name in ("coefficients", "scores"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for name in ("intercept", "marginal", "converged", "n_iter", "grad_norm"):
+            assert getattr(got, name) == getattr(want, name)
 
 
 class TestTrim:
