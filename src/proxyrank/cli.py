@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import closing
 from dataclasses import asdict, replace
 from itertools import repeat
 from pathlib import Path
@@ -18,12 +17,11 @@ import numpy as np
 
 from . import __version__
 from .analysis import prepare_cohort
-from .data import (Dataset, SchemaError, load_dataset, load_schema, map_row_ranges,
-                   save_simulated)
+from .data import Dataset, SchemaError, load_dataset, load_schema, save_simulated
 from .pipeline import (REPORT_FILES, RunConfig, analyze_models, check_campaign_covariates,
                        config_hash_of, draw_campaign, emit_report, read_json_object,
                        run_pipeline, sweep_models, validate_model, write_balance,
-                       write_cate_by_k, write_csv_text, write_json, write_manifest,
+                       write_cate_by_k, write_json, write_manifest, write_model_rows,
                        write_ranking, write_sensitivity, write_summary)
 from .simulate import ConfigError, simulate_cohort
 
@@ -73,26 +71,17 @@ def cmd_analyze(args) -> int:
     out = _outdir(args)
     chash = cfg.config_hash()
     reports = analyze_models(_dataset_for(cfg, args), cfg)
-    labels, index, y1s, y0s = [], [], [], []
-    for m in reports:
-        ites = m.analysis.ites
-        y1, y0 = ites.y_hat_1, ites.y_hat_0
+    ites = [m.analysis.ites for m in reports]
+
+    def rows(j: int, a: int, b: int) -> str:
+        y1, y0 = ites[j].y_hat_1[a:b], ites[j].y_hat_0[a:b]
         if cfg.analysis.report_range is not None:
             lo, hi = cfg.analysis.report_range
             y1, y0 = np.clip(y1, lo, hi), np.clip(y0, lo, hi)
-        labels += repeat(m.label, ites.ite.size)
-        index += range(ites.ite.size)
-        y1s.append(y1)
-        y0s.append(y0)
-    y1, y0 = np.concatenate(y1s), np.concatenate(y0s)
-
-    def ite_rows(lo: int, hi: int) -> str:
-        a, b = y1[lo:hi], y0[lo:hi]
-        return "".join(map("{},{},{!r},{!r},{!r}\n".format, labels[lo:hi], index[lo:hi],
-                           (a - b).tolist(), a.tolist(), b.tolist()))
-    with closing(map_row_ranges(len(labels), "ite.csv", ite_rows)) as chunks:
-        write_csv_text(out / "ite.csv", chash, ["model", "index", "ite", "y_hat_1", "y_hat_0"],
-                       chunks)
+        return "".join(map("{},{},{!r},{!r},{!r}\n".format, repeat(reports[j].label, b - a),
+                           range(a, b), (y1 - y0).tolist(), y1.tolist(), y0.tolist()))
+    write_model_rows(out / "ite.csv", chash, ["model", "index", "ite", "y_hat_1", "y_hat_0"],
+                     [t.ite.size for t in ites], rows)
     prepared = reports[0].analysis.prepared
     write_balance(out, chash, prepared)
     fit = prepared.fit

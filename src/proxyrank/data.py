@@ -461,22 +461,30 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
     return Dataset(X, a.astype(np.int64), y, tuple(cov_cols), gt)
 
 
-# Rows per range of a table that is formatted or parsed on the worker pool.
+# Rows per range of a table that is predicted, formatted or parsed range by
+# range. A power of two: ``outcomes.compute_ite`` relies on it for its bits.
 _BLOCK_ROWS = 4096
 
 
-def map_row_ranges(n_rows: int, what: str, run: Callable[[int, int], object]) -> Iterator:
-    """Yield ``run(lo, hi)`` for contiguous row ranges ``[lo, hi)`` that cover
-    ``range(n_rows)``, in row order, computed on the worker pool.
-
-    Every range holds ``_BLOCK_ROWS`` rows except the last, which takes the
-    rest (up to ``2 * _BLOCK_ROWS - 1``), so a table of fewer than two ranges
-    is a single task, run in-process. The ranges are tasks of
-    ``parallel.iter_tasks``, named ``rows lo-(hi-1) of <what>`` in its
-    errors; close the iterator (``contextlib.closing``) to stop early.
-    """
+def row_ranges(n_rows: int) -> list[tuple[int, int]]:
+    """The contiguous row ranges ``[lo, hi)`` that cover ``range(n_rows)``, in
+    row order: every range holds ``_BLOCK_ROWS`` rows except the last, which
+    takes the rest (up to ``2 * _BLOCK_ROWS - 1``). Only a table of one row
+    has a range of one row."""
     starts = list(range(0, n_rows, _BLOCK_ROWS))[:max(1, n_rows // _BLOCK_ROWS)]
-    bounds = list(zip(starts, starts[1:] + [n_rows]))
+    return list(zip(starts, starts[1:] + [n_rows]))
+
+
+def map_row_ranges(n_rows: int, what: str, run: Callable[[int, int], object]) -> Iterator:
+    """Yield ``run(lo, hi)`` for the ``row_ranges(n_rows)``, in row order,
+    computed on the worker pool.
+
+    A table of fewer than two ranges is a single task, run in-process. The
+    ranges are tasks of ``parallel.iter_tasks``, named ``rows lo-(hi-1) of
+    <what>`` in its errors; close the iterator (``contextlib.closing``) to
+    stop early.
+    """
+    bounds = row_ranges(n_rows)
     return iter_tasks([f"rows {lo}-{hi - 1} of {what}" for lo, hi in bounds],
                       lambda t: run(*bounds[t]))
 

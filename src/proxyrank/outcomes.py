@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, row_ranges
 from .rng import substream
 from .trees import (GradientBoostedTrees, RandomForest, RegressionTree, _TreeModel,
                     _check_count, _is_integer)
@@ -52,12 +52,16 @@ class FeatureMap:
             raise ModelError("interaction features require the treatment column")
 
     def design(self, X: np.ndarray, a: np.ndarray) -> np.ndarray:
-        cols = [np.ones((len(a), 1)), X]
+        """[1 | x | a | a*x], filled in place: no column block is built twice."""
+        n, k = X.shape
+        D = np.empty((n, 1 + k + self.include_treatment + k * self.interactions))
+        D[:, 0] = 1.0
+        D[:, 1:k + 1] = X
         if self.include_treatment:
-            cols.append(a.reshape(-1, 1).astype(np.float64))
+            D[:, k + 1] = a
         if self.interactions:
-            cols.append(a.reshape(-1, 1) * X)
-        return np.hstack(cols)
+            np.multiply(a[:, None], X, out=D[:, k + 2:])
+        return D
 
     def features(self, estimator, X: np.ndarray, a: np.ndarray) -> np.ndarray:
         """The design, or [x | a] raw when ``estimator`` is a tree model."""
@@ -346,10 +350,24 @@ class ITETable:
 
 
 def compute_ite(model: OutcomeModel, d: Dataset) -> ITETable:
-    """Per-unit f(x, 1) - f(x, 0) for every row of ``d``."""
+    """Per-unit f(x, 1) - f(x, 0) for every row of ``d``.
+
+    Both arms are predicted one ``row_ranges`` range at a time, so no
+    design of the whole cohort is built, and the bits are those of one
+    whole-cohort product. Trees predict row by row. A BLAS matrix-vector
+    product works through its rows in small groups and may round a group's
+    tail rows differently, so a range cut at another row can change last
+    bits. Every range starts at a multiple of the power-of-two
+    ``_BLOCK_ROWS``, all but the last hold exactly that many rows and the
+    last ends where the cohort does, so each row falls in the group it falls
+    in within the whole product. numpy sends a one-row product to ``dot``
+    instead, and only a one-row cohort has a one-row range.
+    """
     if d.k != model.n_features:
         raise ModelError(f"model expects {model.n_features} covariates, dataset has {d.k}")
-    ones = np.ones(d.n, dtype=np.int64)
-    y1 = model.predict(d.covariates, ones)
-    y0 = model.predict(d.covariates, np.zeros(d.n, dtype=np.int64))
+    y1, y0 = np.empty(d.n), np.empty(d.n)
+    for lo, hi in row_ranges(d.n):
+        X = d.covariates[lo:hi]
+        y1[lo:hi] = model.predict(X, np.ones(hi - lo, dtype=np.int64))
+        y0[lo:hi] = model.predict(X, np.zeros(hi - lo, dtype=np.int64))
     return ITETable(ite=y1 - y0, y_hat_1=y1, y_hat_0=y0)

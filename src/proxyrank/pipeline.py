@@ -25,7 +25,7 @@ from . import __version__
 from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, PreparedCohort
 from .data import Dataset, map_row_ranges
 from .outcomes import compute_ite
-from .ranking import rank_rmse, top_fraction_indices
+from .ranking import rank_rmse, top_count
 from .rng import derive_seed
 from .parallel import StageError
 from .sensitivity import (ConfounderConfig, PlaceboResult, SensitivityReport,
@@ -417,39 +417,51 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8")
 
 
+def write_model_rows(path: Path, config_hash: str, header: list[str], sizes: list[int],
+                     rows) -> None:
+    """Write a run CSV of each model's rows in turn, model ``j`` having
+    ``sizes[j]``: ``rows(j, a, b)`` is the text of model ``j``'s rows ``a``
+    to ``b - 1``. The stacked rows are formatted in the row ranges of
+    ``map_row_ranges``, on the worker pool, each range from the slices of
+    the models it covers."""
+    def range_text(lo: int, hi: int) -> str:
+        parts, start = [], 0
+        for j, size in enumerate(sizes):
+            a, b = max(lo - start, 0), min(hi - start, size)
+            if a < b:
+                parts.append(rows(j, a, b))
+            start += size
+        return "".join(parts)
+    with closing(map_row_ranges(sum(sizes), path.name, range_text)) as chunks:
+        write_csv_text(path, config_hash, header, chunks)
+
+
 def write_ranking(out: Path, config_hash: str, reports: list[ModelReport], k_grid,
                   true_levels: np.ndarray | None = None) -> Path:
     """Write ranking.csv: per model and unit the effect estimate, rank and
     level, the true level when ``true_levels`` is given, and a 0/1 flag per
-    top-k% threshold of ``k_grid``. The rows are formatted in the row ranges
-    of ``map_row_ranges``, on the worker pool."""
+    top-k% threshold of ``k_grid``: the units ranked 1 to ``top_count``,
+    which are ``top_fraction_indices``. The rows go through
+    ``write_model_rows``."""
     header = ["model", "index", "ite", "rank", "level"]
     if true_levels is not None:
         header.append("true_level")
     header += [f"top_{int(k) if float(k).is_integer() else k}" for k in k_grid]
-    labels, index, ites, per_model = [], [], [], []
-    for m in reports:
-        ranked = m.analysis.ranked
-        labels += repeat(m.label, ranked.n)
-        index += range(ranked.n)
-        ites.append(ranked.ite)
-        columns = [ranked.rank, ranked.level]
-        if true_levels is not None:
-            columns.append(true_levels)
-        for k in k_grid:
-            flags = np.zeros(ranked.n, dtype=int)
-            flags[top_fraction_indices(ranked.ite, k)] = 1
-            columns.append(flags)
-        per_model.append(columns)
-    ite = np.concatenate(ites)
-    columns = [np.concatenate(c) for c in zip(*per_model)]
-    row = ("{},{},{!r}" + ",{}" * len(columns) + "\n").format
+    rankeds = [m.analysis.ranked for m in reports]
+    tops = [[top_count(ranked.n, k) for k in k_grid] for ranked in rankeds]
+    row = ("{},{},{!r}" + ",{}" * (len(header) - 3) + "\n").format
 
-    def ranking_rows(lo: int, hi: int) -> str:
-        return "".join(map(row, labels[lo:hi], index[lo:hi], ite[lo:hi].tolist(),
-                           *(c[lo:hi].tolist() for c in columns)))
-    with closing(map_row_ranges(len(labels), "ranking.csv", ranking_rows)) as chunks:
-        write_csv_text(out / "ranking.csv", config_hash, header, chunks)
+    def rows(j: int, a: int, b: int) -> str:
+        ranked = rankeds[j]
+        rank = ranked.rank[a:b]
+        columns = [rank, ranked.level[a:b]]
+        if true_levels is not None:
+            columns.append(true_levels[a:b])
+        columns += [(rank <= m).astype(np.int64) for m in tops[j]]
+        return "".join(map(row, repeat(reports[j].label, b - a), range(a, b),
+                           ranked.ite[a:b].tolist(), *(c.tolist() for c in columns)))
+    write_model_rows(out / "ranking.csv", config_hash, header,
+                     [ranked.n for ranked in rankeds], rows)
     return out / "ranking.csv"
 
 

@@ -10,18 +10,23 @@ class RankingError(ValueError):
     pass
 
 
-def top_fraction_indices(values: np.ndarray, k_percent: float) -> np.ndarray:
-    """Indices of the ceil(n * k / 100) largest values.
-
-    Ties are broken by ascending original index, as in ``rank_and_bucket``,
-    so these are the units it ranks 1 to ceil(n * k / 100). Repeated calls
-    agree and nested percentiles give nested sets.
-    """
+def top_count(n: int, k_percent: float) -> int:
+    """ceil(n * k / 100): how many of ``n`` units the top k% holds."""
     if not 0.0 < k_percent <= 100.0:
         raise RankingError("k must lie in (0, 100]")
+    return int(np.ceil(n * k_percent / 100.0))
+
+
+def top_fraction_indices(values: np.ndarray, k_percent: float) -> np.ndarray:
+    """Indices of the ``top_count(n, k)`` largest values.
+
+    Ties are broken by ascending original index, as in ``rank_and_bucket``,
+    so these are the units it ranks 1 to ``top_count(n, k)``. Repeated calls
+    agree and nested percentiles give nested sets.
+    """
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
-    m = int(np.ceil(n * k_percent / 100.0))
+    m = top_count(n, k_percent)
     order = np.lexsort((np.arange(n), -values))  # descending value, ties by index
     return np.sort(order[:m])
 

@@ -2,7 +2,7 @@ import multiprocessing
 
 # Before numpy: importing proxyrank pins numpy's BLAS to one thread, which it
 # can do only while numpy is not loaded, so the suite runs the users' path.
-from proxyrank import Dataset, SimConfig, simulate_cohort
+from proxyrank import Dataset, SimConfig, data, parallel, simulate_cohort
 
 import numpy as np
 import pytest
@@ -56,6 +56,16 @@ def make_dataset(n=40, k=3, seed=0, treat_prob=0.5):
 @pytest.fixture
 def toy_dataset():
     return make_dataset()
+
+
+@pytest.fixture
+def ranges(monkeypatch):
+    """``ranges(workers, block)``: cut tables into ranges of ``block`` rows
+    and run them on ``workers`` workers."""
+    def set_ranges(workers, block):
+        monkeypatch.setattr(parallel, "_max_workers", lambda: workers)
+        monkeypatch.setattr(data, "_BLOCK_ROWS", block)
+    return set_ranges
 
 
 @pytest.fixture(scope="session")

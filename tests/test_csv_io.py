@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csv_oracle
-from proxyrank import (Dataset, GroundTruth, SimConfig, data, load_dataset, parallel,
-                       pipeline, save_dataset, simulate_cohort)
+from proxyrank import (Dataset, GroundTruth, RunConfig, SimConfig, data, ground_truth_rank,
+                       load_dataset, pipeline, save_dataset, simulate_cohort,
+                       top_fraction_indices)
 from proxyrank.data import DataValidationError
 from proxyrank.cli import main
 from proxyrank.data import _parse_rows, save_simulated
@@ -277,16 +278,6 @@ def test_write_csv_bytes_equal_generator_join(tmp_path_factory, rows):
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-@pytest.fixture
-def ranges(monkeypatch):
-    """``ranges(workers, block)``: cut tables into ranges of ``block`` rows
-    and run them on ``workers`` workers."""
-    def set_ranges(workers, block):
-        monkeypatch.setattr(parallel, "_max_workers", lambda: workers)
-        monkeypatch.setattr(data, "_BLOCK_ROWS", block)
-    return set_ranges
-
-
 def random_dataset(n, seed=0):
     rng = np.random.default_rng(seed)
     y0, y1 = rng.standard_normal(n), rng.standard_normal(n)
@@ -348,6 +339,60 @@ class TestRangesOnThePool:
             assert got[0] == "ok"
         else:
             assert got == ("raised", DataValidationError, message)
+
+
+# Two models on 90 units: 180 stacked rows in ranges of 16, where rows 80-95
+# straddle the boundary between the models.
+MODEL_ROWS = {"sim": {"n": 90, "k": 4}, "k_grid": [10.0, 33.3, 50.0, 100.0],
+              "analysis": {"report_range": [0.0, 20.0]}}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the ranges run on forked workers")
+class TestModelRowsOnThePool:
+    """ranking.csv and ite.csv, formatted range by range from each model's
+    own arrays on 1 to 3 workers, against rows built one cell at a time."""
+
+    @pytest.fixture(scope="class")
+    def analyzed(self):
+        cfg = RunConfig.from_dict(MODEL_ROWS)
+        sim = simulate_cohort(cfg.resolved_sim())
+        return cfg, sim, pipeline.analyze_models(sim.observed, cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ranking_bytes(self, analyzed, ranges, tmp_path, workers):
+        cfg, sim, reports = analyzed
+        true_levels = ground_truth_rank(sim)
+        ranges(workers, 16)
+        pipeline.write_ranking(tmp_path, "0123abcd", reports, cfg.k_grid, true_levels)
+        lines = ["# config_hash=0123abcd", "model,index,ite,rank,level,true_level,"
+                 "top_10,top_33.3,top_50,top_100"]
+        for m in reports:
+            ranked = m.analysis.ranked
+            tops = [set(top_fraction_indices(ranked.ite, k).tolist()) for k in cfg.k_grid]
+            lines += [",".join([m.label, str(i), repr(float(ranked.ite[i])),
+                                str(int(ranked.rank[i])), str(int(ranked.level[i])),
+                                str(int(true_levels[i])), *(str(int(i in t)) for t in tops)])
+                      for i in range(ranked.n)]
+        assert (tmp_path / "ranking.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ite_bytes_with_report_range(self, analyzed, ranges, tmp_path, workers):
+        cfg, _, reports = analyzed
+        (tmp_path / "cfg.json").write_text(json.dumps(MODEL_ROWS))
+        ranges(workers, 16)
+        assert main(["analyze", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+        lo, hi = cfg.analysis.report_range
+        lines = [f"# config_hash={cfg.config_hash()}", "model,index,ite,y_hat_1,y_hat_0"]
+        clipped = 0
+        for m in reports:
+            ites = m.analysis.ites
+            for i, (y1, y0) in enumerate(zip(ites.y_hat_1.tolist(), ites.y_hat_0.tolist())):
+                c1, c0 = min(max(y1, lo), hi), min(max(y0, lo), hi)
+                clipped += (c1, c0) != (y1, y0)
+                lines.append(f"{m.label},{i},{c1 - c0!r},{c1!r},{c0!r}")
+        assert clipped and len(lines) == 2 + 180
+        assert (tmp_path / "out" / "ite.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def body_text(rows, ends="\n", final=True):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from proxyrank import (Dataset, FeatureMap, ModelError, ModelSpec, RunConfig, compute_ite,
-                       fit_outcome_model)
+                       data, fit_outcome_model)
+from proxyrank.outcomes import FAMILIES
 from proxyrank.outcomes import _fit_linear_wls, _fit_poisson, _fit_svr
 
 from conftest import make_dataset
@@ -130,6 +133,27 @@ class TestIte:
         other = make_dataset(n=10, k=5)
         with pytest.raises(ModelError, match="covariates"):
             compute_ite(m, other)
+
+    @pytest.mark.parametrize("fm", [FeatureMap(), FeatureMap(interactions=False),
+                                    FeatureMap(include_treatment=False, interactions=False)])
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_design_equals_stacked_columns(self, fm, k):
+        rng = np.random.default_rng(k)
+        X = rng.standard_normal((37, k)) * 10.0 ** rng.integers(-3, 3, k)
+        for a in (rng.integers(0, 2, 37), rng.integers(0, 2, 37).astype(bool)):
+            cols = [np.ones((37, 1)), X]
+            if fm.include_treatment:
+                cols.append(a.reshape(-1, 1).astype(np.float64))
+            if fm.interactions:
+                cols.append(a.reshape(-1, 1) * X)
+            want = np.hstack(cols)
+            got = fm.design(X, a)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_empty_dataset_gives_empty_estimates(self):
+        m = fit_outcome_model(linear_data(), None, "linear_wls")
+        ites = compute_ite(m, Dataset(np.empty((0, 2)), np.empty(0), np.empty(0)))
+        assert ites.ite.shape == ites.y_hat_1.shape == ites.y_hat_0.shape == (0,)
 
     def test_heterogeneous_capacity_flag(self):
         d = linear_data(noise=0.1)
@@ -290,3 +314,60 @@ class TestValidationAndPersistence:
         assert fit_outcome_model(toy_dataset, None, "linear_wls").loss_kind == "squared_error"
         assert fit_outcome_model(toy_dataset, None, "svr_linear",
                                  epochs=2).loss_kind == "epsilon_insensitive"
+
+
+def whole_matrix_ite(model, d):
+    """``compute_ite`` as it was before it predicted range by range: one
+    design of the whole cohort per arm."""
+    y1 = model.predict(d.covariates, np.ones(d.n, dtype=np.int64))
+    y0 = model.predict(d.covariates, np.zeros(d.n, dtype=np.int64))
+    return y1 - y0, y1, y0
+
+
+# Small hyperparameters, so that each family fits in well under a second.
+QUICK = {"svr_linear": {"epochs": 3}, "tree": {"max_depth": 4},
+         "forest": {"n_trees": 3, "max_depth": 4}, "boosted_trees": {"n_rounds": 3}}
+BLOCK = 8
+
+
+def cohort(n, k, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-3, 3, k)
+    a = rng.integers(0, 2, n)
+    y = np.abs(X[:, 0] + a * X[:, -1] + rng.standard_normal(n))  # poisson needs y >= 0
+    return Dataset(X, a, y)
+
+
+class TestIteInRanges:
+    """``compute_ite`` predicts one row range at a time, with the bits of one
+    whole-matrix product, and never builds a design of the whole cohort."""
+
+    @pytest.fixture(scope="class", params=[(f, k) for f in FAMILIES for k in (3, 50)],
+                    ids=lambda p: f"{p[0]}-k{p[1]}")
+    def model(self, request):
+        family, k = request.param
+        return fit_outcome_model(cohort(300, k, 1), None, family, **QUICK.get(family, {}))
+
+    @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK,
+                                   2 * BLOCK + 1, 3 * BLOCK + 1])
+    def test_bits_equal_whole_matrix(self, model, ranges, n):
+        d = cohort(n, model.n_features, n)
+        want = whole_matrix_ite(model, d)
+        ranges(1, BLOCK)
+        got = compute_ite(model, d)
+        for g, w in zip((got.ite, got.y_hat_1, got.y_hat_0), want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_no_whole_cohort_design(self):
+        n, k = 3 * data._BLOCK_ROWS + 1, 50
+        d = cohort(n, k, 2)
+        model = fit_outcome_model(d, None, "linear_wls")
+        design_bytes = n * (2 * k + 2) * 8  # [1 | x | a | a*x]
+        tracemalloc.start()
+        try:
+            got = compute_ite(model, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < design_bytes
+        assert got.ite.tobytes() == whole_matrix_ite(model, d)[0].tobytes()

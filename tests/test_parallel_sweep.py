@@ -17,7 +17,7 @@ import proxyrank.data as data
 import proxyrank.parallel as parallel
 import proxyrank.sensitivity as sensitivity
 from proxyrank import (AnalysisConfig, ConfounderConfig, ModelError, ModelSpec, RunConfig,
-                       load_dataset, load_schema)
+                       ground_truth_rank, load_dataset, load_schema)
 from proxyrank.cli import main
 from proxyrank.pipeline import analyze_models
 from proxyrank.ranking import top_fraction_indices
@@ -47,6 +47,8 @@ CONFIG_CONFOUNDER_FAILS = dict(
     CONFIG, analysis={"trim_lo": 0.05, "trim_hi": 0.45},
     sensitivity_configs=[{"alpha": 1000.0, "epsilon": 1000000.0},
                          {"alpha": 100000.0, "epsilon": 1.0, "posterior_mode": "sum_scaled"}])
+# ite.csv and ranking.csv with clipped counterfactual predictions.
+REPORT_RANGE = dict(CONFIG, analysis={"report_range": [0.0, 20.0]})
 # Every variable that sets a BLAS thread count, and the import path of a
 # subprocess that runs proxyrank.
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -102,7 +104,7 @@ def in_confounded_cohort(prepared, config_index, run):
 @pytest.mark.parametrize("command,config", [
     ("run", CONFIG), ("sensitivity", CONFIG), ("run", CONFIG_CONFOUNDER_FAILS),
     ("rank", CONFIG), ("analyze", CONFIG), ("validate", CONFIG), ("run", TREES),
-    ("rank", TREES), ("analyze", TREES)])
+    ("rank", TREES), ("analyze", TREES), ("analyze", REPORT_RANGE), ("run", REPORT_RANGE)])
 def test_same_bytes_for_one_two_and_three_workers(command, config, monkeypatch, tmp_path,
                                                   capsys):
     # Ranges of 64 rows: ranking.csv and ite.csv are formatted in several.
@@ -424,6 +426,42 @@ def test_rank_data_same_bytes_for_one_two_and_three_workers(monkeypatch, tmp_pat
                             str(int(ranked.level[i])), *(str(int(i in f)) for f in flags)])
                   for i in range(ranked.n)]
     assert outs[0] == ("\n".join(lines) + "\n").encode()
+
+
+def test_run_oracle_data_same_bytes_for_one_two_and_three_workers(monkeypatch, tmp_path,
+                                                                    capsys):
+    # Ranges of 64 rows: ranking.csv's 800 rows (two models on the full
+    # cohort) are formatted in twelve, and rows 384-447 straddle the models'
+    # boundary. The oracle file's ground truth adds the true_level column.
+    assert run_cli(tmp_path, capsys, "simulate", CONFIG, "sim")[0] == 0
+    (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
+    outs = []
+    for n in (1, 2, 3):
+        workers(monkeypatch, n)
+        rc = main(["run", "--config", str(tmp_path / "cfg.json"),
+                   "--data", str(tmp_path / "sim" / "oracle.csv"),
+                   "--schema", str(tmp_path / "sim" / "oracle_schema.json"),
+                   "--out", str(tmp_path / f"w{n}")])
+        assert rc == 0 and multiprocessing.active_children() == []
+        outs.append({p.name: p.read_bytes() for p in (tmp_path / f"w{n}").iterdir()})
+    assert outs[0] == outs[1] == outs[2]
+    cfg = RunConfig.from_dict(CONFIG)
+    d = load_dataset(tmp_path / "sim" / "oracle.csv",
+                     load_schema(tmp_path / "sim" / "oracle_schema.json"))
+    true_levels = ground_truth_rank(d)
+    lines = outs[0]["ranking.csv"].decode().splitlines()
+    assert lines[1] == "model,index,ite,rank,level,true_level," + ",".join(
+        f"top_{int(k) if float(k).is_integer() else k}" for k in cfg.k_grid)
+    want = []
+    for m in analyze_models(d.without_ground_truth(), cfg):
+        ranked = m.analysis.ranked
+        flags = [set(top_fraction_indices(ranked.ite, k).tolist()) for k in cfg.k_grid]
+        want += [",".join([m.label, str(i), repr(float(ranked.ite[i])), str(int(ranked.rank[i])),
+                           str(int(ranked.level[i])), str(int(true_levels[i])),
+                           *(str(int(i in f)) for f in flags)])
+                 for i in range(ranked.n)]
+    assert lines[2:] == want
 
 
 def test_killed_parsing_worker_is_a_stage_error(monkeypatch, tmp_path, capsys, time_limit):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from proxyrank import (RankingError, rank_and_bucket, rank_rmse,
                        spearman_correlation, top_fraction_indices)
+from proxyrank.ranking import top_count
 
 floats_unique = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=4,
                          max_size=60, unique=True)
@@ -108,6 +109,25 @@ class TestTopPercentile:
         for bad in (0.0, -5.0, 101.0):
             with pytest.raises(RankingError):
                 top_fraction_indices(rc.ite, bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-1e6, 1e6),
+                           min_size=1, max_size=60),
+           k=st.sampled_from([0.01, 12.5, 33.3, 50.0, 100.0])
+           | st.floats(0.0, 100.0, exclude_min=True),
+           n_levels=st.integers(1, 4))
+    def test_top_count_by_rank_equals_indices(self, values, k, n_levels):
+        """ranking.csv flags the units ranked 1 to ``top_count``: the set of
+        ``top_fraction_indices``, ties (signed zeros too) included."""
+        values = values + [0.0] * max(0, n_levels - len(values))
+        rc = rank_and_bucket(np.asarray(values), n_levels)
+        flagged = np.flatnonzero(rc.rank <= top_count(rc.n, k))
+        assert flagged.tolist() == top_fraction_indices(rc.ite, k).tolist()
+
+    def test_top_count_bad_k(self):
+        for bad in (0.0, -5.0, 101.0):
+            with pytest.raises(RankingError):
+                top_count(10, bad)
 
     @settings(max_examples=30, deadline=None)
     @given(values=floats_unique, k1=st.floats(1, 100), k2=st.floats(1, 100))
