@@ -319,6 +319,44 @@ def test_import_pins_one_blas_thread_unless_set(value, expected):
     assert out.split() == [expected, expected]
 
 
+def _glibc_mallinfo2() -> bool:
+    import ctypes
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION")) and hasattr(ctypes.CDLL(None), "mallinfo2")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc_mallinfo2(), reason="needs glibc's mallinfo2")
+@pytest.mark.parametrize("imports,threshold,mapped", [
+    (True, None, True),  # the pin
+    (False, None, False),  # glibc's own rule, the one the pin replaces
+    (True, str(32 << 20), False)])  # a threshold already set is kept
+def test_import_pins_the_malloc_thresholds_unless_set(imports, threshold, mapped):
+    # After a freed 16 MiB array, is a 4 MiB one still a mapped block?
+    script = ("import ctypes, sys\n"
+              "if sys.argv[1] == 'True':\n"
+              "    import proxyrank\n"
+              "import numpy as np\n"
+              "class Info(ctypes.Structure):\n"
+              "    _fields_ = [(f, ctypes.c_size_t) for f in ('arena', 'ordblks', 'smblks',\n"
+              "                'hblks', 'hblkhd', 'usmblks', 'fsmblks', 'uordblks',\n"
+              "                'fordblks', 'keepcost')]\n"
+              "libc = ctypes.CDLL(None)\n"
+              "libc.mallinfo2.restype = Info\n"
+              "big = np.ones(2 << 20)\n"
+              "del big\n"
+              "before = libc.mallinfo2().hblkhd\n"
+              "block = np.ones(1 << 19)\n"
+              "print(libc.mallinfo2().hblkhd - before >= block.nbytes)\n")
+    env = {k: v for k, v in subprocess_env().items() if k not in parallel._MALLOC_VARS}
+    if threshold is not None:
+        env["MALLOC_MMAP_THRESHOLD_"] = threshold
+    out = subprocess.run([sys.executable, "-c", script, str(imports)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == [str(mapped)]
+
+
 def test_rank_writes_the_same_bytes_without_a_blas_variable(tmp_path):
     # At n=5000 the ranking's last bits depend on the BLAS thread count.
     cfgp = tmp_path / "cfg.json"
