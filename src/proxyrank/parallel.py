@@ -5,8 +5,8 @@ when numpy is imported, so the package imports this module first. A value
 already set is kept, and the output is then that thread count's.
 
 The allocator is pinned too (``_pin_malloc_thresholds``), so that a
-process's peak memory is that of the arrays it holds, not of the order its
-frees and its workers' results happened to come in.
+process's peak memory is that of the arrays it holds, not of the order of
+its allocations and frees.
 """
 from __future__ import annotations
 
@@ -29,14 +29,14 @@ def _pin_malloc_thresholds() -> None:
     By default glibc raises the mmap threshold to the size of each mapped
     block it frees, up to 32 MiB, so once a whole-cohort array has been
     freed the arrays after it come from the heap, and which freed blocks
-    the heap can give back then depends on the order of the allocations,
-    which the pool's arrival order changes from run to run: ``analyze`` at
-    n=50k peaked at about 87 or, in about one run in ten, about 103 MiB in
-    repeated identical runs (2 vCPUs, one BLAS thread). The trim threshold
-    is fixed with it, high enough that the heap does not give back and
-    fault in again the same pages op after op: at glibc's 128 KiB a
-    ``rank`` of the three tree families at n=10k took 3.1-3.4 s where it
-    takes 2.3-2.6 s. A ``MALLOC_MMAP_THRESHOLD_``,
+    the heap can give back then depends on the order of the allocations:
+    when the parent still took the workers' results as they arrived,
+    ``analyze`` at n=50k peaked at about 87 or, in about one run in ten,
+    about 103 MiB in repeated identical runs (2 vCPUs, one BLAS thread).
+    The trim threshold is fixed with it, high enough that the heap does not
+    give back and fault in again the same pages op after op: at glibc's
+    128 KiB a ``rank`` of the three tree families at n=10k took 3.1-3.4 s
+    where it takes 2.3-2.6 s. A ``MALLOC_MMAP_THRESHOLD_``,
     ``MALLOC_TRIM_THRESHOLD_`` or ``GLIBC_TUNABLES`` already set is kept,
     and other C libraries are left alone.
     """
@@ -78,13 +78,14 @@ def iter_tasks(names: list[str], run: Callable[[int], object]) -> Iterator:
     len(names))`` workers; with one, they run in-process, one per yield. A
     worker inherits ``run`` and whatever it reads through fork, so nothing is
     pickled on the way in, and sends its results back through a pipe in its
-    task order; a result that arrives before its turn waits in this process.
-    Every worker is joined before the generator finishes, raises or is
-    closed, so close it (``contextlib.closing``) when stopping early. A
-    worker that dies, or whose result cannot be pickled, loses the rest of
-    its tasks, and StageError names (by ``names``) the first lost task in
-    task order once every earlier result has been yielded, so the error does
-    not depend on which worker failed first.
+    task order; task t's is read from worker ``t % n_workers`` in its turn,
+    so a worker that is ahead waits to send it. Every worker is joined before
+    the generator finishes, raises or is closed, so close it
+    (``contextlib.closing``) when stopping early. A worker that dies, or
+    whose result cannot be pickled, loses the rest of its tasks, and
+    StageError names (by ``names``) the first lost task in task order once
+    every earlier result has been yielded, so the error does not depend on
+    which worker failed first.
     """
     n_workers = min(_max_workers(), len(names))
     if n_workers <= 1:
@@ -92,19 +93,15 @@ def iter_tasks(names: list[str], run: Callable[[int], object]) -> Iterator:
             yield run(t)
         return
     import multiprocessing  # loaded only by a stage that forks
-    from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    arrived = {}  # index of a task whose result is here but not yet yielded -> result
-    lost = {}  # index of a worker's first task not returned -> why
-    procs, owing = [], {}  # owing: pipe -> (worker, indices of the tasks it owes)
+    procs, readers = [], []
     try:
         for w in range(n_workers):
-            owed = list(range(w, len(names), n_workers))
             reader, writer = ctx.Pipe(duplex=False)
 
-            def work(owed=owed, writer=writer):
-                for t in owed:
+            def work(w=w, writer=writer):
+                for t in range(w, len(names), n_workers):
                     result = run(t)
                     try:
                         writer.send((True, result))
@@ -116,44 +113,27 @@ def iter_tasks(names: list[str], run: Callable[[int], object]) -> Iterator:
             proc = ctx.Process(target=work, name=f"proxyrank-worker-{w}")
             proc.start()
             procs.append(proc)
+            readers.append(reader)
             writer.close()  # so the reader sees EOF once the worker is gone
-            owing[reader] = (proc, owed)
         for t in range(len(names)):
-            # Every task before t has been yielded, so t is the first lost one
-            # if its worker has failed.
-            while t not in arrived and t not in lost:
-                for reader in wait(list(owing)):
-                    proc, owed = owing[reader]
-                    try:
-                        ok, value = reader.recv()
-                    except EOFError:
-                        proc.join()
-                        ok, value = False, (f"the worker died running {names[owed[0]]} "
-                                            f"(exit code {proc.exitcode})")
-                    except Exception as exc:  # a result that cannot be unpickled
-                        ok, value = False, (f"cannot read the result of {names[owed[0]]}: "
-                                            f"{type(exc).__name__}: {exc}")
-                    if ok:
-                        arrived[owed.pop(0)] = value
-                    else:
-                        lost[owed[0]] = value
-                        owed.clear()
-                        proc.kill()
-                    if not owed:
-                        del owing[reader]
-                        reader.close()
-            if t in lost:
-                raise StageError(lost[t])
-            yield arrived.pop(t)
+            # Every earlier result of t's worker has been read, so the worker
+            # is not blocked, and t is the first lost task if it has failed.
+            proc = procs[t % n_workers]
+            try:
+                ok, value = readers[t % n_workers].recv()
+            except EOFError:
+                proc.join()
+                ok, value = False, (f"the worker died running {names[t]} "
+                                    f"(exit code {proc.exitcode})")
+            except Exception as exc:  # a result that cannot be unpickled
+                ok, value = False, (f"cannot read the result of {names[t]}: "
+                                    f"{type(exc).__name__}: {exc}")
+            if not ok:
+                raise StageError(value)
+            yield value
     finally:
-        for reader, (proc, _) in owing.items():
+        for proc, reader in zip(procs, readers):
             proc.kill()
             reader.close()
         for proc in procs:
             proc.join()
-
-
-def run_tasks(names: list[str], run: Callable[[int], object]) -> list:
-    """``[run(i) for i in range(len(names))]``, computed on forked workers
-    by ``iter_tasks``, with its errors."""
-    return list(iter_tasks(names, run))

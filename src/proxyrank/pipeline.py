@@ -153,6 +153,8 @@ class RunConfig:
             if spec.name() in labels:
                 raise ConfigError(f"two models are named {spec.name()!r}")
             labels.add(spec.name())
+        if not self.sensitivity_configs:  # the report's mean rank RMSE needs a draw
+            raise ConfigError("config must declare at least one sensitivity config")
         if self.sensitivity_runs < 1:
             raise ConfigError("sensitivity_runs must be >= 1")
         if not 0.0 < self.campaign_exposure < 1.0:

@@ -13,7 +13,7 @@ both tests take a list of models and run cohort-major: each cohort is drawn
 and prepared once, every model is analyzed on it, and it is dropped before
 the next one is drawn. The cohorts, and the baselines both tests compare
 against (one model per task, on the observed cohort prepared once), are the
-tasks of ``parallel.run_tasks``; the records merge in task order, which gives
+tasks of ``parallel.iter_tasks``; the records merge in task order, which gives
 the values and errors of running the tasks one by one.
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, analyze_model, prepare_cohort
 from .data import Dataset, DataValidationError
-from .parallel import run_tasks
+from .parallel import iter_tasks
 from .ranking import rank_rmse
 from .rng import derive_seed, substream
 
@@ -131,44 +131,37 @@ def _weighted_ate(y: np.ndarray, a: np.ndarray, w: np.ndarray) -> float:
                  - np.average(y[~treated], weights=w[~treated]))
 
 
-@dataclass(frozen=True)
-class _Task:
-    """One sweep cohort. ``draw()`` returns (key, dataset); spec i's analysis
-    of the dataset becomes ``record(i, key, result)``; ``name`` says which
-    cohort it is in an error."""
-
-    name: str
-    draw: Callable[[], tuple]
-    record: Callable[[int, object, AnalysisResult], object]
-
-
-def _analyze_cohort(task: _Task, specs: list[ModelSpec], live: list[int],
-                    cfg: AnalysisConfig):
-    """Draw ``task``'s cohort, prepare it once and record each spec of
-    ``live`` on it. Returns one value or exception per live spec, or the
-    exception that drawing or preparing the cohort raised."""
+def _analyze_cohort(draw: Callable[[], tuple],
+                    record: Callable[[int, object, AnalysisResult], object],
+                    specs: list[ModelSpec], live: list[int], cfg: AnalysisConfig):
+    """Draw a cohort (``draw()`` returns (key, dataset)), prepare it once and
+    record each spec of ``live`` on it as ``record(i, key, result)``.
+    Returns one value or exception per live spec, or the exception that
+    drawing or preparing the cohort raised."""
     try:
-        key, cohort = task.draw()
+        key, cohort = draw()
         prepared = prepare_cohort(cohort, cfg)
     except Exception as exc:
         return exc.with_traceback(None)  # hold no frame of the cohort
     out = []
     for i in live:
         try:
-            out.append(task.record(i, key, analyze_model(prepared, specs[i], cfg)))
+            out.append(record(i, key, analyze_model(prepared, specs[i], cfg)))
         except Exception as exc:
             out.append(exc.with_traceback(None))
     return out
 
 
-def _sweep(tasks: list[_Task], specs: list[ModelSpec], baselines: list,
+def _sweep(tasks: list[tuple], specs: list[ModelSpec], baselines: list,
            cfg: AnalysisConfig) -> list[tuple[list, Exception | None]]:
     """The cohort-major loop behind ``placebo_test``, ``confounding_overlap``
     and ``sensitivity_sweep``.
 
-    Each task's cohort is drawn and prepared once, and every spec whose
-    entry in ``baselines`` is not an exception is analyzed on it; the tasks
-    run on forked workers (``run_tasks``), so only one cohort per worker is
+    A task is one cohort as (name, draw, record): ``_analyze_cohort`` takes
+    the last two, and ``name`` says which cohort it is in an error. Each
+    cohort is drawn and prepared once, and every spec whose entry in
+    ``baselines`` is not an exception is analyzed on it; the tasks
+    run on forked workers (``iter_tasks``), so only one cohort per worker is
     alive at a time. Returns, per spec, its records in task order up to its
     first failure, and the exception that ended it (None if none did): its
     baseline's exception, else the first in task order, where a cohort that
@@ -180,8 +173,8 @@ def _sweep(tasks: list[_Task], specs: list[ModelSpec], baselines: list,
     live = [i for i, e in enumerate(errors) if e is None]
     if not live:
         return list(zip(records, errors))
-    for result in run_tasks([task.name for task in tasks],
-                            lambda t: _analyze_cohort(tasks[t], specs, live, cfg)):
+    for result in iter_tasks([name for name, _, _ in tasks],
+                             lambda t: _analyze_cohort(*tasks[t][1:], specs, live, cfg)):
         for j, i in enumerate(live):
             if errors[i] is not None:
                 continue
@@ -209,7 +202,7 @@ def analyze_baselines(d: Dataset, specs: list[ModelSpec],
     """Every spec's analysis of ``d``, all on one prepared cohort.
 
     The cohort is prepared once, in this process, and the specs are dealt to
-    forked workers (``run_tasks``), which inherit it; each sends back only
+    forked workers (``iter_tasks``), which inherit it; each sends back only
     its spec's model, effects and ranking, and every result refers to this
     process's prepared cohort. Returns one ``AnalysisResult`` per spec, or
     the exception its analysis raised (every spec gets the exception of
@@ -221,7 +214,7 @@ def analyze_baselines(d: Dataset, specs: list[ModelSpec],
     except Exception as exc:
         return [exc.with_traceback(None)] * len(specs)
     names = [f"the baseline of model {spec.name()!r}" for spec in specs]
-    values = run_tasks(names, lambda i: _baseline(prepared, specs[i], cfg))
+    values = list(iter_tasks(names, lambda i: _baseline(prepared, specs[i], cfg)))
     return [value if isinstance(value, Exception) else AnalysisResult(prepared, spec, *value)
             for spec, value in zip(specs, values)]
 
@@ -247,7 +240,7 @@ def _placebo_ate(prepared, seed: int, n_bootstrap: int) -> tuple[float, float]:
     return ate, float(np.nanstd(draws, ddof=1))
 
 
-def _placebo_task(d: Dataset, baselines: list, seed: int, n_bootstrap: int) -> _Task:
+def _placebo_task(d: Dataset, baselines: list, seed: int, n_bootstrap: int) -> tuple:
     """The placebo cohort: ``d`` with a fair-coin treatment. Its ATE and SE
     depend on no model and are computed once, at the first record."""
     ate_se = None
@@ -264,7 +257,7 @@ def _placebo_task(d: Dataset, baselines: list, seed: int, n_bootstrap: int) -> _
             ate_estimate=ate_se[0], ate_se=ate_se[1],
             rank_rmse_vs_original=rank_rmse(result.ranked.level, baselines[i].ranked.level),
             levels=result.ranked.level)
-    return _Task("the placebo cohort", draw, record)
+    return "the placebo cohort", draw, record
 
 
 def placebo_test(d: Dataset, specs: list[ModelSpec],
@@ -343,10 +336,10 @@ def _summarize(records: list[ConfoundingRecord], configs: list[ConfounderConfig]
 
 
 def _confounder_tasks(d: Dataset, baselines: list, configs: list[ConfounderConfig],
-                      runs: int, seed: int) -> list[_Task]:
+                      runs: int, seed: int) -> list[tuple]:
     """One task per (config, run): ``d`` with a synthetic confounder drawn
     from a seed that depends on (seed, config index, run index) only."""
-    def task(ci: int, r: int) -> _Task:
+    def task(ci: int, r: int) -> tuple:
         def draw():
             draw_cfg = replace(configs[ci], seed=derive_seed(seed, "confounder-run", ci, r))
             u, corr_a, corr_y = generate_confounder(d, draw_cfg)
@@ -359,7 +352,7 @@ def _confounder_tasks(d: Dataset, baselines: list, configs: list[ConfounderConfi
                 run=r, corr_u_a=key[0], corr_u_y=key[1],
                 overlap=overlap_fraction(base.ites.ite, result.ites.ite),
                 rank_rmse_vs_baseline=rank_rmse(base.ranked.level, result.ranked.level))
-        return _Task(f"the confounder cohort of config {ci}, run {r}", draw, record)
+        return f"the confounder cohort of config {ci}, run {r}", draw, record
     return [task(ci, r) for ci in range(len(configs)) for r in range(runs)]
 
 

@@ -9,6 +9,8 @@ import os
 import signal
 import subprocess
 import sys
+import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -399,6 +401,49 @@ def count_forks(monkeypatch):
         return pid
     monkeypatch.setattr(os, "fork", fork)
     return children
+
+
+def test_iter_tasks_yields_large_results_in_task_order(monkeypatch, time_limit):
+    # While task 0 sleeps, the other workers finish results larger than a
+    # pipe buffer and wait to send them.
+    def run(t):
+        if t == 0:
+            time.sleep(0.5)
+        return bytes([t]) * (1 << 20)
+    workers(monkeypatch, 3)
+    results = list(parallel.iter_tasks([f"task {t}" for t in range(7)], run))
+    assert results == [bytes([t]) * (1 << 20) for t in range(7)]
+    assert multiprocessing.active_children() == []
+
+
+def test_iter_tasks_yields_every_earlier_result_before_a_lost_task(monkeypatch, time_limit):
+    # Task 3's worker dies while task 0, on the other worker, is still running.
+    def run(t):
+        if t == 0:
+            time.sleep(0.5)
+        if t == 3:
+            os._exit(3)
+        return t
+    workers(monkeypatch, 2)
+    got = []
+    with pytest.raises(parallel.StageError,
+                       match=r"^the worker died running task 3 \(exit code 3\)$"):
+        for value in parallel.iter_tasks([f"task {t}" for t in range(6)], run):
+            got.append(value)
+    assert got == [0, 1, 2]
+    assert multiprocessing.active_children() == []
+
+
+def test_iter_tasks_closed_early_leaves_no_worker(monkeypatch, time_limit):
+    children = count_forks(monkeypatch)
+    workers(monkeypatch, 2)
+    names = [f"task {t}" for t in range(4)]
+    with closing(parallel.iter_tasks(names, lambda t: time.sleep(60) if t else t)) as results:
+        assert next(results) == 0
+    assert len(children) == 2 and multiprocessing.active_children() == []
+    for pid in children:
+        with pytest.raises(ChildProcessError):  # joined, so not a zombie either
+            os.waitpid(pid, os.WNOHANG)
 
 
 def test_analyze_data_same_bytes_for_one_two_and_three_workers(monkeypatch, tmp_path, capsys):

@@ -101,6 +101,8 @@ BAD_CONFIGS = [
     ({"k_grid": [0]}, "k_grid"),
     ({"k_grid": []}, "k_grid"),
     ({"placebo_bootstrap": 0}, "placebo_bootstrap must be >= 2"),
+    # no confounder draw leaves the report's mean rank RMSE a NaN
+    ({"sensitivity_configs": []}, "at least one sensitivity config"),
     ({"sensitivity_configs": [{"epsilon": 0}]}, "epsilon must be > 0"),
     ({"sensitivity_configs": [{"posterior_mode": "median"}]}, "posterior_mode"),
     # values of the wrong type
