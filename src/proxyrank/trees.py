@@ -12,7 +12,18 @@ row set is kept in ascending index order, so the global stable order
 restricted to a node is the order a stable per-node sort would give, and the
 cumulative sums scanned for the best cut add the same numbers in the same
 order. Boosting sorts its design once for all rounds, as XGBoost's exact
-greedy search does (Chen & Guestrin, KDD 2016).
+greedy search does (Chen & Guestrin, KDD 2016). A child that will be a leaf
+(by depth, or with fewer than 2 * min_samples_leaf rows) gets no lists.
+
+A node of at least ``_SCREEN`` features x rows is screened first: every cut
+is scored from the prefix sums of w and w*y alone, and the exact scan runs
+only on the features whose best score lies within a rounding bound of the
+node's best (``_screen`` proves the bound). The bound keeps every feature
+that could win or tie, so screened and unscreened searches grow the same
+trees to the bit; non-finite sums and non-positive weights scan every
+feature. The node sums and prefix sums of w, w*y and w*y*y come from one
+stacked gather. Prediction walks the nodes as preorder arrays, one
+vectorized step per level.
 """
 from __future__ import annotations
 
@@ -25,6 +36,7 @@ from .rng import derive_seed, substream
 
 _MIN_GAIN = 1e-12
 _BLOCK = 1 << 16  # gathered elements (features x node rows) scored at once
+_SCREEN = 1 << 14  # features x node rows from which a node's features are screened
 
 
 @dataclass
@@ -92,19 +104,96 @@ def _presort_sample(Fs: np.ndarray, rows: np.ndarray,
     return out, out_tied
 
 
-def _best_split(F: np.ndarray, w: np.ndarray, wy: np.ndarray, wyy: np.ndarray,
-                order: np.ndarray, tied: np.ndarray, features: np.ndarray,
-                sums: tuple[float, float, float], min_leaf: int):
+def _cut_terms(G: np.ndarray, head: np.ndarray, sw: float, swy: float, lo: int):
+    """Prefix sums of the rows of ``G`` over each feature's ``head`` rows, from
+    the cut after position ``lo`` on, and two terms of every cut's SSE:
+    ``a = lwy * lwy / lw`` and ``b = rwy * rwy / rw``."""
+    sums = np.cumsum(np.take(G, head, axis=1), axis=2)[:, :, lo:]
+    lw, lwy = sums[0], sums[1]
+    a = lwy * lwy
+    a /= lw
+    b = swy - lwy
+    b *= b
+    b /= sw - lw
+    return sums, a, b
+
+
+def _distinct(F: np.ndarray, idx: np.ndarray, feats: np.ndarray, lo: int,
+              hi: int) -> np.ndarray:
+    """Whether each cut lo <= i < hi of the listed ``feats`` separates distinct
+    values (``idx`` holds their sorted rows, through position hi)."""
+    xs = np.take(F, idx * F.shape[1] + feats[:, None])
+    return xs[:, lo:hi] < xs[:, lo + 1:]
+
+
+def _screen(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarray,
+            features: np.ndarray, sums: tuple[float, float, float], lo: int,
+            hi: int) -> np.ndarray:
+    """The ``features`` that can hold the node's best split, found from the
+    prefix sums of w and w*y alone.
+
+    Every valid cut is scored ``a + b`` (``_cut_terms``). In exact
+    arithmetic its SSE is ``S - (a + b)``, S = Σwy², so the least SSE has the
+    largest score. A feature is kept when its best score is at least
+    ``M - δ``, where M is the node's best score and ``δ = 64u(|S| + M)``,
+    u = 2**-53.
+
+    Why a dropped feature can neither win nor tie. Let the weights be
+    positive and ``rw > 0`` at every cut (checked at the last cut, where rw
+    is least). Then a, b and S are non-negative, a <= M and the prefix sum L
+    of w*y*y stays below 2S. The exact scan computes ``(L - a) + ((S - L) -
+    b)``: it differs from ``S - (a + b)`` by four roundings, each at most u
+    times a value below 4(S + M) (additions and subtractions keep that bound
+    also below the normal range, where they are exact). With the rounding of
+    the score itself, the scan's SSE lies within 12u(S + M) of ``S -
+    score``. So a cut scored below the threshold ``M - δ`` (itself rounded by
+    at most 2uM) has an SSE more than (64 - 26)u(S + M) above that of the
+    cut scored M. Both gains ``parent_sse - sse`` are below 3(S + M) in size
+    and round by at most 3u(S + M), so the dropped cut's gain stays strictly
+    below the gain of the cut scored M, and the best split's feature is kept.
+    The exact scan over the kept features, in the same order, then returns
+    what the scan over all of them returns. When M or S is not finite, a
+    score is NaN (max carries it into M) or some rw is not positive, the
+    bound does not hold and every feature is kept.
+    """
+    sw, swy, swyy = sums
+    m = order.shape[1]
+    step = max(1, _BLOCK // m)
+    best = np.empty(len(features))
+    lw_max = -np.inf
+    for c in range(0, len(features), step):
+        feats = features[c:c + step]
+        idx = order[feats, :hi + 1].astype(np.intp)
+        lsums, score, b = _cut_terms(G[:2], idx[:, :hi], sw, swy, lo)
+        score += b
+        t = np.flatnonzero(tied[feats])
+        if t.size:  # a cut must separate distinct values
+            score[t] = np.where(_distinct(F, idx[t], feats[t], lo, hi), score[t], -np.inf)
+        best[c:c + step] = score.max(axis=1)
+        lw_max = max(lw_max, float(lsums[0, :, -1].max()))
+    M = float(best.max())
+    if not (np.isfinite(M) and np.isfinite(swyy) and sw > lw_max):
+        return features
+    return features[best >= M - 64 * 2.0**-53 * (abs(swyy) + M)]
+
+
+def _best_split(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarray,
+                features: np.ndarray, sums: tuple[float, float, float], min_leaf: int,
+                screen: bool):
     """Split with the largest weighted-SSE reduction, as (gain, feature,
     threshold), or None.
 
-    ``order[j]`` lists the node's rows sorted by feature j and ``sums`` holds
-    the node's sums of w, w*y and w*y*y. Within a feature the first cut of
-    least SSE wins; across features, taken in ascending order, a later one
-    wins only with a strictly larger gain.
+    ``G`` stacks w, w*y and w*y*y, ``order[j]`` lists the node's rows sorted
+    by feature j and ``sums`` holds the node's sums of the rows of G. Within
+    a feature the first cut of least SSE wins; across features, taken in
+    ascending order, a later one wins only with a strictly larger gain. With
+    ``screen`` (all weights positive), a node of at least ``_SCREEN``
+    features x rows scans only the features that ``_screen`` keeps.
     """
     m = order.shape[1]
     lo, hi = min_leaf - 1, m - min_leaf  # cut after position i, lo <= i < hi
+    if screen and len(features) * m >= _SCREEN:
+        features = _screen(F, G, order, tied, features, sums, lo, hi)
     sw, swy, swyy = sums
     parent_sse = swyy - swy * swy / sw
     best = None
@@ -112,30 +201,22 @@ def _best_split(F: np.ndarray, w: np.ndarray, wy: np.ndarray, wyy: np.ndarray,
     for c in range(0, len(features), step):
         feats = features[c:c + step]
         idx = order[feats, :hi + 1].astype(np.intp)  # np.take is fastest on intp
-        head = idx[:, :hi]
-        lw = np.cumsum(np.take(w, head), axis=1)[:, lo:]
-        lwy = np.cumsum(np.take(wy, head), axis=1)[:, lo:]
-        lwyy = np.cumsum(np.take(wyy, head), axis=1)[:, lo:]
-        rw, rwy, rwyy = sw - lw, swy - lwy, swyy - lwyy
-        # sse = (lwyy - lwy * lwy / lw) + (rwyy - rwy * rwy / rw), in place
-        sse = lwy * lwy
-        sse /= lw
+        lsums, sse, b = _cut_terms(G, idx[:, :hi], sw, swy, lo)
+        lwyy = lsums[2]
+        # sse = (lwyy - a) + ((swyy - lwyy) - b), in place
         np.subtract(lwyy, sse, out=sse)
-        rwy *= rwy
-        rwy /= rw
-        np.subtract(rwyy, rwy, out=rwy)
-        sse += rwy
+        np.subtract(swyy - lwyy, b, out=b)
+        sse += b
         t = np.flatnonzero(tied[feats])
         if t.size:  # a cut must separate distinct values
-            xs = np.take(F, idx[t] * F.shape[1] + feats[t, None])
-            sse[t] = np.where(xs[:, lo:hi] < xs[:, lo + 1:], sse[t], np.inf)
+            sse[t] = np.where(_distinct(F, idx[t], feats[t], lo, hi), sse[t], np.inf)
         cut = np.argmin(sse, axis=1)
         gain = parent_sse - sse[np.arange(len(feats)), cut]
         wins = gain > (_MIN_GAIN if best is None else best[0])
         if wins.any():
-            b = int(np.argmax(np.where(wins, gain, -np.inf)))
-            j, i = int(feats[b]), lo + int(cut[b])
-            best = (float(gain[b]), j, float(0.5 * (F[idx[b, i], j] + F[idx[b, i + 1], j])))
+            f = int(np.argmax(np.where(wins, gain, -np.inf)))
+            j, i = int(feats[f]), lo + int(cut[f])
+            best = (float(gain[f]), j, float(0.5 * (F[idx[f, i], j] + F[idx[f, i + 1], j])))
     return best
 
 
@@ -144,36 +225,64 @@ def _grow(F: np.ndarray, y: np.ndarray, w: np.ndarray, order: np.ndarray,
           rng: np.random.Generator) -> _Node:
     """Grow one tree depth-first, left subtree first, from the presorted
     ``order`` of F; the feature subsample of every split node is drawn from
-    ``rng`` in that order."""
+    ``rng`` in that order. A node that will be a leaf gets no lists."""
     k, n = order.shape
     wy = w * y
-    wyy = wy * y
+    G = np.stack([w, wy, wy * y])
+    screen = bool((w > 0).all())  # the screen's bound needs positive weights
     goes_left = np.zeros(n, dtype=bool)
+
+    def inner(size: int, depth: int) -> bool:
+        return (max_depth is None or depth < max_depth) and size >= 2 * min_leaf
+
     root = _Node(value=0.0)
-    stack = [(root, np.arange(n), order, 0)]
+    stack = [(root, np.arange(n), order if inner(n, 0) else None, 0)]
     while stack:
         node, rows, order, depth = stack.pop()
-        sw, swy = float(w[rows].sum()), float(wy[rows].sum())
+        sw, swy, swyy = np.take(G, rows, axis=1).sum(axis=1).tolist()
         node.value = swy / sw
-        if (max_depth is not None and depth >= max_depth) or len(rows) < 2 * min_leaf:
+        if order is None:  # a leaf by depth or size
             continue
         feats = np.arange(k) if mtry == k else np.sort(rng.choice(k, mtry, replace=False))
-        best = _best_split(F, w, wy, wyy, order, tied, feats,
-                           (sw, swy, float(wyy[rows].sum())), min_leaf)
+        best = _best_split(F, G, order, tied, feats, (sw, swy, swyy), min_leaf, screen)
         if best is None:
             continue
         _, j, thr = best
         left = F[rows, j] <= thr
-        goes_left[rows] = left
-        sel = np.take(goes_left, order.ravel())
         n_left = int(np.count_nonzero(left))
+        n_right = len(rows) - n_left
         node.feature, node.threshold = j, thr
         node.left, node.right = _Node(value=0.0), _Node(value=0.0)
+        grow_left, grow_right = inner(n_left, depth + 1), inner(n_right, depth + 1)
+        if grow_left or grow_right:
+            goes_left[rows] = left
+            sel = np.take(goes_left, order.ravel())
         stack.append((node.right, rows[~left],
-                      np.compress(~sel, order).reshape(k, len(rows) - n_left), depth + 1))
+                      np.compress(~sel, order).reshape(k, n_right) if grow_right else None,
+                      depth + 1))
         stack.append((node.left, rows[left],
-                      np.compress(sel, order).reshape(k, n_left), depth + 1))
+                      np.compress(sel, order).reshape(k, n_left) if grow_left else None,
+                      depth + 1))
     return root
+
+
+def _preorder(root: _Node) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes in preorder as arrays of value, feature (-1 at a leaf),
+    threshold and right child index; a split node's left child follows it."""
+    value, feature, threshold, right = [], [], [], []
+    stack = [(root, -1)]  # (node, index of the node whose right child it is)
+    while stack:
+        node, parent = stack.pop()
+        if parent >= 0:
+            right[parent] = len(value)
+        value.append(node.value)
+        feature.append(-1 if node.is_leaf else node.feature)
+        threshold.append(node.threshold)
+        right.append(-1)
+        if not node.is_leaf:
+            stack += ((node.right, len(value) - 1), (node.left, -1))
+    return (np.array(value, dtype=np.float64), np.array(feature, dtype=np.int64),
+            np.array(threshold, dtype=np.float64), np.array(right, dtype=np.intp))
 
 
 def _is_integer(v) -> bool:
@@ -237,18 +346,21 @@ class RegressionTree(_TreeModel):
         return self
 
     def predict(self, F: np.ndarray) -> np.ndarray:
+        """Walk every row down the preorder arrays, one level per step; a
+        NaN fails ``<=`` and goes right."""
         F = np.asarray(F, dtype=np.float64)
-        out = np.empty(len(F))
-        stack = [(self.root, np.arange(len(F)))]
-        while stack:
-            node, rows = stack.pop()
-            if node.is_leaf:
-                out[rows] = node.value
-                continue
-            mask = F[rows, node.feature] <= node.threshold
-            stack.append((node.left, rows[mask]))
-            stack.append((node.right, rows[~mask]))
-        return out
+        cached = self.__dict__.get("_flat")  # built once per root
+        if cached is None or cached[0] is not self.root:
+            cached = self._flat = (self.root, _preorder(self.root))
+        value, feature, threshold, right = cached[1]
+        at = np.zeros(len(F), dtype=np.intp)  # each row's node
+        rows = np.arange(len(F) if feature[0] >= 0 else 0)  # rows at a split node
+        while rows.size:
+            node = at[rows]
+            node = np.where(F[rows, feature[node]] <= threshold[node], node + 1, right[node])
+            at[rows] = node
+            rows = rows[feature[node] >= 0]
+        return value[at]
 
     def to_dict(self) -> dict:
         return {"max_depth": self.max_depth, "min_samples_leaf": self.min_samples_leaf,
@@ -260,17 +372,9 @@ class RegressionTree(_TreeModel):
         (-1 at a leaf) and threshold: pickle would recurse once per level of
         the linked nodes and fail on a deep tree."""
         state = dict(self.__dict__, root=None)
+        state.pop("_flat", None)
         if self.root is not None:
-            nodes, stack = [], [self.root]
-            while stack:
-                node = stack.pop()
-                nodes.append(node)
-                if not node.is_leaf:
-                    stack += (node.right, node.left)
-            state["root"] = (np.array([n.value for n in nodes], dtype=np.float64),
-                             np.array([-1 if n.is_leaf else n.feature for n in nodes],
-                                      dtype=np.int64),
-                             np.array([n.threshold for n in nodes], dtype=np.float64))
+            state["root"] = _preorder(self.root)[:3]
         return state
 
     def __setstate__(self, state: dict) -> None:

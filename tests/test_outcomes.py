@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,17 +233,16 @@ class TestTreeFamilies:
     ])
     def test_tree_ensembles_deterministic_across_processes(self, family, kwargs):
         # guards against per-process hash salting in seed derivation
-        import subprocess
-        import sys
         code = (
             "import sys, numpy as np\n"
-            f"sys.path.insert(0, {repr(str(__import__('pathlib').Path(__file__).parent))})\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
             "from conftest import make_dataset\n"
             "from proxyrank import fit_outcome_model\n"
             "d = make_dataset(n=80, k=3, seed=5)\n"
             f"m = fit_outcome_model(d, None, {family!r}, seed=9, **{kwargs!r})\n"
             "print(repr(m.predict(d.covariates, d.treatment).sum()))\n")
-        outs = {subprocess.run([sys.executable, "-c", code], capture_output=True,
+        env = dict(os.environ, PYTHONPATH=str(Path(data.__file__).parents[1]))
+        outs = {subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                text=True, check=True).stdout for _ in range(2)}
         assert len(outs) == 1
 
