@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from dataclasses import asdict, replace
 from itertools import repeat
 from pathlib import Path
@@ -70,18 +71,20 @@ def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
     chash = cfg.config_hash()
-    reports = analyze_models(_dataset_for(cfg, args), cfg)
-    ites = [m.analysis.ites for m in reports]
+    d = _dataset_for(cfg, args)
+    report_range = cfg.analysis.report_range
 
-    def rows(j: int, a: int, b: int) -> str:
-        y1, y0 = ites[j].y_hat_1[a:b], ites[j].y_hat_0[a:b]
-        if cfg.analysis.report_range is not None:
-            lo, hi = cfg.analysis.report_range
-            y1, y0 = np.clip(y1, lo, hi), np.clip(y0, lo, hi)
-        return "".join(map("{},{},{!r},{!r},{!r}\n".format, repeat(reports[j].label, b - a),
+    def rows(report, a: int, b: int) -> str:
+        ites = report.analysis.ites
+        y1, y0 = ites.y_hat_1[a:b], ites.y_hat_0[a:b]
+        if report_range is not None:
+            y1, y0 = np.clip(y1, *report_range), np.clip(y0, *report_range)
+        return "".join(map("{},{},{!r},{!r},{!r}\n".format, repeat(report.label, b - a),
                            range(a, b), (y1 - y0).tolist(), y1.tolist(), y0.tolist()))
-    write_model_rows(out / "ite.csv", chash, ["model", "index", "ite", "y_hat_1", "y_hat_0"],
-                     [t.ite.size for t in ites], rows)
+    with closing(analyze_models(d, cfg, balance=True)) as models:
+        reports = write_model_rows(out / "ite.csv", chash,
+                                   ["model", "index", "ite", "y_hat_1", "y_hat_0"],
+                                   [d.n] * len(cfg.models), models, rows)
     prepared = reports[0].analysis.prepared
     write_balance(out, chash, prepared)
     fit = prepared.fit
@@ -107,8 +110,10 @@ def cmd_balance(args) -> int:
 def cmd_rank(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    reports = analyze_models(_dataset_for(cfg, args), cfg)
-    write_ranking(out, cfg.config_hash(), reports, cfg.k_grid)
+    d = _dataset_for(cfg, args)
+    with closing(analyze_models(d, cfg)) as reports:
+        write_ranking(out, cfg.config_hash(), reports, cfg.k_grid,
+                      sizes=[d.n] * len(cfg.models))
     print(f"wrote ranking.csv to {out}")
     return 0
 
@@ -131,7 +136,7 @@ def cmd_validate(args) -> int:
     out = _outdir(args)
     d = _dataset_for(cfg, args)
     check_campaign_covariates(cfg, d)
-    reports = analyze_models(d, cfg)
+    reports = list(analyze_models(d, cfg))
     campaign = draw_campaign(cfg)
     for m in reports:
         m.iv = validate_model(m, campaign, cfg.k_grid)

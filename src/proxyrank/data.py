@@ -12,7 +12,7 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterator
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -450,7 +450,10 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
         raise DataValidationError(
             f"treatment column '{tre_col}' has non-binary value {a[bad[0]]:g} at row {bad[0]}")
     y = column(out_col)
-    X = np.column_stack([column(c) for c in cov_cols]) if cov_cols else np.empty((len(a), 0))
+    if table is not None:  # one gather, not a stack of strided column views
+        X = np.take(table, [col_index[c] for c in cov_cols], axis=1)
+    else:
+        X = np.column_stack([column(c) for c in cov_cols]) if cov_cols else np.empty((len(a), 0))
 
     gt = None
     if gt_map:
@@ -475,18 +478,36 @@ def row_ranges(n_rows: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n_rows]))
 
 
-def map_row_ranges(n_rows: int, what: str, run: Callable[[int, int], object]) -> Iterator:
-    """Yield ``run(lo, hi)`` for the ``row_ranges(n_rows)``, in row order,
-    computed on the worker pool.
+def map_row_ranges(n_rows: int, what: str, run: Callable[[int, int], object],
+                   which: slice = slice(None)) -> Iterator:
+    """Yield ``run(lo, hi)`` for the ranges ``row_ranges(n_rows)[which]``
+    (all of them by default), in row order, computed on the worker pool.
 
-    A table of fewer than two ranges is a single task, run in-process. The
-    ranges are tasks of ``parallel.iter_tasks``, named ``rows lo-(hi-1) of
-    <what>`` in its errors; close the iterator (``contextlib.closing``) to
-    stop early.
+    A single range is a single task, run in-process. The ranges are tasks of
+    ``parallel.iter_tasks``, named ``rows lo-(hi-1) of <what>`` in its
+    errors; close the iterator (``contextlib.closing``) to stop early.
     """
-    bounds = row_ranges(n_rows)
+    bounds = row_ranges(n_rows)[which]
     return iter_tasks([f"rows {lo}-{hi - 1} of {what}" for lo, hi in bounds],
                       lambda t: run(*bounds[t]))
+
+
+@contextmanager
+def written_whole(paths: list[Path]) -> Iterator[list]:
+    """Open a temporary file for binary writing next to each of ``paths``,
+    named ``.<name>.<pid>.tmp``, and yield them. When the block completes,
+    each is renamed to its path; when it raises, they are all removed. So an
+    interrupted write leaves no partial file under a target's name."""
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    try:
+        with ExitStack() as stack:
+            yield [stack.enter_context(open(temp, "wb")) for temp in temps]
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
 
 
 def _text_rows(columns: list[np.ndarray]) -> list[str]:
@@ -502,9 +523,7 @@ def _write_csvs(d: Dataset, targets: list[tuple[Path, bool]], treatment_col: str
 
     The row ranges of ``map_row_ranges`` are formatted on the worker pool,
     every cell once however many targets it goes to, and written in row
-    order. Each target is written under a temporary name in its directory
-    and renamed only once complete, so an interrupted write leaves no
-    partial file under the target's name.
+    order, each target through ``written_whole``.
     """
     any_gt = any(with_gt for _, with_gt in targets)
     if any_gt and d.ground_truth is None:
@@ -532,23 +551,13 @@ def _write_csvs(d: Dataset, targets: list[tuple[Path, bool]], treatment_col: str
         return [("\r\n".join(rows_gt if with_gt else rows) + "\r\n").encode("utf-8")
                 for _, with_gt in targets]
 
-    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in targets]
-    try:
-        with ExitStack() as stack:
-            files = [stack.enter_context(open(temp, "wb")) for temp in temps]
-            for fh, head in zip(files, heads):
-                fh.write(head)
-            ranges = map_row_ranges(d.n, " and ".join(path.name for path, _ in targets),
-                                    range_text)
-            for texts in stack.enter_context(closing(ranges)):
-                for fh, text in zip(files, texts):
-                    fh.write(text)
-        for temp, (path, _) in zip(temps, targets):
-            os.replace(temp, path)
-    except BaseException:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
-        raise
+    ranges = map_row_ranges(d.n, " and ".join(path.name for path, _ in targets), range_text)
+    with written_whole([path for path, _ in targets]) as files, closing(ranges):
+        for fh, head in zip(files, heads):
+            fh.write(head)
+        for texts in ranges:
+            for fh, text in zip(files, texts):
+                fh.write(text)
     return schemas
 
 

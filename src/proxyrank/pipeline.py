@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from itertools import repeat
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, PreparedCohort
-from .data import Dataset, map_row_ranges
+from .data import Dataset, map_row_ranges, row_ranges, written_whole
 from .outcomes import compute_ite
 from .ranking import rank_rmse, top_count
 from .rng import derive_seed
@@ -259,7 +260,7 @@ def run_pipeline(cfg: RunConfig, dataset: Dataset | None = None) -> RunReport:
 
     report = RunReport(config=cfg, config_hash=cfg.config_hash(),
                        n=observed.n, k=observed.k, true_levels=true_levels)
-    for mr, exc in sweep_models(observed, cfg):
+    for mr, exc in sweep_models(observed, cfg, balance=True):  # emit_report writes it
         report.model_reports.append(mr)
         if mr.analysis is not None and true_levels is not None:
             mr.rank_rmse_vs_truth = rank_rmse(mr.analysis.ranked.level, true_levels)
@@ -299,32 +300,37 @@ def validate_model(mr: ModelReport, campaign: IVExperiment, k_grid) -> IVResult:
     return validate_ranking_splits(campaign.with_predicted_ite(predicted), k_grid=k_grid)
 
 
-def analyze_models(observed: Dataset, cfg: RunConfig) -> list[ModelReport]:
+def analyze_models(observed: Dataset, cfg: RunConfig, balance: bool = False):
     """Every model's baseline analysis of ``observed``, on one prepared
-    cohort, as reports with ``analysis`` filled. Raises the exception of the
-    first model that failed."""
-    reports = []
-    for spec, base in zip(cfg.models, analyze_baselines(observed, list(cfg.models),
-                                                        cfg.analysis)):
-        if isinstance(base, Exception):
-            raise base
-        reports.append(ModelReport(label=spec.name(), family=spec.family,
-                                   causal=spec.causal, analysis=base))
-    return reports
+    cohort, yielded in config order as each result is read, as reports with
+    ``analysis`` filled. Raises the exception of the first model that
+    failed as soon as it is read, and kills the workers of later models.
+    ``balance`` is that of ``analyze_baselines``."""
+    with closing(analyze_baselines(observed, list(cfg.models), cfg.analysis,
+                                   balance)) as baselines:
+        # baselines first: after the last model zip resumes it once more,
+        # which reads the balance task
+        for base, spec in zip(baselines, cfg.models):
+            if isinstance(base, Exception):
+                raise base
+            yield ModelReport(label=spec.name(), family=spec.family, causal=spec.causal,
+                              analysis=base)
 
 
-def sweep_models(observed: Dataset,
-                 cfg: RunConfig) -> list[tuple[ModelReport, Exception | None]]:
+def sweep_models(observed: Dataset, cfg: RunConfig,
+                 balance: bool = False) -> list[tuple[ModelReport, Exception | None]]:
     """Baseline analysis, placebo test and confounder sweep of every model.
 
-    The baselines share one prepared cohort; the placebo cohort and every
-    confounded cohort then form one ``sensitivity_sweep``, each prepared
-    once for all models. Returns, per model of ``cfg``, its report with
-    ``analysis``, ``placebo`` and ``sensitivity`` filled as far as the model
-    got, and the exception that ended its branch (None if none did).
+    The baselines share one prepared cohort (with ``balance``, its covariate
+    balance is computed on the pool with them, as in ``analyze_baselines``);
+    the placebo cohort and every confounded cohort then form one
+    ``sensitivity_sweep``, each prepared once for all models. Returns, per
+    model of ``cfg``, its report with ``analysis``, ``placebo`` and
+    ``sensitivity`` filled as far as the model got, and the exception that
+    ended its branch (None if none did).
     """
     specs = list(cfg.models)
-    baselines = analyze_baselines(observed, specs, cfg.analysis)
+    baselines = list(analyze_baselines(observed, specs, cfg.analysis, balance))
     swept = sensitivity_sweep(
         observed, specs, list(cfg.sensitivity_configs), runs=cfg.sensitivity_runs,
         cfg=cfg.analysis, placebo_seed=derive_seed(cfg.master_seed, "placebo"),
@@ -387,18 +393,16 @@ def summary_from_payload(payload: dict) -> str:
 _HASH_LINE = "# config_hash="
 
 
+def _csv_head(config_hash: str, header: list[str]) -> str:
+    """The first two lines of a run CSV: the config-hash line and the header."""
+    return f"{_HASH_LINE}{config_hash}\n{','.join(header)}\n"
+
+
 def write_csv(path: Path, config_hash: str, header: list[str], rows) -> None:
-    write_csv_text(path, config_hash, header,
-                   ["".join(",".join(map(str, row)) + "\n" for row in rows)])
-
-
-def write_csv_text(path: Path, config_hash: str, header: list[str], chunks) -> None:
-    """Write a run CSV: the config-hash line, the header, then each chunk of
-    rows (each row ending in a newline) as it comes."""
+    """Write a run CSV: ``_csv_head``, then each row's cells joined by commas."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_HASH_LINE}{config_hash}\n{','.join(header)}\n")
-        for chunk in chunks:
-            fh.write(chunk)
+        fh.write(_csv_head(config_hash, header))
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def config_hash_of(path: Path) -> str | None:
@@ -420,50 +424,78 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_model_rows(path: Path, config_hash: str, header: list[str], sizes: list[int],
-                     rows) -> None:
-    """Write a run CSV of each model's rows in turn, model ``j`` having
-    ``sizes[j]``: ``rows(j, a, b)`` is the text of model ``j``'s rows ``a``
-    to ``b - 1``. The stacked rows are formatted in the row ranges of
+                     models, rows) -> list:
+    """Write a run CSV of each model's rows in turn: the config-hash line,
+    the header, then the ``sizes[j]`` rows of the j-th item of ``models``,
+    where ``rows(model, a, b)`` is the text of ``model``'s rows ``a`` to
+    ``b - 1``.
+
+    The stacked rows are formatted in the row ranges of
     ``map_row_ranges``, on the worker pool, each range from the slices of
-    the models it covers."""
+    the models it covers, and only once every model it covers has arrived.
+    A list or tuple of models has arrived whole and is formatted in one
+    pass. Any other iterable, such as a generator of models as their
+    results are read, is read one model at a time, and the ranges each
+    model completes are formatted, on a pool of their own, before the next
+    model is read. The file is written through ``written_whole``, so a
+    failure, in a model or in formatting, leaves no file. Returns the
+    models, in order.
+    """
+    n_rows = sum(sizes)
+    ends = [hi for _, hi in row_ranges(n_rows)]
+    arrived = []
+
     def range_text(lo: int, hi: int) -> str:
         parts, start = [], 0
-        for j, size in enumerate(sizes):
+        for model, size in zip(arrived, sizes):
             a, b = max(lo - start, 0), min(hi - start, size)
             if a < b:
-                parts.append(rows(j, a, b))
+                parts.append(rows(model, a, b))
             start += size
         return "".join(parts)
-    with closing(map_row_ranges(sum(sizes), path.name, range_text)) as chunks:
-        write_csv_text(path, config_hash, header, chunks)
+    batches = [models] if isinstance(models, (list, tuple)) else ([m] for m in models)
+    done = 0  # ranges written
+    with written_whole([path]) as (fh,):
+        fh.write(_csv_head(config_hash, header).encode("utf-8"))
+        for batch in batches:
+            arrived += batch
+            ready = bisect_right(ends, sum(sizes[:len(arrived)]))
+            with closing(map_row_ranges(n_rows, path.name, range_text,
+                                        slice(done, ready))) as chunks:
+                for chunk in chunks:
+                    fh.write(chunk.encode("utf-8"))
+            done = ready
+    return arrived
 
 
-def write_ranking(out: Path, config_hash: str, reports: list[ModelReport], k_grid,
-                  true_levels: np.ndarray | None = None) -> Path:
+def write_ranking(out: Path, config_hash: str, reports, k_grid,
+                  true_levels: np.ndarray | None = None,
+                  sizes: list[int] | None = None) -> Path:
     """Write ranking.csv: per model and unit the effect estimate, rank and
     level, the true level when ``true_levels`` is given, and a 0/1 flag per
     top-k% threshold of ``k_grid``: the units ranked 1 to ``top_count``,
     which are ``top_fraction_indices``. The rows go through
-    ``write_model_rows``."""
+    ``write_model_rows``: ``reports`` is a list, or an iterable of reports
+    as they arrive, whose units per report ``sizes`` gives."""
     header = ["model", "index", "ite", "rank", "level"]
     if true_levels is not None:
         header.append("true_level")
     header += [f"top_{int(k) if float(k).is_integer() else k}" for k in k_grid]
-    rankeds = [m.analysis.ranked for m in reports]
-    tops = [[top_count(ranked.n, k) for k in k_grid] for ranked in rankeds]
     row = ("{},{},{!r}" + ",{}" * (len(header) - 3) + "\n").format
+    if sizes is None:
+        sizes = [m.analysis.ranked.n for m in reports]
+    tops = {n: [top_count(n, k) for k in k_grid] for n in sizes}
 
-    def rows(j: int, a: int, b: int) -> str:
-        ranked = rankeds[j]
+    def rows(report: ModelReport, a: int, b: int) -> str:
+        ranked = report.analysis.ranked
         rank = ranked.rank[a:b]
         columns = [rank, ranked.level[a:b]]
         if true_levels is not None:
             columns.append(true_levels[a:b])
-        columns += [(rank <= m).astype(np.int64) for m in tops[j]]
-        return "".join(map(row, repeat(reports[j].label, b - a), range(a, b),
+        columns += [(rank <= m).astype(np.int64) for m in tops[ranked.n]]
+        return "".join(map(row, repeat(report.label, b - a), range(a, b),
                            ranked.ite[a:b].tolist(), *(c.tolist() for c in columns)))
-    write_model_rows(out / "ranking.csv", config_hash, header,
-                     [ranked.n for ranked in rankeds], rows)
+    write_model_rows(out / "ranking.csv", config_hash, header, sizes, reports, rows)
     return out / "ranking.csv"
 
 

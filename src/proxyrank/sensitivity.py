@@ -19,6 +19,7 @@ the values and errors of running the tasks one by one.
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import closing
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -197,26 +198,52 @@ def _baseline(prepared, spec: ModelSpec, cfg: AnalysisConfig):
     return result.model, result.ites, result.ranked
 
 
+def _balance(prepared):
+    """``prepared``'s covariate balance, or the exception computing it raised."""
+    try:
+        return prepared.balance
+    except Exception as exc:
+        return exc.with_traceback(None)  # hold no frame of the cohort
+
+
 def analyze_baselines(d: Dataset, specs: list[ModelSpec],
-                      cfg: AnalysisConfig = AnalysisConfig()) -> list:
-    """Every spec's analysis of ``d``, all on one prepared cohort.
+                      cfg: AnalysisConfig = AnalysisConfig(), balance: bool = False):
+    """Every spec's analysis of ``d``, all on one prepared cohort, yielded in
+    spec order as each result is read.
 
     The cohort is prepared once, in this process, and the specs are dealt to
     forked workers (``iter_tasks``), which inherit it; each sends back only
     its spec's model, effects and ranking, and every result refers to this
-    process's prepared cohort. Returns one ``AnalysisResult`` per spec, or
+    process's prepared cohort. Yields one ``AnalysisResult`` per spec, or
     the exception its analysis raised (every spec gets the exception of
     preparing the cohort, if that fails); these are the baselines the sweeps
-    compare against.
+    compare against. Close the generator (``contextlib.closing``) to stop
+    early: the workers still running are killed.
+
+    With ``balance``, one more task after the specs computes the prepared
+    cohort's covariate balance, dealt round-robin like the others (on two
+    workers, behind the first spec), and fills ``PreparedCohort.balance``
+    once the last spec has been yielded and the generator is resumed. If it
+    raises, the field is left unset, and its first read raises again.
     """
     try:
         prepared = prepare_cohort(d, cfg)
     except Exception as exc:
-        return [exc.with_traceback(None)] * len(specs)
+        yield from [exc.with_traceback(None)] * len(specs)
+        return
     names = [f"the baseline of model {spec.name()!r}" for spec in specs]
-    values = list(iter_tasks(names, lambda i: _baseline(prepared, specs[i], cfg)))
-    return [value if isinstance(value, Exception) else AnalysisResult(prepared, spec, *value)
-            for spec, value in zip(specs, values)]
+    if balance:
+        names.append("the covariate balance of the observed cohort")
+
+    def run(t: int):
+        return _baseline(prepared, specs[t], cfg) if t < len(specs) else _balance(prepared)
+    with closing(iter_tasks(names, run)) as values:
+        for spec, value in zip(specs, values):
+            yield value if isinstance(value, Exception) else AnalysisResult(prepared, spec,
+                                                                             *value)
+        for value in values:  # the balance task, if any
+            if not isinstance(value, Exception):
+                prepared.balance = value
 
 
 def _placebo_ate(prepared, seed: int, n_bootstrap: int) -> tuple[float, float]:
@@ -276,7 +303,7 @@ def placebo_test(d: Dataset, specs: list[ModelSpec],
     ``PlaceboResult`` per spec, or the exception that ended the spec.
     """
     if baselines is None:
-        baselines = analyze_baselines(d, specs, cfg)
+        baselines = list(analyze_baselines(d, specs, cfg))
     task = _placebo_task(d, baselines, seed, n_bootstrap)
     return [values[0] if exc is None else exc
             for values, exc in _sweep([task], specs, baselines, cfg)]
@@ -372,7 +399,7 @@ def confounding_overlap(d: Dataset, specs: list[ModelSpec],
     ``SensitivityReport`` per spec, or the exception that ended the spec.
     """
     if baselines is None:
-        baselines = analyze_baselines(d, specs, cfg)
+        baselines = list(analyze_baselines(d, specs, cfg))
     tasks = _confounder_tasks(d, baselines, configs, runs, seed)
     return [_summarize(values, configs) if exc is None else exc
             for values, exc in _sweep(tasks, specs, baselines, cfg)]

@@ -12,8 +12,11 @@ row set is kept in ascending index order, so the global stable order
 restricted to a node is the order a stable per-node sort would give, and the
 cumulative sums scanned for the best cut add the same numbers in the same
 order. Boosting sorts its design once for all rounds, as XGBoost's exact
-greedy search does (Chen & Guestrin, KDD 2016). A child that will be a leaf
-(by depth, or with fewer than 2 * min_samples_leaf rows) gets no lists.
+greedy search does (Chen & Guestrin, KDD 2016). A forest's resample takes
+its order from F's, and in a column untied in F it finds the cuts between
+copies of one row from per-position repeat flags, not from the values. A
+child that will be a leaf (by depth, or with fewer than 2 * min_samples_leaf
+rows) gets no lists.
 
 A node of at least ``_SCREEN`` features x rows is screened first: every cut
 is scored from the prefix sums of w and w*y alone, and the exact scan runs
@@ -37,6 +40,10 @@ from .rng import derive_seed, substream
 _MIN_GAIN = 1e-12
 _BLOCK = 1 << 16  # gathered elements (features x node rows) scored at once
 _SCREEN = 1 << 14  # features x node rows from which a node's features are screened
+# How the cuts of a presorted column are checked for splitting equal values:
+# not at all (every cut separates distinct values), by comparing the values,
+# or, in a resample, by whether the row after the cut repeats a source row.
+_UNTIED, _BY_VALUE, _BY_SOURCE = 0, 1, 2
 
 
 @dataclass
@@ -66,42 +73,52 @@ def _sort_column(col: np.ndarray) -> tuple[np.ndarray, bool]:
     return order, not (xs[:-1] < xs[1:]).all()
 
 
-def _presort(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_sort_column`` of every column of ``F``: orders of shape (k, n) int32
-    and tie flags. In an untied column every cut, in every node, separates
+def _presort(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
+    """``_sort_column`` of every column of ``F``: orders of shape (k, n) int32,
+    tie codes (``_BY_VALUE`` for a tied column, else ``_UNTIED``) and no
+    repeat flags. In an untied column every cut, in every node, separates
     distinct values."""
     k = F.shape[1]
     order = np.empty((k, F.shape[0]), dtype=np.int32)
-    tied = np.empty(k, dtype=bool)
+    tied = np.empty(k, dtype=np.int8)
     for j in range(k):
         order[j], tied[j] = _sort_column(F[:, j])
-    return order, tied
+    return order, tied, None
 
 
 def _presort_sample(Fs: np.ndarray, rows: np.ndarray,
-                    presorted: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+                    presorted: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_presort(Fs)`` for the resample ``Fs = F[rows]``, given ``presorted =
-    _presort(F)``.
+    _presort(F)``, and each position's repeat flag: whether a lower position
+    holds the same source row.
 
     In an untied column of F, equal values in Fs are copies of one row, which
     a stable sort keeps in position order: the order is F's order with each
-    row replaced by its positions in ``rows``. Tied columns are sorted anew.
+    row replaced by its positions in ``rows``. Such a column is tied only if
+    some row is drawn twice, and then only by copies, which go to the same
+    child at every split, so they stay next to each other, in position
+    order, in every node's list. Its code is ``_BY_SOURCE``: a cut splits
+    equal values exactly where the position after it is a repeat. Tied
+    columns are sorted anew.
     """
-    order, tied = presorted
+    order, tied, _ = presorted
     k, n = order.shape
     m = len(rows)
     copies = np.argsort(rows, kind="stable")  # positions, grouped by source row
     count = np.bincount(rows, minlength=n)
     first = np.cumsum(count) - count
+    grouped = rows[copies]
+    repeats = np.zeros(m, dtype=bool)
+    repeats[copies[1:]] = grouped[1:] == grouped[:-1]
     out = np.empty((k, m), dtype=np.int32)
-    out_tied = np.full(k, count.max(initial=0) > 1)
+    out_tied = np.full(k, _BY_SOURCE if count.max(initial=0) > 1 else _UNTIED, dtype=np.int8)
     for j in range(k):
         if tied[j]:
             out[j], out_tied[j] = _sort_column(Fs[:, j])
         else:
             c = count[order[j]]
             out[j] = copies[np.repeat(first[order[j]] - np.cumsum(c) + c, c) + np.arange(m)]
-    return out, out_tied
+    return out, out_tied, repeats
 
 
 def _cut_terms(G: np.ndarray, head: np.ndarray, sw: float, swy: float, lo: int):
@@ -118,15 +135,34 @@ def _cut_terms(G: np.ndarray, head: np.ndarray, sw: float, swy: float, lo: int):
     return sums, a, b
 
 
-def _distinct(F: np.ndarray, idx: np.ndarray, feats: np.ndarray, lo: int,
-              hi: int) -> np.ndarray:
-    """Whether each cut lo <= i < hi of the listed ``feats`` separates distinct
-    values (``idx`` holds their sorted rows, through position hi)."""
-    xs = np.take(F, idx * F.shape[1] + feats[:, None])
-    return xs[:, lo:hi] < xs[:, lo + 1:]
+def _mask_ties(score: np.ndarray, F: np.ndarray, tied: np.ndarray, repeats,
+               idx: np.ndarray, feats: np.ndarray, lo: int, hi: int, fill: float) -> None:
+    """Set to ``fill`` the score of each cut lo <= i < hi of the listed
+    ``feats`` that splits equal values (``idx`` holds their sorted rows,
+    through position hi), as their codes in ``tied`` say: where the values
+    in F do not increase (a NaN splits nothing), or where the row after the
+    cut ``repeats`` a source row."""
+    code = tied[feats]
+    for kind in (_BY_VALUE, _BY_SOURCE):
+        t = np.flatnonzero(code == kind)
+        if not t.size:
+            continue
+        every = t.size == len(feats)
+        rows = idx if every else idx[t]
+        if kind == _BY_VALUE:
+            xs = np.take(F, rows * F.shape[1] + feats[t, None])
+            same = ~(xs[:, lo:hi] < xs[:, lo + 1:])
+        else:
+            same = np.take(repeats, rows[:, lo + 1:])
+        if every:
+            np.copyto(score, fill, where=same)
+        else:
+            part = score[t]
+            np.copyto(part, fill, where=same)
+            score[t] = part
 
 
-def _screen(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarray,
+def _screen(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarray, repeats,
             features: np.ndarray, sums: tuple[float, float, float], lo: int,
             hi: int) -> np.ndarray:
     """The ``features`` that can hold the node's best split, found from the
@@ -166,9 +202,7 @@ def _screen(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarray,
         idx = order[feats, :hi + 1].astype(np.intp)
         lsums, score, b = _cut_terms(G[:2], idx[:, :hi], sw, swy, lo)
         score += b
-        t = np.flatnonzero(tied[feats])
-        if t.size:  # a cut must separate distinct values
-            score[t] = np.where(_distinct(F, idx[t], feats[t], lo, hi), score[t], -np.inf)
+        _mask_ties(score, F, tied, repeats, idx, feats, lo, hi, -np.inf)
         best[c:c + step] = score.max(axis=1)
         lw_max = max(lw_max, float(lsums[0, :, -1].max()))
     M = float(best.max())
@@ -177,14 +211,15 @@ def _screen(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarray,
     return features[best >= M - 64 * 2.0**-53 * (abs(swyy) + M)]
 
 
-def _best_split(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarray,
+def _best_split(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarray, repeats,
                 features: np.ndarray, sums: tuple[float, float, float], min_leaf: int,
                 screen: bool):
     """Split with the largest weighted-SSE reduction, as (gain, feature,
     threshold), or None.
 
     ``G`` stacks w, w*y and w*y*y, ``order[j]`` lists the node's rows sorted
-    by feature j and ``sums`` holds the node's sums of the rows of G. Within
+    by feature j, ``tied`` and ``repeats`` say how its cuts are checked
+    (``_mask_ties``) and ``sums`` holds the node's sums of the rows of G. Within
     a feature the first cut of least SSE wins; across features, taken in
     ascending order, a later one wins only with a strictly larger gain. With
     ``screen`` (all weights positive), a node of at least ``_SCREEN``
@@ -193,7 +228,7 @@ def _best_split(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarra
     m = order.shape[1]
     lo, hi = min_leaf - 1, m - min_leaf  # cut after position i, lo <= i < hi
     if screen and len(features) * m >= _SCREEN:
-        features = _screen(F, G, order, tied, features, sums, lo, hi)
+        features = _screen(F, G, order, tied, repeats, features, sums, lo, hi)
     sw, swy, swyy = sums
     parent_sse = swyy - swy * swy / sw
     best = None
@@ -207,9 +242,7 @@ def _best_split(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarra
         np.subtract(lwyy, sse, out=sse)
         np.subtract(swyy - lwyy, b, out=b)
         sse += b
-        t = np.flatnonzero(tied[feats])
-        if t.size:  # a cut must separate distinct values
-            sse[t] = np.where(_distinct(F, idx[t], feats[t], lo, hi), sse[t], np.inf)
+        _mask_ties(sse, F, tied, repeats, idx, feats, lo, hi, np.inf)
         cut = np.argmin(sse, axis=1)
         gain = parent_sse - sse[np.arange(len(feats)), cut]
         wins = gain > (_MIN_GAIN if best is None else best[0])
@@ -221,10 +254,11 @@ def _best_split(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarra
 
 
 def _grow(F: np.ndarray, y: np.ndarray, w: np.ndarray, order: np.ndarray,
-          tied: np.ndarray, max_depth: int | None, min_leaf: int, mtry: int,
+          tied: np.ndarray, repeats, max_depth: int | None, min_leaf: int, mtry: int,
           rng: np.random.Generator) -> _Node:
     """Grow one tree depth-first, left subtree first, from the presorted
-    ``order`` of F; the feature subsample of every split node is drawn from
+    ``order`` of F (with its ``tied`` codes and ``repeats`` flags, as
+    ``_presort`` returns them); the feature subsample of every split node is drawn from
     ``rng`` in that order. A node that will be a leaf gets no lists."""
     k, n = order.shape
     wy = w * y
@@ -244,7 +278,8 @@ def _grow(F: np.ndarray, y: np.ndarray, w: np.ndarray, order: np.ndarray,
         if order is None:  # a leaf by depth or size
             continue
         feats = np.arange(k) if mtry == k else np.sort(rng.choice(k, mtry, replace=False))
-        best = _best_split(F, G, order, tied, feats, (sw, swy, swyy), min_leaf, screen)
+        best = _best_split(F, G, order, tied, repeats, feats, (sw, swy, swyy), min_leaf,
+                           screen)
         if best is None:
             continue
         _, j, thr = best
@@ -332,16 +367,17 @@ class RegressionTree(_TreeModel):
         _check_tree_params(self.max_depth, self.min_samples_leaf, self.seed, self.max_features)
 
     def fit(self, F: np.ndarray, y: np.ndarray, w: np.ndarray,
-            presorted: tuple[np.ndarray, np.ndarray] | None = None) -> "RegressionTree":
+            presorted: tuple | None = None) -> "RegressionTree":
         """Fit to design ``F``; ``presorted`` is ``_presort(F)`` when the caller
-        already has it (boosting reuses one across its rounds)."""
+        already has it (boosting reuses one across its rounds), or
+        ``_presort_sample`` for a forest's resample."""
         F = np.ascontiguousarray(F, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         w = np.asarray(w, dtype=np.float64)
-        order, tied = _presort(F) if presorted is None else presorted
+        order, tied, repeats = _presort(F) if presorted is None else presorted
         k = F.shape[1]
         mtry = k if self.max_features is None else min(self.max_features, k)
-        self.root = _grow(F, y, w, order, tied, self.max_depth, self.min_samples_leaf,
+        self.root = _grow(F, y, w, order, tied, repeats, self.max_depth, self.min_samples_leaf,
                           mtry, substream(self.seed, "tree-features"))
         return self
 

@@ -356,7 +356,7 @@ class TestModelRowsOnThePool:
     def analyzed(self):
         cfg = RunConfig.from_dict(MODEL_ROWS)
         sim = simulate_cohort(cfg.resolved_sim())
-        return cfg, sim, pipeline.analyze_models(sim.observed, cfg)
+        return cfg, sim, list(pipeline.analyze_models(sim.observed, cfg))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_ranking_bytes(self, analyzed, ranges, tmp_path, workers):

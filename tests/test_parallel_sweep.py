@@ -460,8 +460,9 @@ def test_analyze_data_same_bytes_for_one_two_and_three_workers(monkeypatch, tmp_
                    "--schema", str(tmp_path / "sim" / "observed_schema.json"),
                    "--out", str(tmp_path / f"w{n}")])
         assert rc == 0 and multiprocessing.active_children() == []
-        # load, baselines and ite.csv each fork min(n, tasks) workers
-        assert len(children) == {1: 0, 2: 6, 3: 8}[n]
+        # load (6 ranges), baselines (2 models and the balance) and each of
+        # ite.csv's two batches (6 ranges per model) fork min(n, tasks) workers
+        assert len(children) == {1: 0, 2: 8, 3: 12}[n]
         outs.append({p.name: p.read_bytes() for p in (tmp_path / f"w{n}").iterdir()})
     assert outs[0] == outs[1] == outs[2]
     assert set(outs[0]) == {"ite.csv", "balance.csv", "propensity.json"}
@@ -491,8 +492,9 @@ def test_rank_data_same_bytes_for_one_two_and_three_workers(monkeypatch, tmp_pat
                    "--schema", str(tmp_path / "sim" / "observed_schema.json"),
                    "--out", str(tmp_path / f"w{n}")])
         assert rc == 0 and multiprocessing.active_children() == []
-        # load, baselines and ranking.csv each fork min(n, tasks) workers
-        assert len(children) == {1: 0, 2: 6, 3: 8}[n]
+        # load (6 ranges), baselines (2 models) and each of ranking.csv's two
+        # batches (6 ranges per model) fork min(n, tasks) workers
+        assert len(children) == {1: 0, 2: 8, 3: 11}[n]
         outs.append((tmp_path / f"w{n}" / "ranking.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
     # ranking.csv as its rows were built before the split, one cell at a time

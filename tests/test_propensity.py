@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxyrank import (Dataset, FitError, PropensityFit, SimConfig, balance_report,
@@ -8,6 +8,7 @@ from proxyrank import (Dataset, FitError, PropensityFit, SimConfig, balance_repo
                        trim_extremes)
 from proxyrank.propensity import _sigmoid
 
+import balance_oracle
 import propensity_oracle
 from conftest import make_dataset
 
@@ -291,3 +292,41 @@ class TestBalance:
     def test_rejects_nonpositive_weights(self, toy_dataset):
         with pytest.raises(FitError):
             balance_report(toy_dataset, np.zeros(toy_dataset.n))
+
+
+# Arm sizes around the edges of numpy's summation: its unrolled blocks (8),
+# pairwise blocks (128) and reduction buffer (8192 elements).
+ARM_SIZES = st.one_of(st.integers(1, 300),
+                      st.sampled_from([1, 2, 8, 9, 128, 129, 8191, 8192, 8193, 9000]))
+
+
+class TestBalanceMatchesPerColumn:
+    """The blocked, vectorized report against the per-column oracle, bit
+    for bit."""
+
+    @example(n1=1, n0=40, k=3, const_both=True, const_one=False, spread=0.0, seed=0)
+    @example(n1=9000, n0=8191, k=9, const_both=True, const_one=True, spread=8.0, seed=1)
+    @example(n1=8192, n0=8193, k=17, const_both=False, const_one=True, spread=8.0, seed=2)
+    @settings(max_examples=60, deadline=None)
+    @given(n1=ARM_SIZES, n0=ARM_SIZES, k=st.integers(1, 20), const_both=st.booleans(),
+           const_one=st.booleans(), spread=st.sampled_from([0.0, 1.0, 8.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_equal(self, n1, n0, k, const_both, const_one, spread, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n1 + n0, k)) * 10.0 ** rng.uniform(-3, 3, k)
+        a = rng.permutation(np.r_[np.ones(n1, dtype=int), np.zeros(n0, dtype=int)])
+        if const_both:  # zero variance in both arms
+            X[:, 0] = 2.5
+        if const_one:  # zero variance in the treated arm only
+            X[a == 1, k - 1] = -1.25
+        w = np.exp(rng.uniform(-spread, spread, n1 + n0))  # weights within e^±spread
+        d = Dataset(X, a, np.zeros(n1 + n0))
+        want = balance_oracle.balance_report(d, w, threshold=0.1)
+        got = balance_report(d, w, threshold=0.1)
+        assert got.threshold == want.threshold
+        assert [(r.covariate, r.degenerate) for r in got.rows] == \
+            [(r.covariate, r.degenerate) for r in want.rows]
+        # bits, so that NaN equals NaN and -0.0 differs from 0.0
+        assert np.array_equal(
+            np.array([(r.smd_before, r.smd_after) for r in got.rows]).view(np.int64),
+            np.array([(r.smd_before, r.smd_after) for r in want.rows]).view(np.int64))

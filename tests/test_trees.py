@@ -113,10 +113,32 @@ class TestPresortedSearchMatchesPerNodeSort:
         F, _, _ = tie_heavy(seed, 90, 8)
         F[rng.integers(0, 90, 2), 3] = np.nan
         rows = rng.permutation(90) if seed % 2 else rng.integers(0, 90, 90)
-        got_order, got_tied = _presort_sample(F[rows], rows, _presort(F))
-        want_order, want_tied = _presort(F[rows])
+        _, tied_in_f, _ = _presort(F)
+        got_order, got_tied, repeats = _presort_sample(F[rows], rows, _presort(F))
+        want_order, want_tied, _ = _presort(F[rows])
         np.testing.assert_array_equal(got_order, want_order)
-        np.testing.assert_array_equal(got_tied, want_tied)
+        # flagged exactly where a fresh sort finds ties; by source row only in
+        # the columns untied in F
+        np.testing.assert_array_equal(got_tied != trees._UNTIED, want_tied != trees._UNTIED)
+        np.testing.assert_array_equal(got_tied == trees._BY_SOURCE,
+                                      (tied_in_f == trees._UNTIED) & (want_tied != trees._UNTIED))
+        # a repeat: a lower position holds the same source row
+        np.testing.assert_array_equal(repeats, [r in rows[:p] for p, r in enumerate(rows)])
+
+    @pytest.mark.parametrize("screen", SCREENS)
+    def test_forest_with_ties_by_value_and_by_source(self, screen, monkeypatch):
+        # Seed 5 keeps its continuous columns (3 and 7) free of ties in F, so
+        # a resample checks their cuts by source row and the others' by value.
+        monkeypatch.setattr(trees, "_SCREEN", screen)
+        F, y, w = tie_heavy(5, 240, 8)
+        rows = np.random.default_rng(5).integers(0, 240, 240)
+        _, tied, _ = _presort_sample(F[rows], rows, _presort(F))
+        assert set(np.flatnonzero(tied == trees._BY_SOURCE)) == {3, 7}
+        assert set(np.flatnonzero(tied == trees._BY_VALUE)) == {0, 1, 2, 4, 5, 6, 8}
+
+        def make():
+            return RandomForest(n_trees=4, min_samples_leaf=2, seed=5)
+        assert dump(make().fit(F, y, w)) == with_oracle(monkeypatch, make, F, y, w)
 
 
 def adversarial(seed: int):
