@@ -15,8 +15,8 @@ import numpy as np
 from .data import Dataset
 from .outcomes import (FeatureMap, ITETable, OutcomeModel, compute_ite, fit_outcome_model,
                        make_estimator)
-from .propensity import (BalanceReport, PropensityFit, balance_report,
-                         fit_propensity, stabilized_weights, trim_extremes)
+from .propensity import (BalanceReport, PropensityFit, balance_report, fit_propensity,
+                         ipw_weights, trim_rows)
 from .ranking import RankedCohort, rank_and_bucket
 from .simulate import ConfigError
 
@@ -87,13 +87,25 @@ class AnalysisConfig:
 
 @dataclass
 class PreparedCohort:
-    """Propensity fit, trimmed cohort, and stabilized weights (model-free)."""
+    """Propensity fit, trimmed rows and stabilized weights (model-free).
+
+    ``keep`` holds the indices of the rows of ``full`` that survive
+    trimming, in row order; ``fit`` and ``weights`` cover those rows only.
+    The trimmed cohort itself is built on first read, in whichever process
+    reads it: a forked worker that fits a model builds its own copy, and the
+    process that prepared the cohort need never hold one.
+    """
 
     full: Dataset
-    trimmed: Dataset
+    keep: np.ndarray
     fit: PropensityFit
     weights: np.ndarray
     balance_threshold: float
+
+    @cached_property
+    def trimmed(self) -> Dataset:
+        """The rows of ``full`` that survive trimming."""
+        return self.full.subset(self.keep)
 
     @cached_property
     def balance(self) -> BalanceReport:
@@ -114,15 +126,15 @@ class AnalysisResult:
 def prepare_cohort(d: Dataset, cfg: AnalysisConfig = AnalysisConfig()) -> PreparedCohort:
     fit = fit_propensity(d, l2=cfg.propensity_l2, tol=cfg.propensity_tol,
                          max_iter=cfg.propensity_max_iter)
-    trimmed, fit_t = trim_extremes(fit, d, cfg.trim_lo, cfg.trim_hi)
-    weights = stabilized_weights(fit_t, trimmed)
-    return PreparedCohort(full=d, trimmed=trimmed, fit=fit_t, weights=weights,
+    keep, fit_t = trim_rows(fit, d.treatment, cfg.trim_lo, cfg.trim_hi)
+    weights = ipw_weights(d.treatment[keep], fit_t.scores, fit_t.marginal)
+    return PreparedCohort(full=d, keep=keep, fit=fit_t, weights=weights,
                           balance_threshold=cfg.balance_threshold)
 
 
 def analyze_model(prepared: PreparedCohort, spec: ModelSpec,
                   cfg: AnalysisConfig = AnalysisConfig()) -> AnalysisResult:
-    weights = prepared.weights if spec.causal else np.ones(prepared.trimmed.n)
+    weights = prepared.weights if spec.causal else np.ones(len(prepared.keep))
     model = fit_outcome_model(prepared.trimmed, weights, spec.family,
                               feature_map=spec.feature_map(), **spec.hyperparams)
     ites = compute_ite(model, prepared.full)

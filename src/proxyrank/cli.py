@@ -92,7 +92,7 @@ def cmd_analyze(args) -> int:
         "config_hash": chash, "marginal": fit.marginal, "converged": fit.converged,
         "n_iter": fit.n_iter, "grad_norm": fit.grad_norm,
         "intercept": fit.intercept, "coefficients": fit.coefficients.tolist(),
-        "n_after_trim": prepared.trimmed.n, "n_before_trim": prepared.full.n,
+        "n_after_trim": len(prepared.keep), "n_before_trim": prepared.full.n,
     })
     print(f"wrote ite.csv, balance.csv, propensity.json to {out}")
     return 0

@@ -290,22 +290,30 @@ def _range_starts(fh, start: int, every: int) -> tuple[list[int], int, int]:
     return starts, n_lines + int(last != b"\n"), pos
 
 
-def _fast_table(p: Path, fh, start: int, width: int) -> np.ndarray | None:
-    """The body of ``p``, from byte ``start``, as a (rows, width) float64
-    table parsed in C, or None when the per-cell scan must decide instead.
+def _fast_columns(p: Path, fh, start: int, width: int, scalars: list[int],
+                  covariates: list[int]) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """The ``scalars`` columns of the body of ``p``, from byte ``start``, one
+    float64 array each, and its ``covariates`` columns as one (rows, k)
+    matrix, parsed in C; or None when the per-cell scan must decide instead.
 
     The parent only finds where each range of ``_BLOCK_ROWS`` body lines
     starts (``_range_starts``). Each range is a task of ``map_row_ranges``:
     it reads and decodes its own bytes, splits them into lines as a file
-    opened with ``newline=""`` does, drops the ``#`` lines and parses the
-    rest with ``_parse_rows``, or declines when its bytes are not UTF-8. A
-    range starts right after a ``\\n`` byte, which never cuts a UTF-8
-    character or a ``\\r\\n``, so the ranges' lines, joined in order, are
-    the lines of the whole body. If any range declines, so does the body,
-    and every error is left to the scan and its messages.
+    opened with ``newline=""`` does, drops the ``#`` lines, parses the rest
+    with ``_parse_rows`` and sends back only the wanted columns, or declines
+    when its bytes are not UTF-8. A range starts right after a ``\\n`` byte,
+    which never cuts a UTF-8 character or a ``\\r\\n``, so the ranges' lines,
+    joined in order, are the lines of the whole body. The arrays are sized by
+    the body's ``\\n`` lines; the parent copies each range into them as it
+    arrives and drops it, so it never holds the body as a table. They grow
+    where bare ``\\r`` line ends give a range more lines, and are cut in
+    place to the rows read once ``#`` lines are left out. If any range
+    declines, so does the body, and every error is left to the scan and its
+    messages.
     """
     every = _BLOCK_ROWS
     starts, n_lines, end = _range_starts(fh, start, every)
+    wanted = scalars + covariates
 
     def parse(lo: int, hi: int) -> np.ndarray | None:
         first = starts[lo // every]
@@ -317,17 +325,32 @@ def _fast_table(p: Path, fh, start: int, width: int) -> np.ndarray | None:
         except UnicodeDecodeError:
             return None
         body = [line for line in text if not line.startswith("#")]
-        return _parse_rows(body, width) if body else np.empty((0, width))
+        table = _parse_rows(body, width) if body else np.empty((0, width))
+        return None if table is None else np.take(table, wanted, axis=1)
     if not n_lines:
         return None
-    tables = []
+    columns = [np.empty(n_lines) for _ in scalars]
+    X = np.empty((n_lines, len(covariates)))
+
+    def resize(n: int) -> None:  # in place: no view of another buffer is kept
+        for array in (*columns, X):
+            array.resize((n, *array.shape[1:]), refcheck=False)
+    rows = 0
     with closing(map_row_ranges(n_lines, p.name, parse)) as ranges:
-        for table in ranges:
-            if table is None:
+        for (lo, hi), part in zip(row_ranges(n_lines), ranges):
+            if part is None:
                 return None
-            tables.append(table)
-    table = tables[0] if len(tables) == 1 else np.concatenate(tables)
-    return table if len(table) else None
+            m = len(part)
+            if rows + m > len(X):  # a bare "\r" ended a line: more lines than "\n"s
+                resize(rows + m + n_lines - hi)
+            for j, column in enumerate(columns):
+                column[rows:rows + m] = part[:, j]
+            X[rows:rows + m] = part[:, len(scalars):]
+            rows += m
+    if not rows:
+        return None
+    resize(rows)  # "#" lines left out
+    return columns, X
 
 
 def _not_utf8(p: Path) -> DataValidationError:
@@ -389,6 +412,19 @@ def _scan_rows(p: Path) -> tuple[list[str], dict[str, int], list[list[str]]]:
     return header, col_index, rows
 
 
+def _role_columns(schema: dict, header: list[str]) -> tuple[list[str], list[str]]:
+    """The columns the schema's roles name for ``header``: the treatment,
+    outcome and ground-truth columns, in that order, and the covariate
+    columns (when the schema lists none, every column no other role claims,
+    in file order)."""
+    scalars = [schema["treatment"], schema["outcome"],
+               *(schema.get("ground_truth") or {}).values()]
+    cov_cols = schema.get("covariates")
+    if cov_cols is None:
+        cov_cols = [c for c in header if c not in scalars]
+    return scalars, cov_cols
+
+
 def load_dataset(path: str | Path, schema: dict) -> Dataset:
     """Load a CSV (header row required, one unit per row) into a Dataset.
 
@@ -402,41 +438,43 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
     undecodable row.
 
     An all-numeric, all-finite file is parsed in C, range by range on the
-    worker pool, each worker reading its own range from the file; any other
-    file (quoted or non-numeric cells, ragged or blank rows, non-finite
-    values, bytes that are not UTF-8) is scanned cell by cell with
-    ``float()``. Both give the same arrays, bit for bit, and the scan gives
-    every error message.
+    worker pool, each worker reading its own range from the file and
+    sending back only the columns the roles name; this process copies each
+    range into the final covariate matrix and columns as it arrives, so it
+    holds the cohort once. Any other file (quoted or non-numeric cells,
+    ragged or blank rows, non-finite values, bytes that are not UTF-8) is
+    scanned cell by cell with ``float()``. Both give the same arrays, bit
+    for bit, and the scan gives every error message.
     """
     _check_schema(schema)
     p = Path(path)
     if not p.exists():
         raise SchemaError(f"data file not found: {p}")
-    table = None
+    loaded = None
     with open(p, "rb") as fh:
         head = _read_header(fh)
         if head is not None:
             header, start = head
             col_index = _column_index(header)
-            table = _fast_table(p, fh, start, len(header))
-    if table is None:
+            scalars, cov_cols = _role_columns(schema, header)
+            # With a role's column missing nothing is loaded, but the body is
+            # still parsed: an error the scan finds in it comes first.
+            found = all(c in col_index for c in (*scalars, *cov_cols))
+            loaded = _fast_columns(p, fh, start, len(header),
+                                   [col_index[c] for c in scalars] if found else [],
+                                   [col_index[c] for c in cov_cols] if found else [])
+    if loaded is None:
         header, col_index, rows = _scan_rows(p)
-
-    tre_col = schema["treatment"]
-    out_col = schema["outcome"]
-    gt_map = schema.get("ground_truth") or {}
-    claimed = {tre_col, out_col, *gt_map.values()}
-    cov_cols = schema.get("covariates")
-    if cov_cols is None:
-        cov_cols = [c for c in header if c not in claimed]
-    for col in [tre_col, out_col, *cov_cols, *gt_map.values()]:
+        scalars, cov_cols = _role_columns(schema, header)
+    tre_col, out_col, *gt_cols = scalars
+    for col in [tre_col, out_col, *cov_cols, *gt_cols]:
         if col not in col_index:
             raise SchemaError(f"missing column '{col}'")
 
     def column(name: str) -> np.ndarray:
+        if loaded is not None:
+            return loaded[0][scalars.index(name)]
         j = col_index[name]
-        if table is not None:
-            return table[:, j]
         out = np.empty(len(rows))
         for i, row in enumerate(rows):
             if j >= len(row):
@@ -450,12 +488,13 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
         raise DataValidationError(
             f"treatment column '{tre_col}' has non-binary value {a[bad[0]]:g} at row {bad[0]}")
     y = column(out_col)
-    if table is not None:  # one gather, not a stack of strided column views
-        X = np.take(table, [col_index[c] for c in cov_cols], axis=1)
+    if loaded is not None:
+        X = loaded[1]
     else:
         X = np.column_stack([column(c) for c in cov_cols]) if cov_cols else np.empty((len(a), 0))
 
     gt = None
+    gt_map = schema.get("ground_truth") or {}
     if gt_map:
         missing = [f for f in _GT_FIELDS if f not in gt_map]
         if missing:

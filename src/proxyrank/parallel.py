@@ -88,7 +88,22 @@ def iter_tasks(names: list[str], run: Callable[[int], object]) -> Iterator:
     which worker failed first.
     """
     n_workers = min(_max_workers(), len(names))
-    if n_workers <= 1:
+    return _tasks(names, run, n_workers if n_workers > 1 else 0)
+
+
+def on_worker(name: str, run: Callable[[], object]) -> object:
+    """``run()``, computed on a forked worker of its own when this process
+    may use more than one CPU, and in-process otherwise, so that nothing it
+    allocates along the way stays in this process. The worker is one of
+    ``iter_tasks``: a worker that dies, or whose result cannot be pickled,
+    raises StageError naming ``name``."""
+    (value,) = _tasks([name], lambda t: run(), 1 if _max_workers() > 1 else 0)
+    return value
+
+
+def _tasks(names: list[str], run: Callable[[int], object], n_workers: int) -> Iterator:
+    """``iter_tasks`` on ``n_workers`` forked workers; in-process with 0."""
+    if not n_workers:
         for t in range(len(names)):
             yield run(t)
         return

@@ -125,9 +125,10 @@ def fit_propensity(d: Dataset, l2: float = 0.0, tol: float = 1e-6,
                          n_iter=n_iter, grad_norm=grad_norm)
 
 
-def trim_extremes(fit: PropensityFit, d: Dataset, lo_q: float = 0.01,
-                  hi_q: float = 0.99) -> tuple[Dataset, PropensityFit]:
-    """Drop units with scores strictly outside the [lo_q, hi_q] score quantiles.
+def trim_rows(fit: PropensityFit, treatment: np.ndarray, lo_q: float = 0.01,
+              hi_q: float = 0.99) -> tuple[np.ndarray, PropensityFit]:
+    """The indices of the units whose scores lie inside the [lo_q, hi_q]
+    score quantiles, in row order, and the fit re-indexed to them.
 
     The absolute thresholds are recorded on the returned fit; re-trimming at
     the same quantiles reuses them and removes nothing further (idempotence).
@@ -136,20 +137,34 @@ def trim_extremes(fit: PropensityFit, d: Dataset, lo_q: float = 0.01,
     """
     if not 0.0 <= lo_q < hi_q <= 1.0:
         raise FitError("need 0 <= lo_q < hi_q <= 1")
-    if len(fit.scores) != d.n:
-        raise FitError(f"fit covers {len(fit.scores)} units, dataset has {d.n}")
+    if len(fit.scores) != len(treatment):
+        raise FitError(f"fit covers {len(fit.scores)} units, dataset has {len(treatment)}")
     if fit.trim_bounds is not None and fit.trim_bounds[:2] == (lo_q, hi_q):
         t_lo, t_hi = fit.trim_bounds[2], fit.trim_bounds[3]
     else:
         t_lo, t_hi = np.quantile(fit.scores, [lo_q, hi_q])
-    keep = (fit.scores >= t_lo) & (fit.scores <= t_hi)
-    a_kept = d.treatment[keep]
+    keep = np.flatnonzero((fit.scores >= t_lo) & (fit.scores <= t_hi))
+    a_kept = treatment[keep]
     if a_kept.size == 0 or a_kept.min() == a_kept.max():
         raise FitError("trimming would remove an entire treatment arm")
-    trimmed = d.subset(np.flatnonzero(keep))
     new_fit = replace(fit, scores=fit.scores[keep], marginal=float(a_kept.mean()),
                       trim_bounds=(lo_q, hi_q, float(t_lo), float(t_hi)))
-    return trimmed, new_fit
+    return keep, new_fit
+
+
+def trim_extremes(fit: PropensityFit, d: Dataset, lo_q: float = 0.01,
+                  hi_q: float = 0.99) -> tuple[Dataset, PropensityFit]:
+    """Drop units with scores strictly outside the [lo_q, hi_q] score
+    quantiles: ``trim_rows``, with the retained rows as a new dataset."""
+    keep, new_fit = trim_rows(fit, d.treatment, lo_q, hi_q)
+    return d.subset(keep), new_fit
+
+
+def ipw_weights(a: np.ndarray, e: np.ndarray, p: float) -> np.ndarray:
+    """w_i = a_i * p / e_i + (1 - a_i) * (1 - p) / (1 - e_i): the stabilized
+    weights of binary treatments ``a`` with scores ``e`` strictly inside
+    (0, 1) and treated fraction ``p``."""
+    return np.where(a == 1, p / e, (1.0 - p) / (1.0 - e))
 
 
 def stabilized_weights(fit: PropensityFit, d: Dataset) -> np.ndarray:
@@ -164,9 +179,7 @@ def stabilized_weights(fit: PropensityFit, d: Dataset) -> np.ndarray:
         raise FitError(f"fit covers {len(e)} units, dataset has {d.n}")
     if e.size and (e.min() <= 0.0 or e.max() >= 1.0):
         raise FitError("scores at 0 or 1 cannot be weighted")
-    a = d.treatment
-    p = fit.marginal
-    return np.where(a == 1, p / e, (1.0 - p) / (1.0 - e))
+    return ipw_weights(d.treatment, e, fit.marginal)
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, analyze_model, prepare_cohort
+from .analysis import (AnalysisConfig, AnalysisResult, ModelSpec, PreparedCohort, analyze_model,
+                       prepare_cohort)
 from .data import Dataset, DataValidationError
-from .parallel import iter_tasks
+from .parallel import iter_tasks, on_worker
+from .propensity import ipw_weights
 from .ranking import rank_rmse
 from .rng import derive_seed, substream
 
@@ -206,18 +208,33 @@ def _balance(prepared):
         return exc.with_traceback(None)  # hold no frame of the cohort
 
 
+def _prepare(d: Dataset, cfg: AnalysisConfig):
+    """``d`` prepared, as what a prepared cohort holds besides ``d``: its
+    (fit, keep, weights); or the exception preparing it raised."""
+    try:
+        prepared = prepare_cohort(d, cfg)
+    except Exception as exc:
+        return exc.with_traceback(None)  # hold no frame of the cohort
+    return prepared.fit, prepared.keep, prepared.weights
+
+
 def analyze_baselines(d: Dataset, specs: list[ModelSpec],
                       cfg: AnalysisConfig = AnalysisConfig(), balance: bool = False):
     """Every spec's analysis of ``d``, all on one prepared cohort, yielded in
     spec order as each result is read.
 
-    The cohort is prepared once, in this process, and the specs are dealt to
-    forked workers (``iter_tasks``), which inherit it; each sends back only
-    its spec's model, effects and ranking, and every result refers to this
-    process's prepared cohort. Yields one ``AnalysisResult`` per spec, or
-    the exception its analysis raised (every spec gets the exception of
-    preparing the cohort, if that fails); these are the baselines the sweeps
-    compare against. Close the generator (``contextlib.closing``) to stop
+    The cohort is prepared once, on a forked worker of its own
+    (``on_worker``: in-process with one CPU or without fork), which sends
+    back only the propensity fit, the indices of the trimmed rows and the
+    weights, so the propensity design and the trimmed copy of the cohort
+    never live in this process. The specs are then dealt to forked workers,
+    which inherit the prepared cohort; each builds its own trimmed cohort,
+    sends back only its spec's model, effects and ranking, and every result
+    refers to this process's prepared cohort. Yields one ``AnalysisResult``
+    per spec, or the exception its analysis raised (every spec gets the
+    exception of preparing the cohort, if that fails); these are the
+    baselines the sweeps compare against. A worker that dies raises
+    ``StageError``. Close the generator (``contextlib.closing``) to stop
     early: the workers still running are killed.
 
     With ``balance``, one more task after the specs computes the prepared
@@ -226,11 +243,13 @@ def analyze_baselines(d: Dataset, specs: list[ModelSpec],
     once the last spec has been yielded and the generator is resumed. If it
     raises, the field is left unset, and its first read raises again.
     """
-    try:
-        prepared = prepare_cohort(d, cfg)
-    except Exception as exc:
-        yield from [exc.with_traceback(None)] * len(specs)
+    value = on_worker("the preparation of the observed cohort", lambda: _prepare(d, cfg))
+    if isinstance(value, Exception):
+        yield from [value] * len(specs)
         return
+    fit, keep, weights = value
+    prepared = PreparedCohort(full=d, keep=keep, fit=fit, weights=weights,
+                              balance_threshold=cfg.balance_threshold)
     names = [f"the baseline of model {spec.name()!r}" for spec in specs]
     if balance:
         names.append("the covariate balance of the observed cohort")
@@ -261,9 +280,7 @@ def _placebo_ate(prepared, seed: int, n_bootstrap: int) -> tuple[float, float]:
         if ab.min() == ab.max():
             draws[b] = np.nan  # degenerate resample, excluded below
             continue
-        p = float(ab.mean())
-        wb = np.where(ab == 1, p / eb, (1.0 - p) / (1.0 - eb))
-        draws[b] = _weighted_ate(yb, ab, wb)
+        draws[b] = _weighted_ate(yb, ab, ipw_weights(ab, eb, float(ab.mean())))
     return ate, float(np.nanstd(draws, ddof=1))
 
 

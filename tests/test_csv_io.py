@@ -451,6 +451,32 @@ class TestRangesReadFromTheFile:
             assert_same_load(path, schema)
         assert bool(scanned) == (name in SCANNED)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("bare_cr", [False, True])
+    def test_comments_in_several_ranges_load_into_exact_arrays(self, ranges, monkeypatch,
+                                                               tmp_path, workers, bare_cr):
+        # Ranges of 64 lines: 20 "#" lines fall in all five ranges of the
+        # 320-line body of 300 rows with ground truth. With every other line
+        # ended by a bare "\r", the ranges hold more lines than "\n"s.
+        path = tmp_path / "d.csv"
+        schema = csv_oracle.save_dataset(random_dataset(300), path, include_ground_truth=True,
+                                         header_comment="h")
+        head, header, *rows = path.read_text().splitlines()
+        for i in range(20):
+            rows.insert(16 * i, f"# comment {i}")
+        ends = ["\r\n", "\r" if bare_cr else "\r\n"]
+        path.write_bytes("".join(line + ends[i % 2]
+                                 for i, line in enumerate([head, header, *rows])).encode())
+        ranges(workers, 64)
+        scanned, scan_rows = [], data._scan_rows
+        monkeypatch.setattr(data, "_scan_rows", lambda p: scanned.append(p) or scan_rows(p))
+        assert_same_load(path, schema)
+        d = load_dataset(path, schema)
+        assert not scanned
+        # X owns a buffer of exactly n x k: no view of a longer one
+        assert d.covariates.base is None and d.covariates.nbytes == 300 * 3 * 8
+        assert d.outcome.base is None and d.outcome.nbytes == 300 * 8
+
     @pytest.mark.parametrize("scan", [1, 2, 5, 1 << 20])
     def test_range_starts(self, monkeypatch, tmp_path, scan):
         # Lines end at each b"\n" only: "bb\r\rccc\n" is one of them.

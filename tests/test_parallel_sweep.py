@@ -15,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
+import proxyrank.cli as cli
 import proxyrank.data as data
 import proxyrank.parallel as parallel
+import proxyrank.propensity as propensity
 import proxyrank.sensitivity as sensitivity
 from proxyrank import (AnalysisConfig, ConfounderConfig, ModelError, ModelSpec, RunConfig,
                        ground_truth_rank, load_dataset, load_schema)
@@ -384,10 +386,89 @@ def test_analyze_forks_two_workers_and_reaps_them(monkeypatch, tmp_path, capsys,
     workers(monkeypatch, 2)
     rc, _, err, files = run_cli(tmp_path, capsys, "analyze", CONFIG, "out")
     assert rc == 0 and err == "" and set(files) == {"ite.csv", "balance.csv", "propensity.json"}
-    assert len(children) == 2
+    assert len(children) == 3  # the preparation of the cohort, then two for the baselines
     for pid in children:
         with pytest.raises(ChildProcessError):  # joined, so not a zombie either
             os.waitpid(pid, os.WNOHANG)
+
+
+def log_pids(monkeypatch, fn, log: Path):
+    """Log the pid of every call of ``fn`` through every proxyrank module
+    that holds it, in this process and in forked workers alike; returns a
+    function that reads the pids."""
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fn(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name == "proxyrank" or name.startswith("proxyrank."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, logged)
+    return lambda: [int(pid) for pid in log.read_text().split()] if log.exists() else []
+
+
+@pytest.mark.parametrize("command", ["analyze", "rank", "run"])
+def test_no_propensity_fit_in_the_parent(command, monkeypatch, tmp_path, capsys, time_limit):
+    # The observed cohort is prepared on a worker of its own, and every
+    # cohort of the sweep on the sweep's workers.
+    pids = log_pids(monkeypatch, propensity.fit_propensity, tmp_path / "pids")
+    workers(monkeypatch, 2)
+    rc, _, err, _ = run_cli(tmp_path, capsys, command, CONFIG, "out")
+    assert rc == 0 and err == ""
+    fits = 6 if command == "run" else 1  # the baseline, the placebo and 2 x 2 confounders
+    assert len(pids()) == fits and os.getpid() not in pids()
+
+
+def test_analyze_leaves_no_trimmed_cohort_in_the_parent(monkeypatch, tmp_path, capsys,
+                                                        time_limit):
+    seen = []
+    real = cli.write_balance
+
+    def write_balance(out, chash, prepared):
+        seen.append(prepared)
+        return real(out, chash, prepared)
+    monkeypatch.setattr(cli, "write_balance", write_balance)
+    outs = []
+    for n in (1, 2):
+        workers(monkeypatch, n)
+        outs.append(run_cli(tmp_path, capsys, "analyze", CONFIG, f"w{n}"))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    in_process, forked = seen
+    assert "trimmed" in vars(in_process) and "trimmed" not in vars(forked)
+    fit = json.loads((tmp_path / "w2" / "propensity.json").read_text())
+    assert fit["n_after_trim"] == forked.trimmed.n == in_process.trimmed.n < fit["n_before_trim"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "rank", "run"])
+def test_killed_prepare_worker_is_a_stage_error(command, monkeypatch, tmp_path, capsys,
+                                                time_limit):
+    parent = os.getpid()
+    real = sensitivity.prepare_cohort
+
+    def prepare(d, cfg):
+        if os.getpid() != parent:  # the observed cohort: the sweep's come later
+            os._exit(3)
+        return real(d, cfg)
+    monkeypatch.setattr(sensitivity, "prepare_cohort", prepare)
+    workers(monkeypatch, 2)
+    rc, _, err, files = run_cli(tmp_path, capsys, command, CONFIG, "out")
+    assert rc == 2 and files == {}
+    assert err == ("stage failure: StageError: the worker died running the preparation of "
+                   "the observed cohort (exit code 3)\n")
+
+
+def test_failing_preparation_is_every_baseline(monkeypatch, small_sim, time_limit):
+    def prepare(d, cfg):
+        raise ModelError("injected preparation failure")
+    monkeypatch.setattr(sensitivity, "prepare_cohort", prepare)
+    specs = [ModelSpec(family="linear_wls", label="lr"),
+             ModelSpec(family="svr_linear", hyperparams={"epochs": 3}, label="svr")]
+    for n in (1, 2):
+        workers(monkeypatch, n)
+        got = list(sensitivity.analyze_baselines(small_sim.observed, specs, balance=True))
+        assert [(type(e), str(e)) for e in got] == \
+            [(ModelError, "injected preparation failure")] * 2
 
 
 def count_forks(monkeypatch):
@@ -461,8 +542,9 @@ def test_analyze_data_same_bytes_for_one_two_and_three_workers(monkeypatch, tmp_
                    "--out", str(tmp_path / f"w{n}")])
         assert rc == 0 and multiprocessing.active_children() == []
         # load (6 ranges), baselines (2 models and the balance) and each of
-        # ite.csv's two batches (6 ranges per model) fork min(n, tasks) workers
-        assert len(children) == {1: 0, 2: 8, 3: 12}[n]
+        # ite.csv's two batches (6 ranges per model) fork min(n, tasks)
+        # workers, and the preparation of the cohort one
+        assert len(children) == {1: 0, 2: 9, 3: 13}[n]
         outs.append({p.name: p.read_bytes() for p in (tmp_path / f"w{n}").iterdir()})
     assert outs[0] == outs[1] == outs[2]
     assert set(outs[0]) == {"ite.csv", "balance.csv", "propensity.json"}
@@ -493,8 +575,9 @@ def test_rank_data_same_bytes_for_one_two_and_three_workers(monkeypatch, tmp_pat
                    "--out", str(tmp_path / f"w{n}")])
         assert rc == 0 and multiprocessing.active_children() == []
         # load (6 ranges), baselines (2 models) and each of ranking.csv's two
-        # batches (6 ranges per model) fork min(n, tasks) workers
-        assert len(children) == {1: 0, 2: 8, 3: 11}[n]
+        # batches (6 ranges per model) fork min(n, tasks) workers, and the
+        # preparation of the cohort one
+        assert len(children) == {1: 0, 2: 9, 3: 12}[n]
         outs.append((tmp_path / f"w{n}" / "ranking.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
     # ranking.csv as its rows were built before the split, one cell at a time
