@@ -193,15 +193,31 @@ def _check_schema(schema: dict) -> None:
         role_of[col] = role
 
 
-def load_schema(path: str | Path) -> dict:
-    """Read a JSON sidecar mapping column roles to CSV column names."""
+def open_input(path: str | Path, what: str, error: type[Exception], **how):
+    """``open(path, **how)``. Raises ``error``, naming the file as ``what``,
+    when it is missing or cannot be opened."""
     p = Path(path)
     if not p.exists():
-        raise SchemaError(f"schema file not found: {p}")
+        raise error(f"{what} file not found: {p}")
     try:
-        schema = json.loads(p.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"schema is not valid JSON: {exc}") from None
+        return open(p, **how)
+    except OSError as exc:
+        raise error(f"cannot read {what} file {p}: {exc.strerror}") from None
+
+
+def read_json(path: str | Path, what: str, error: type[Exception]):
+    """The JSON value stored at ``path``. Raises ``error``, naming the file
+    as ``what``, when it is missing, cannot be opened, or is not UTF-8 JSON."""
+    with open_input(path, what, error, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise error(f"{what} is not valid JSON: {exc}") from None
+
+
+def load_schema(path: str | Path) -> dict:
+    """Read a JSON sidecar mapping column roles to CSV column names."""
+    schema = read_json(path, "schema", SchemaError)
     _check_schema(schema)
     return schema
 
@@ -448,10 +464,8 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
     """
     _check_schema(schema)
     p = Path(path)
-    if not p.exists():
-        raise SchemaError(f"data file not found: {p}")
     loaded = None
-    with open(p, "rb") as fh:
+    with open_input(p, "data", SchemaError, mode="rb") as fh:
         head = _read_header(fh)
         if head is not None:
             header, start = head
@@ -524,11 +538,17 @@ def map_row_ranges(n_rows: int, what: str, run: Callable[[int, int], object],
 
     A single range is a single task, run in-process. The ranges are tasks of
     ``parallel.iter_tasks``, named ``rows lo-(hi-1) of <what>`` in its
-    errors; close the iterator (``contextlib.closing``) to stop early.
+    errors. The first range that raises, in row order, raises its exception
+    here after every earlier range, for any worker count; close the iterator
+    (``contextlib.closing``) to stop early.
     """
     bounds = row_ranges(n_rows)[which]
-    return iter_tasks([f"rows {lo}-{hi - 1} of {what}" for lo, hi in bounds],
-                      lambda t: run(*bounds[t]))
+    with closing(iter_tasks([f"rows {lo}-{hi - 1} of {what}" for lo, hi in bounds],
+                            lambda t: run(*bounds[t]))) as values:
+        for value in values:
+            if isinstance(value, Exception):
+                raise value
+            yield value
 
 
 @contextmanager

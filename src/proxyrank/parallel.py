@@ -71,8 +71,8 @@ def _max_workers() -> int:
 
 
 def iter_tasks(names: list[str], run: Callable[[int], object]) -> Iterator:
-    """Yield ``run(i)`` for ``i in range(len(names))``, in task order,
-    computed on forked workers.
+    """Yield ``run(i)``, or the exception it raised (``_call``), for ``i in
+    range(len(names))``, in task order, computed on forked workers.
 
     The task indices are dealt round-robin to ``min(_max_workers(),
     len(names))`` workers; with one, they run in-process, one per yield. A
@@ -82,30 +82,41 @@ def iter_tasks(names: list[str], run: Callable[[int], object]) -> Iterator:
     so a worker that is ahead waits to send it. Every worker is joined before
     the generator finishes, raises or is closed, so close it
     (``contextlib.closing``) when stopping early. A worker that dies, or
-    whose result cannot be pickled, loses the rest of its tasks, and
-    StageError names (by ``names``) the first lost task in task order once
-    every earlier result has been yielded, so the error does not depend on
-    which worker failed first.
+    whose result cannot be pickled or unpickled, loses the rest of its
+    tasks, and StageError names (by ``names``) the first lost task in task
+    order once every earlier result has been yielded, so the error does not
+    depend on which worker failed first.
     """
     n_workers = min(_max_workers(), len(names))
     return _tasks(names, run, n_workers if n_workers > 1 else 0)
 
 
 def on_worker(name: str, run: Callable[[], object]) -> object:
-    """``run()``, computed on a forked worker of its own when this process
-    may use more than one CPU, and in-process otherwise, so that nothing it
-    allocates along the way stays in this process. The worker is one of
-    ``iter_tasks``: a worker that dies, or whose result cannot be pickled,
-    raises StageError naming ``name``."""
+    """``run()``, or the exception it raised, computed on a forked worker of
+    its own when this process may use more than one CPU, and in-process
+    otherwise, so that nothing it allocates along the way stays in this
+    process. The worker is one of ``iter_tasks``: a worker that dies, or
+    whose result cannot be pickled or unpickled, raises StageError naming
+    ``name``."""
     (value,) = _tasks([name], lambda t: run(), 1 if _max_workers() > 1 else 0)
     return value
+
+
+def _call(run: Callable[[int], object], t: int) -> object:
+    """The value of task t, on a worker and in-process alike: ``run(t)``, or
+    the exception it raised without its traceback, which would hold the
+    task's frames. An exit or an interrupt is not caught."""
+    try:
+        return run(t)
+    except Exception as exc:
+        return exc.with_traceback(None)
 
 
 def _tasks(names: list[str], run: Callable[[int], object], n_workers: int) -> Iterator:
     """``iter_tasks`` on ``n_workers`` forked workers; in-process with 0."""
     if not n_workers:
         for t in range(len(names)):
-            yield run(t)
+            yield _call(run, t)
         return
     import multiprocessing  # loaded only by a stage that forks
 
@@ -117,7 +128,7 @@ def _tasks(names: list[str], run: Callable[[int], object], n_workers: int) -> It
 
             def work(w=w, writer=writer):
                 for t in range(w, len(names), n_workers):
-                    result = run(t)
+                    result = _call(run, t)
                     try:
                         writer.send((True, result))
                     except Exception as exc:  # pickling failed; nothing was sent

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, PreparedCohort
-from .data import Dataset, map_row_ranges, row_ranges, written_whole
+from .data import Dataset, map_row_ranges, read_json, row_ranges, written_whole
 from .outcomes import compute_ite
 from .ranking import rank_rmse, top_count
 from .rng import derive_seed
@@ -44,14 +44,8 @@ REPORT_FILES = ("report.json", "ranking.csv", "balance.csv", "sensitivity.json",
 
 def read_json_object(path: str | Path, what: str) -> dict:
     """The JSON object stored at ``path``. Raises ConfigError, naming the file
-    as ``what``, when it is missing, is not valid JSON, or holds no object."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} file not found: {p}")
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    as ``what``, when it cannot be read, is not valid JSON, or holds no object."""
+    raw = read_json(path, what, ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} root must be a JSON object")
     return raw

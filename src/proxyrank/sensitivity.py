@@ -13,8 +13,9 @@ both tests take a list of models and run cohort-major: each cohort is drawn
 and prepared once, every model is analyzed on it, and it is dropped before
 the next one is drawn. The cohorts, and the baselines both tests compare
 against (one model per task, on the observed cohort prepared once), are the
-tasks of ``parallel.iter_tasks``; the records merge in task order, which gives
-the values and errors of running the tasks one by one.
+tasks of ``parallel.iter_tasks``, which turns a task's exception into its
+value; the records merge in task order, which gives the values and errors of
+running the tasks one by one.
 """
 from __future__ import annotations
 
@@ -24,8 +25,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .analysis import (AnalysisConfig, AnalysisResult, ModelSpec, PreparedCohort, analyze_model,
-                       prepare_cohort)
+from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, analyze_model, prepare_cohort
 from .data import Dataset, DataValidationError
 from .parallel import iter_tasks, on_worker
 from .propensity import ipw_weights
@@ -139,13 +139,10 @@ def _analyze_cohort(draw: Callable[[], tuple],
                     specs: list[ModelSpec], live: list[int], cfg: AnalysisConfig):
     """Draw a cohort (``draw()`` returns (key, dataset)), prepare it once and
     record each spec of ``live`` on it as ``record(i, key, result)``.
-    Returns one value or exception per live spec, or the exception that
-    drawing or preparing the cohort raised."""
-    try:
-        key, cohort = draw()
-        prepared = prepare_cohort(cohort, cfg)
-    except Exception as exc:
-        return exc.with_traceback(None)  # hold no frame of the cohort
+    Returns one value or exception per live spec, so that one spec's failure
+    does not end the others; a failed draw or preparation raises."""
+    key, cohort = draw()
+    prepared = prepare_cohort(cohort, cfg)
     out = []
     for i in live:
         try:
@@ -163,13 +160,14 @@ def _sweep(tasks: list[tuple], specs: list[ModelSpec], baselines: list,
     A task is one cohort as (name, draw, record): ``_analyze_cohort`` takes
     the last two, and ``name`` says which cohort it is in an error. Each
     cohort is drawn and prepared once, and every spec whose entry in
-    ``baselines`` is not an exception is analyzed on it; the tasks
-    run on forked workers (``iter_tasks``), so only one cohort per worker is
-    alive at a time. Returns, per spec, its records in task order up to its
-    first failure, and the exception that ended it (None if none did): its
+    ``baselines`` is not an exception is analyzed on it; the tasks run on
+    forked workers (``iter_tasks``), so only one cohort per worker is alive
+    at a time. Returns, per spec, its records in task order up to its first
+    failure, and the exception that ended it (None if none did): its
     baseline's exception, else the first in task order, where a cohort that
-    fails to draw or prepare ends every spec with its error. These are the
-    values and errors of running the tasks one by one.
+    fails to draw or prepare (``iter_tasks`` yields that task's exception as
+    its value) ends every spec with its error. These are the values and
+    errors of running the tasks one by one.
     """
     records = [[] for _ in specs]
     errors = [b if isinstance(b, Exception) else None for b in baselines]
@@ -189,35 +187,6 @@ def _sweep(tasks: list[tuple], specs: list[ModelSpec], baselines: list,
     return list(zip(records, errors))
 
 
-def _baseline(prepared, spec: ModelSpec, cfg: AnalysisConfig):
-    """``spec``'s analysis of ``prepared`` as (model, ites, ranked), without
-    the cohort a worker would otherwise send back; or the exception the
-    analysis raised."""
-    try:
-        result = analyze_model(prepared, spec, cfg)
-    except Exception as exc:
-        return exc.with_traceback(None)  # hold no frame of the cohort
-    return result.model, result.ites, result.ranked
-
-
-def _balance(prepared):
-    """``prepared``'s covariate balance, or the exception computing it raised."""
-    try:
-        return prepared.balance
-    except Exception as exc:
-        return exc.with_traceback(None)  # hold no frame of the cohort
-
-
-def _prepare(d: Dataset, cfg: AnalysisConfig):
-    """``d`` prepared, as what a prepared cohort holds besides ``d``: its
-    (fit, keep, weights); or the exception preparing it raised."""
-    try:
-        prepared = prepare_cohort(d, cfg)
-    except Exception as exc:
-        return exc.with_traceback(None)  # hold no frame of the cohort
-    return prepared.fit, prepared.keep, prepared.weights
-
-
 def analyze_baselines(d: Dataset, specs: list[ModelSpec],
                       cfg: AnalysisConfig = AnalysisConfig(), balance: bool = False):
     """Every spec's analysis of ``d``, all on one prepared cohort, yielded in
@@ -233,9 +202,10 @@ def analyze_baselines(d: Dataset, specs: list[ModelSpec],
     refers to this process's prepared cohort. Yields one ``AnalysisResult``
     per spec, or the exception its analysis raised (every spec gets the
     exception of preparing the cohort, if that fails); these are the
-    baselines the sweeps compare against. A worker that dies raises
-    ``StageError``. Close the generator (``contextlib.closing``) to stop
-    early: the workers still running are killed.
+    baselines the sweeps compare against. A worker that dies, or cannot
+    return its result, raises ``StageError``. Close the generator
+    (``contextlib.closing``) to stop early: the workers still running are
+    killed.
 
     With ``balance``, one more task after the specs computes the prepared
     cohort's covariate balance, dealt round-robin like the others (on two
@@ -243,23 +213,24 @@ def analyze_baselines(d: Dataset, specs: list[ModelSpec],
     once the last spec has been yielded and the generator is resumed. If it
     raises, the field is left unset, and its first read raises again.
     """
-    value = on_worker("the preparation of the observed cohort", lambda: _prepare(d, cfg))
+    # A worker sends back its prepared cohort or result without the cohort.
+    value = on_worker("the preparation of the observed cohort",
+                      lambda: replace(prepare_cohort(d, cfg), full=None))
     if isinstance(value, Exception):
         yield from [value] * len(specs)
         return
-    fit, keep, weights = value
-    prepared = PreparedCohort(full=d, keep=keep, fit=fit, weights=weights,
-                              balance_threshold=cfg.balance_threshold)
+    prepared = replace(value, full=d)
     names = [f"the baseline of model {spec.name()!r}" for spec in specs]
     if balance:
         names.append("the covariate balance of the observed cohort")
 
     def run(t: int):
-        return _baseline(prepared, specs[t], cfg) if t < len(specs) else _balance(prepared)
+        if t < len(specs):
+            return replace(analyze_model(prepared, specs[t], cfg), prepared=None)
+        return prepared.balance
     with closing(iter_tasks(names, run)) as values:
-        for spec, value in zip(specs, values):
-            yield value if isinstance(value, Exception) else AnalysisResult(prepared, spec,
-                                                                             *value)
+        for _, value in zip(specs, values):
+            yield value if isinstance(value, Exception) else replace(value, prepared=prepared)
         for value in values:  # the balance task, if any
             if not isinstance(value, Exception):
                 prepared.balance = value

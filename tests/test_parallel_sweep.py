@@ -515,6 +515,20 @@ def test_iter_tasks_yields_every_earlier_result_before_a_lost_task(monkeypatch, 
     assert multiprocessing.active_children() == []
 
 
+def test_iter_tasks_yields_a_raising_tasks_exception_in_its_turn(monkeypatch, time_limit):
+    def run(t):
+        if t == 1:
+            raise ModelError("injected task failure")
+        return t
+    for n in (1, 2):
+        workers(monkeypatch, n)
+        got = list(parallel.iter_tasks([f"task {t}" for t in range(4)], run))
+        assert [got[0], *got[2:]] == [0, 2, 3]
+        assert type(got[1]) is ModelError and str(got[1]) == "injected task failure"
+        assert got[1].__traceback__ is None
+        assert multiprocessing.active_children() == []
+
+
 def test_iter_tasks_closed_early_leaves_no_worker(monkeypatch, time_limit):
     children = count_forks(monkeypatch)
     workers(monkeypatch, 2)
@@ -669,6 +683,44 @@ def test_killed_formatting_worker_is_a_stage_error(monkeypatch, tmp_path, capsys
     assert err == ("stage failure: StageError: the worker died running rows 0-63 of "
                    "observed.csv and oracle.csv (exit code -9)\n")
     assert files == {}  # not even a temporary file
+
+
+def test_raising_formatting_range_fails_as_in_process(monkeypatch, tmp_path, capfd,
+                                                      time_limit):
+    def text_rows(columns):
+        raise ValueError("injected formatting failure")
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(CONFIG))
+    monkeypatch.setattr(data, "_text_rows", text_rows)
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
+    for n in (1, 2, 3):
+        workers(monkeypatch, n)
+        out = tmp_path / f"w{n}"
+        rc = main(["simulate", "--config", str(cfgp), "--out", str(out)])
+        assert rc == 2 and multiprocessing.active_children() == []
+        assert capfd.readouterr().err == "stage failure: ValueError: injected formatting failure\n"
+        assert list(out.iterdir()) == []  # not even a temporary file
+
+
+def test_raising_parsing_range_fails_as_in_process(monkeypatch, tmp_path, capfd, time_limit):
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(CONFIG))
+    assert main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim")]) == 0
+
+    def parse_rows(body, width):
+        raise ValueError("injected parse failure")
+    monkeypatch.setattr(data, "_parse_rows", parse_rows)
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
+    capfd.readouterr()
+    for n in (1, 2, 3):
+        workers(monkeypatch, n)
+        out = tmp_path / f"w{n}"
+        rc = main(["analyze", "--data", str(tmp_path / "sim" / "observed.csv"),
+                   "--schema", str(tmp_path / "sim" / "observed_schema.json"),
+                   "--out", str(out)])
+        assert rc == 2 and multiprocessing.active_children() == []
+        assert capfd.readouterr().err == "stage failure: ValueError: injected parse failure\n"
+        assert list(out.iterdir()) == []
 
 
 def test_simulate_small_cohort_forks_nothing(monkeypatch, tmp_path, capsys):

@@ -431,6 +431,21 @@ class TestCli:
         assert self.run_cli(command, flag, str(src), "--out", str(tmp_path / "x")) == 1
         assert f"config error: {what} {problem}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag", [("run", "--config"), ("analyze", "--schema"),
+                                              ("analyze", "--data"), ("report", "--from")])
+    def test_unreadable_input_file_exit_code(self, cli_outputs, command, flag, tmp_path,
+                                             capsys):
+        """A directory where an input file belongs is a config error naming it."""
+        inputs = {}
+        if command == "analyze":
+            inputs = {"--data": str(cli_outputs / "sim" / "observed.csv"),
+                      "--schema": str(cli_outputs / "sim" / "observed_schema.json")}
+        inputs[flag] = str(tmp_path)
+        argv = [arg for pair in inputs.items() for arg in pair]
+        assert self.run_cli(command, *argv, "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f" file {tmp_path}: " in err
+
     def test_stage_failure_exit_code(self, tmp_path):
         cfg_dict = dict(TINY)
         cfg_dict["models"] = [{"family": "poisson", "label": "bad"}]
