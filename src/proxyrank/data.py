@@ -85,9 +85,10 @@ class GroundTruth:
 class Dataset:
     """Validated immutable cohort: covariates X, binary treatment, outcome.
 
-    All arrays are copied and marked read-only at construction; every
-    operation in this package returns new values, so any two operations can
-    run concurrently on the same dataset.
+    The arrays are stored C-contiguous, float64 (int64 treatment) and
+    read-only: an input already of that kind is kept, not copied, so the
+    caller's own array becomes read-only. Every operation in this package
+    returns new values, so any two operations can run concurrently on it.
     """
 
     covariates: np.ndarray

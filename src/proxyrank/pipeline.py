@@ -150,6 +150,10 @@ class RunConfig:
             labels.add(spec.name())
         if not self.sensitivity_configs:  # the report's mean rank RMSE needs a draw
             raise ConfigError("config must declare at least one sensitivity config")
+        for i, c in enumerate(self.sensitivity_configs):  # each run derives its own seed
+            if c.seed != 0:
+                raise ConfigError(f"sensitivity_configs[{i}]: seed must be 0, got {c.seed!r}; "
+                                  "each confounder draw's seed derives from master_seed")
         if self.sensitivity_runs < 1:
             raise ConfigError("sensitivity_runs must be >= 1")
         if not 0.0 < self.campaign_exposure < 1.0:
@@ -393,10 +397,11 @@ def _csv_head(config_hash: str, header: list[str]) -> str:
 
 
 def write_csv(path: Path, config_hash: str, header: list[str], rows) -> None:
-    """Write a run CSV: ``_csv_head``, then each row's cells joined by commas."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_csv_head(config_hash, header))
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+    """Write a run CSV through ``written_whole``: ``_csv_head``, then each row's
+    cells joined by commas."""
+    with written_whole([path]) as (fh,):
+        fh.write(_csv_head(config_hash, header).encode("utf-8"))
+        fh.writelines((",".join(map(str, row)) + "\n").encode("utf-8") for row in rows)
 
 
 def config_hash_of(path: Path) -> str | None:
@@ -414,7 +419,8 @@ def config_hash_of(path: Path) -> str | None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8")
+    with written_whole([path]) as (fh,):
+        fh.write(json.dumps(payload, sort_keys=True, indent=1).encode("utf-8"))
 
 
 def write_model_rows(path: Path, config_hash: str, header: list[str], sizes: list[int],
@@ -542,7 +548,8 @@ def write_cate_by_k(out: Path, config_hash: str, reports: list[ModelReport]) -> 
 
 def write_summary(out: Path, payload: dict) -> Path:
     """Write summary.md from a report.json-shaped dict."""
-    (out / "summary.md").write_text(summary_from_payload(payload), encoding="utf-8")
+    with written_whole([out / "summary.md"]) as (fh,):
+        fh.write(summary_from_payload(payload).encode("utf-8"))
     return out / "summary.md"
 
 

@@ -25,8 +25,8 @@ node's best (``_screen`` proves the bound). The bound keeps every feature
 that could win or tie, so screened and unscreened searches grow the same
 trees to the bit; non-finite sums and non-positive weights scan every
 feature. The node sums and prefix sums of w, w*y and w*y*y come from one
-stacked gather. Prediction walks the nodes as preorder arrays, one
-vectorized step per level.
+stacked gather. A fitted tree is its nodes as preorder arrays, which
+prediction walks one vectorized step per level.
 """
 from __future__ import annotations
 
@@ -255,11 +255,12 @@ def _best_split(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarra
 
 def _grow(F: np.ndarray, y: np.ndarray, w: np.ndarray, order: np.ndarray,
           tied: np.ndarray, repeats, max_depth: int | None, min_leaf: int, mtry: int,
-          rng: np.random.Generator) -> _Node:
+          rng: np.random.Generator) -> tuple:
     """Grow one tree depth-first, left subtree first, from the presorted
     ``order`` of F (with its ``tied`` codes and ``repeats`` flags, as
     ``_presort`` returns them); the feature subsample of every split node is drawn from
-    ``rng`` in that order. A node that will be a leaf gets no lists."""
+    ``rng`` in that order. A node that will be a leaf gets no lists. Returns
+    the nodes in the order grown, which is preorder, as ``_preorder`` does."""
     k, n = order.shape
     wy = w * y
     G = np.stack([w, wy, wy * y])
@@ -269,12 +270,15 @@ def _grow(F: np.ndarray, y: np.ndarray, w: np.ndarray, order: np.ndarray,
     def inner(size: int, depth: int) -> bool:
         return (max_depth is None or depth < max_depth) and size >= 2 * min_leaf
 
-    root = _Node(value=0.0)
-    stack = [(root, np.arange(n), order if inner(n, 0) else None, 0)]
+    nodes = []  # [value, feature, threshold, right child index] of each node
+    # (rows, lists, depth, index of the node whose right child it is)
+    stack = [(np.arange(n), order if inner(n, 0) else None, 0, -1)]
     while stack:
-        node, rows, order, depth = stack.pop()
+        rows, order, depth, parent = stack.pop()
+        if parent >= 0:
+            nodes[parent][3] = len(nodes)
         sw, swy, swyy = np.take(G, rows, axis=1).sum(axis=1).tolist()
-        node.value = swy / sw
+        nodes.append([swy / sw, -1, 0.0, -1])
         if order is None:  # a leaf by depth or size
             continue
         feats = np.arange(k) if mtry == k else np.sort(rng.choice(k, mtry, replace=False))
@@ -286,38 +290,40 @@ def _grow(F: np.ndarray, y: np.ndarray, w: np.ndarray, order: np.ndarray,
         left = F[rows, j] <= thr
         n_left = int(np.count_nonzero(left))
         n_right = len(rows) - n_left
-        node.feature, node.threshold = j, thr
-        node.left, node.right = _Node(value=0.0), _Node(value=0.0)
+        nodes[-1][1:3] = j, thr
         grow_left, grow_right = inner(n_left, depth + 1), inner(n_right, depth + 1)
         if grow_left or grow_right:
             goes_left[rows] = left
             sel = np.take(goes_left, order.ravel())
-        stack.append((node.right, rows[~left],
+        stack.append((rows[~left],
                       np.compress(~sel, order).reshape(k, n_right) if grow_right else None,
-                      depth + 1))
-        stack.append((node.left, rows[left],
+                      depth + 1, len(nodes) - 1))
+        stack.append((rows[left],
                       np.compress(sel, order).reshape(k, n_left) if grow_left else None,
-                      depth + 1))
-    return root
+                      depth + 1, -1))
+    return _arrays(nodes)
+
+
+def _arrays(nodes: list[list]) -> tuple:
+    """The columns of [value, feature, threshold, right] rows as arrays."""
+    value, feature, threshold, right = zip(*nodes)
+    return (np.array(value, dtype=np.float64), np.array(feature, dtype=np.int64),
+            np.array(threshold, dtype=np.float64), np.array(right, dtype=np.intp))
 
 
 def _preorder(root: _Node) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The nodes in preorder as arrays of value, feature (-1 at a leaf),
     threshold and right child index; a split node's left child follows it."""
-    value, feature, threshold, right = [], [], [], []
+    nodes = []
     stack = [(root, -1)]  # (node, index of the node whose right child it is)
     while stack:
         node, parent = stack.pop()
         if parent >= 0:
-            right[parent] = len(value)
-        value.append(node.value)
-        feature.append(-1 if node.is_leaf else node.feature)
-        threshold.append(node.threshold)
-        right.append(-1)
+            nodes[parent][3] = len(nodes)
+        nodes.append([node.value, -1 if node.is_leaf else node.feature, node.threshold, -1])
         if not node.is_leaf:
-            stack += ((node.right, len(value) - 1), (node.left, -1))
-    return (np.array(value, dtype=np.float64), np.array(feature, dtype=np.int64),
-            np.array(threshold, dtype=np.float64), np.array(right, dtype=np.intp))
+            stack += ((node.right, len(nodes) - 1), (node.left, -1))
+    return _arrays(nodes)
 
 
 def _is_integer(v) -> bool:
@@ -360,11 +366,34 @@ class RegressionTree(_TreeModel):
     min_samples_leaf: int = 5
     max_features: int | None = None  # per-split subsample; None = all
     seed: int = 0
-    root: _Node | None = field(default=None, init=False)
+    # the fitted nodes, as ``_grow`` returns them; None before a fit
+    nodes: tuple | None = field(default=None, init=False, compare=False, repr=False)
     n_iter = 1  # trees per fit
 
     def __post_init__(self) -> None:
         _check_tree_params(self.max_depth, self.min_samples_leaf, self.seed, self.max_features)
+
+    @property
+    def root(self) -> _Node | None:
+        """The fitted nodes as linked ``_Node``s, built from ``nodes``."""
+        if self.nodes is None:
+            return None
+        root, open_nodes = None, []  # open_nodes: split nodes still missing a child
+        for value, feature, threshold in zip(*(a.tolist() for a in self.nodes[:3])):
+            node = _Node(value=value, feature=feature, threshold=threshold)
+            if root is None:
+                root = node
+            elif open_nodes[-1].left is None:
+                open_nodes[-1].left = node
+            else:
+                open_nodes.pop().right = node
+            if feature >= 0:
+                open_nodes.append(node)
+        return root
+
+    @root.setter
+    def root(self, node: _Node | None) -> None:
+        self.nodes = None if node is None else _preorder(node)
 
     def fit(self, F: np.ndarray, y: np.ndarray, w: np.ndarray,
             presorted: tuple | None = None) -> "RegressionTree":
@@ -377,18 +406,15 @@ class RegressionTree(_TreeModel):
         order, tied, repeats = _presort(F) if presorted is None else presorted
         k = F.shape[1]
         mtry = k if self.max_features is None else min(self.max_features, k)
-        self.root = _grow(F, y, w, order, tied, repeats, self.max_depth, self.min_samples_leaf,
-                          mtry, substream(self.seed, "tree-features"))
+        self.nodes = _grow(F, y, w, order, tied, repeats, self.max_depth,
+                           self.min_samples_leaf, mtry, substream(self.seed, "tree-features"))
         return self
 
     def predict(self, F: np.ndarray) -> np.ndarray:
         """Walk every row down the preorder arrays, one level per step; a
         NaN fails ``<=`` and goes right."""
         F = np.asarray(F, dtype=np.float64)
-        cached = self.__dict__.get("_flat")  # built once per root
-        if cached is None or cached[0] is not self.root:
-            cached = self._flat = (self.root, _preorder(self.root))
-        value, feature, threshold, right = cached[1]
+        value, feature, threshold, right = self.nodes
         at = np.zeros(len(F), dtype=np.intp)  # each row's node
         rows = np.arange(len(F) if feature[0] >= 0 else 0)  # rows at a split node
         while rows.size:
@@ -402,34 +428,6 @@ class RegressionTree(_TreeModel):
         return {"max_depth": self.max_depth, "min_samples_leaf": self.min_samples_leaf,
                 "max_features": self.max_features, "seed": self.seed,
                 "root": self.root.to_dict()}
-
-    def __getstate__(self) -> dict:
-        """The fields, with the nodes as preorder arrays of value, feature
-        (-1 at a leaf) and threshold: pickle would recurse once per level of
-        the linked nodes and fail on a deep tree."""
-        state = dict(self.__dict__, root=None)
-        state.pop("_flat", None)
-        if self.root is not None:
-            state["root"] = _preorder(self.root)[:3]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        """Rebuild the nodes from ``__getstate__``'s preorder arrays."""
-        arrays = state["root"]
-        self.__dict__.update(state, root=None)
-        if arrays is None:
-            return
-        open_nodes = []  # split nodes still missing a child
-        for value, feature, threshold in zip(*(a.tolist() for a in arrays)):
-            node = _Node(value=value, feature=feature, threshold=threshold)
-            if self.root is None:
-                self.root = node
-            elif open_nodes[-1].left is None:
-                open_nodes[-1].left = node
-            else:
-                open_nodes.pop().right = node
-            if feature >= 0:
-                open_nodes.append(node)
 
 
 @dataclass

@@ -4,11 +4,13 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import proxyrank
 import proxyrank.cli as cli
 import proxyrank.parallel as parallel
+from proxyrank.trees import GradientBoostedTrees, RandomForest
 
 # Removed because nothing in the method called them; each must stay gone.
 DELETED = ("predict_scores", "SplitSpec", "train_validation_split", "save_model",
@@ -78,6 +80,17 @@ def test_tracer_hooks_read_what_the_commands_pass(command, monkeypatch, tmp_path
     trees = [span["attrs"]["nodes"] for span in tracer.spans
              if span["name"] == "trees.RegressionTree.fit"]
     assert all(nodes > 0 for nodes in trees)
+
+
+def test_tracer_counts_every_stored_node():
+    # the tracer walks a fitted tree's linked nodes, a view of its arrays
+    count = _tracer()._count_nodes
+    rng = np.random.default_rng(0)
+    F, y, w = rng.standard_normal((300, 4)), rng.standard_normal(300), np.ones(300)
+    for model in (RandomForest(n_trees=3, min_samples_leaf=3).fit(F, y, w),
+                  GradientBoostedTrees(n_rounds=3, max_depth=3).fit(F, y, w)):
+        assert [count(t.root) for t in model.trees] == [len(t.nodes[0]) for t in model.trees]
+        assert all(len(t.nodes[0]) > 1 for t in model.trees)
 
 
 def test_exported_names_resolve():

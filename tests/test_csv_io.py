@@ -278,6 +278,34 @@ def test_write_csv_bytes_equal_generator_join(tmp_path_factory, rows):
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_write_csv_whose_rows_raise_leaves_no_file(tmp_path):
+    def rows():
+        yield ("a", 1)
+        raise ValueError("bad row")
+    with pytest.raises(ValueError, match="bad row"):
+        pipeline.write_csv(tmp_path / "overlap.csv", "0123abcd", ["model", "k"], rows())
+    assert list(tmp_path.iterdir()) == []  # neither the target nor a .tmp
+
+
+WHOLE_WRITERS = {
+    "report.json": lambda out: pipeline.write_json(out / "report.json", {"config_hash": "new"}),
+    "summary.md": lambda out: pipeline.write_summary(out, {"config_hash": "new", "models": []}),
+}
+
+
+@pytest.mark.parametrize("name", list(WHOLE_WRITERS))
+def test_failed_json_and_summary_writes_keep_the_old_file(tmp_path, monkeypatch, name):
+    (tmp_path / name).write_bytes(b"old bytes")
+
+    def replace(src, dst):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(data.os, "replace", replace)
+    with pytest.raises(OSError, match="No space left"):
+        WHOLE_WRITERS[name](tmp_path)
+    assert (tmp_path / name).read_bytes() == b"old bytes"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def random_dataset(n, seed=0):
     rng = np.random.default_rng(seed)
     y0, y1 = rng.standard_normal(n), rng.standard_normal(n)

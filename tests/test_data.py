@@ -162,6 +162,14 @@ class TestDatasetInvariants:
         with pytest.raises((ValueError, RuntimeError)):
             toy_dataset.outcome[0] = 99.0
 
+    def test_arrays_of_the_stored_kind_are_kept_not_copied(self):
+        X, a, y = np.zeros((3, 2)), np.array([0, 1, 0], dtype=np.int64), np.ones(3)
+        d = Dataset(X, a, y)
+        assert d.covariates is X and d.treatment is a and d.outcome is y
+        assert not (X.flags.writeable or a.flags.writeable or y.flags.writeable)
+        F = np.asfortranarray(np.zeros((3, 2)))  # any other kind is copied
+        assert Dataset(F, a, y).covariates is not F and F.flags.writeable
+
     def test_with_covariate_returns_new(self, toy_dataset):
         d2 = toy_dataset.with_covariate("extra", np.zeros(toy_dataset.n))
         assert d2.k == toy_dataset.k + 1

@@ -80,6 +80,8 @@ BAD_MODELS = [
     ({"family": "tree", "hyperparams": {"root": None}},
      r"^models\[0\]: tree does not accept hyperparams \['root'\]; it accepts "
      r"\['max_depth', 'min_samples_leaf', 'max_features', 'seed'\]$"),
+    ({"family": "tree", "hyperparams": {"nodes": None}},
+     r"tree does not accept hyperparams \['nodes'\]"),
     ({"family": "forest", "hyperparams": {"trees": []}},
      r"forest does not accept hyperparams \['trees'\]"),
     ({"family": "boosted_trees", "hyperparams": {"base_value": 1.0, "train_losses": []}},
@@ -105,6 +107,10 @@ BAD_CONFIGS = [
     ({"sensitivity_configs": []}, "at least one sensitivity config"),
     ({"sensitivity_configs": [{"epsilon": 0}]}, "epsilon must be > 0"),
     ({"sensitivity_configs": [{"posterior_mode": "median"}]}, "posterior_mode"),
+    # each run's confounder seed derives from master_seed, so this one would configure nothing
+    ({"sensitivity_configs": [{}, {"seed": 7}]},
+     r"^sensitivity_configs\[1\]: seed must be 0, got 7; each confounder draw's seed "
+     r"derives from master_seed$"),
     # values of the wrong type
     ({"analysis": {"trim_lo": "x"}}, "analysis.trim_lo must be a number"),
     ({"analysis": {"n_levels": "4"}}, "analysis.n_levels must be an integer"),

@@ -312,10 +312,44 @@ class TestPickle:
         a = np.arange(5002) % 2
         np.testing.assert_array_equal(back.predict(X, a), model.predict(X, a))
         assert back.params is vars(back._predictor)
-        assert back.params["root"] is back._predictor.root
+        assert back.params["nodes"] is back._predictor.nodes
 
     def test_unfitted_tree_round_trips(self):
         assert pickle.loads(pickle.dumps(RegressionTree(seed=9))) == RegressionTree(seed=9)
+
+
+TREE_FAMILIES = [
+    lambda: RegressionTree(min_samples_leaf=2, max_depth=None),
+    lambda: RandomForest(n_trees=3, min_samples_leaf=3),
+    lambda: GradientBoostedTrees(n_rounds=4, max_depth=3),
+]
+FAMILY_IDS = ["tree", "forest", "boosted_trees"]
+
+
+class TestStoredArrays:
+    """A fitted tree is its preorder arrays; the linked nodes are only a view."""
+
+    @pytest.mark.parametrize("make", TREE_FAMILIES, ids=FAMILY_IDS)
+    def test_fit_predict_and_pickle_build_no_node(self, make, monkeypatch):
+        F, y, w = tie_heavy(0, 200, 5)
+        want = make().fit(F, y, w).predict(F)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a linked node was built or flattened")
+        monkeypatch.setattr(trees, "_Node", fail)
+        monkeypatch.setattr(trees, "_preorder", fail)
+        model = make().fit(F, y, w)
+        np.testing.assert_array_equal(model.predict(F), want)
+        np.testing.assert_array_equal(pickle.loads(pickle.dumps(model)).predict(F), want)
+
+    @pytest.mark.parametrize("make", TREE_FAMILIES, ids=FAMILY_IDS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_the_view_flattens_to_the_stored_arrays(self, make, seed):
+        F, y, w = tie_heavy(seed, 200, 5)
+        model = make().fit(F, y, w)
+        for tree in getattr(model, "trees", [model]):
+            assert [(a.dtype, a.tobytes()) for a in trees._preorder(tree.root)] == \
+                [(a.dtype, a.tobytes()) for a in tree.nodes]
 
 
 class TestDegenerateHyperparameters:
