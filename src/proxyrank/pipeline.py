@@ -384,6 +384,8 @@ def summary_from_payload(payload: dict) -> str:
         if m.get("iv_separated_fraction") is not None:
             lines.append(f"- campaign separation: "
                          f"{_report_number(m, 'iv_separated_fraction', at):.0%} of thresholds")
+        elif "iv_separated_fraction" in m:
+            lines.append("- campaign separation: no threshold measured")
         lines.append("")
     return "\n".join(lines)
 

@@ -48,21 +48,13 @@ _UNTIED, _BY_VALUE, _BY_SOURCE = 0, 1, 2
 
 @dataclass
 class _Node:
+    """A node of the ``RegressionTree.root`` view."""
+
     value: float
     feature: int = -1
     threshold: float = 0.0
     left: "_Node | None" = None
     right: "_Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": self.value}
-        return {"value": self.value, "feature": self.feature, "threshold": self.threshold,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
 
 
 def _sort_column(col: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -260,7 +252,9 @@ def _grow(F: np.ndarray, y: np.ndarray, w: np.ndarray, order: np.ndarray,
     ``order`` of F (with its ``tied`` codes and ``repeats`` flags, as
     ``_presort`` returns them); the feature subsample of every split node is drawn from
     ``rng`` in that order. A node that will be a leaf gets no lists. Returns
-    the nodes in the order grown, which is preorder, as ``_preorder`` does."""
+    the nodes in the order grown, which is preorder, as arrays of value,
+    feature (-1 at a leaf), threshold and right child index; a split node's
+    left child follows it."""
     k, n = order.shape
     wy = w * y
     G = np.stack([w, wy, wy * y])
@@ -309,21 +303,6 @@ def _arrays(nodes: list[list]) -> tuple:
     value, feature, threshold, right = zip(*nodes)
     return (np.array(value, dtype=np.float64), np.array(feature, dtype=np.int64),
             np.array(threshold, dtype=np.float64), np.array(right, dtype=np.intp))
-
-
-def _preorder(root: _Node) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The nodes in preorder as arrays of value, feature (-1 at a leaf),
-    threshold and right child index; a split node's left child follows it."""
-    nodes = []
-    stack = [(root, -1)]  # (node, index of the node whose right child it is)
-    while stack:
-        node, parent = stack.pop()
-        if parent >= 0:
-            nodes[parent][3] = len(nodes)
-        nodes.append([node.value, -1 if node.is_leaf else node.feature, node.threshold, -1])
-        if not node.is_leaf:
-            stack += ((node.right, len(nodes) - 1), (node.left, -1))
-    return _arrays(nodes)
 
 
 def _is_integer(v) -> bool:
@@ -375,7 +354,10 @@ class RegressionTree(_TreeModel):
 
     @property
     def root(self) -> _Node | None:
-        """The fitted nodes as linked ``_Node``s, built from ``nodes``."""
+        """A read-only view of ``nodes`` as linked ``_Node``s, built on each
+        read. It exists only because the benchmark tracer
+        (``perfbench/tracer._after_tree_fit``) counts a fit's nodes through
+        ``.left``/``.right``; nothing in the package reads it."""
         if self.nodes is None:
             return None
         root, open_nodes = None, []  # open_nodes: split nodes still missing a child
@@ -390,10 +372,6 @@ class RegressionTree(_TreeModel):
             if feature >= 0:
                 open_nodes.append(node)
         return root
-
-    @root.setter
-    def root(self, node: _Node | None) -> None:
-        self.nodes = None if node is None else _preorder(node)
 
     def fit(self, F: np.ndarray, y: np.ndarray, w: np.ndarray,
             presorted: tuple | None = None) -> "RegressionTree":
@@ -423,11 +401,6 @@ class RegressionTree(_TreeModel):
             at[rows] = node
             rows = rows[feature[node] >= 0]
         return value[at]
-
-    def to_dict(self) -> dict:
-        return {"max_depth": self.max_depth, "min_samples_leaf": self.min_samples_leaf,
-                "max_features": self.max_features, "seed": self.seed,
-                "root": self.root.to_dict()}
 
 
 @dataclass
@@ -468,11 +441,6 @@ class RandomForest(_TreeModel):
         for tree in self.trees:
             preds += tree.predict(F)
         return preds / len(self.trees)
-
-    def to_dict(self) -> dict:
-        return {"n_trees": self.n_trees, "min_samples_leaf": self.min_samples_leaf,
-                "max_depth": self.max_depth, "seed": self.seed,
-                "trees": [t.to_dict() for t in self.trees]}
 
 
 @dataclass
@@ -524,10 +492,3 @@ class GradientBoostedTrees(_TreeModel):
         for tree in self.trees:
             preds += self.shrinkage * tree.predict(F)
         return preds
-
-    def to_dict(self) -> dict:
-        return {"n_rounds": self.n_rounds, "max_depth": self.max_depth,
-                "shrinkage": self.shrinkage, "min_samples_leaf": self.min_samples_leaf,
-                "seed": self.seed, "base_value": self.base_value,
-                "train_losses": self.train_losses,
-                "trees": [t.to_dict() for t in self.trees]}

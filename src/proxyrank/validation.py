@@ -56,16 +56,19 @@ def simulate_campaign(cfg: SimConfig, exposure: float = 0.661) -> IVExperiment:
     through the proxy action: y = y1 if A=1 else y0, with A drawn from the
     compliance table conditional on the randomized z. The group effect is
     therefore the effect of A, z is a clean instrument, and the Wald ratio
-    within any subgroup targets that subgroup's mean effect.
+    within any subgroup targets that subgroup's mean effect. The campaign has
+    no hidden U: its outcomes are those of clean mode, and A follows the
+    configured ``compliance_table``, or the clean table when none is set.
     """
     if not 0.0 < exposure < 1.0:
         raise ConfigError("exposure must lie in (0, 1)")
-    campaign_cfg = replace(cfg, mode="clean")
-    X, names, groups, _, y0, y1 = draw_outcomes(campaign_cfg)
+    clean = replace(cfg, mode="clean", compliance_table=None)
+    X, names, groups, _, y0, y1 = draw_outcomes(clean)
     z = (substream(cfg.seed, "campaign-z").random(cfg.n) < exposure).astype(np.int64)
     if cfg.n == 0 or z.min() == z.max():
         raise DataValidationError("single-arm instrument: both z arms are required")
-    a = draw_proxy(campaign_cfg, z, substream(cfg.seed, "campaign-a").random(cfg.n))
+    a = draw_proxy(clean if cfg.compliance_table is None else cfg, z,
+                   substream(cfg.seed, "campaign-a").random(cfg.n))
     y = np.where(a == 1, y1, y0)
     cate = np.asarray(cfg.cate_levels, dtype=float)
     gt = GroundTruth(true_group=groups + 1, true_cate=cate[groups], y0=y0, y1=y1, z=z)
@@ -142,9 +145,11 @@ class IVResult:
     records: tuple[IVGroupRecord, ...]
     separation: dict  # k -> bool | None (None when a side was skipped)
 
-    def separated_fraction(self) -> float:
+    def separated_fraction(self) -> float | None:
+        """The share of measured thresholds where the high group out-responds
+        the low one; None when no threshold was measured."""
         flags = [v for v in self.separation.values() if v is not None]
-        return float(np.mean(flags)) if flags else 0.0
+        return float(np.mean(flags)) if flags else None
 
 
 DEFAULT_K_GRID = (10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0)

@@ -10,11 +10,16 @@ import pytest
 import proxyrank
 import proxyrank.cli as cli
 import proxyrank.parallel as parallel
-from proxyrank.trees import GradientBoostedTrees, RandomForest
+from proxyrank.trees import GradientBoostedTrees, RandomForest, RegressionTree
 
 # Removed because nothing in the method called them; each must stay gone.
 DELETED = ("predict_scores", "SplitSpec", "train_validation_split", "save_model",
            "load_model", "select_top_percentile")
+# Removed with the linked-node form of a fitted tree, which only the
+# preorder arrays now hold; each must stay gone.
+DELETED_TREE_API = ((proxyrank.trees, "_preorder"), (proxyrank.trees._Node, "to_dict"),
+                    (proxyrank.trees._Node, "is_leaf"), (RegressionTree, "to_dict"),
+                    (RandomForest, "to_dict"), (GradientBoostedTrees, "to_dict"))
 
 
 def _tracer():
@@ -101,3 +106,9 @@ def test_deleted_names_not_exported():
     for name in DELETED:
         assert name not in proxyrank.__all__
         assert not hasattr(proxyrank, name)
+
+
+def test_deleted_tree_api_stays_deleted():
+    assert [(owner.__name__, attr) for owner, attr in DELETED_TREE_API
+            if hasattr(owner, attr)] == []
+    assert RegressionTree.root.fset is None  # the tracer's view is read-only

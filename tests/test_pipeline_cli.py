@@ -586,6 +586,33 @@ class TestCli:
         assert self.run_cli("report", "--from", str(src), "--out", str(mixed)) == 0
         assert json.loads((mixed / "manifest.json").read_text()).keys() == {"summary.md"}
 
+    def test_negative_compliance_with_its_own_table(self, tmp_path):
+        # the campaign draws A from the configured table, as the cohort does
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"sim": {"n": 2000, "k": 6, "mode": "negative_compliance",
+                                            "compliance_table": [0.35, 0.65]},
+                                    "sensitivity_runs": 1, "placebo_bootstrap": 5}))
+        for command in ("run", "validate"):
+            out = tmp_path / command
+            assert self.run_cli(command, "--config", str(cfgp), "--out", str(out)) == 0
+            lines = (out / "cate_by_k.csv").read_text().splitlines()[2:]
+            assert lines and all(float(line.split(",")[4]) < 0 for line in lines)
+
+    def test_no_threshold_measured(self, tmp_path):
+        # at n=300 every high group has fewer than 50 units in an arm
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"sim": {"n": 300, "k": 6}}))
+        assert self.run_cli("run", "--config", str(cfgp), "--out", str(tmp_path / "run")) == 0
+        models = json.loads((tmp_path / "run" / "report.json").read_text())["models"]
+        assert [set(m["iv_separation"].values()) for m in models] == [{None}] * len(models)
+        assert [m["iv_separated_fraction"] for m in models] == [None] * len(models)
+        summary = (tmp_path / "run" / "summary.md").read_text()
+        assert summary.count("- campaign separation: no threshold measured\n") == len(models)
+        assert "% of thresholds" not in summary
+        assert self.run_cli("report", "--from", str(tmp_path / "run" / "report.json"),
+                            "--out", str(tmp_path / "again")) == 0
+        assert (tmp_path / "again" / "summary.md").read_text() == summary
+
 
 @pytest.mark.parametrize("command,run_dir,name", [
     ("rank_data", "run_data", "ranking.csv"),

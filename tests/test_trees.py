@@ -48,7 +48,11 @@ def tie_heavy(seed: int, n: int, k: int):
 
 
 def dump(model) -> str:
-    return json.dumps(model.to_dict())
+    """The model's fields and every tree's arrays, as JSON: equal dumps mean
+    equal floats, ``-0.0`` and ``NaN`` included."""
+    state = {key: value for key, value in vars(model).items() if key not in ("nodes", "trees")}
+    state["nodes"] = [[a.tolist() for a in t.nodes] for t in getattr(model, "trees", [model])]
+    return json.dumps(state)
 
 
 def with_oracle(monkeypatch, make, F, y, w) -> str:
@@ -197,7 +201,7 @@ class TestScreen:
 def walk(root: _Node, x: np.ndarray) -> float:
     """The value of the leaf that row ``x`` reaches, node by node."""
     node = root
-    while not node.is_leaf:
+    while node.left is not None:
         node = node.left if x[node.feature] <= node.threshold else node.right
     return node.value
 
@@ -222,7 +226,7 @@ class TestPredict:
             stack = [tree.root]
             while stack:
                 node = stack.pop()
-                if not node.is_leaf:
+                if node.left is not None:
                     row = X[:1].copy()
                     row[0, node.feature] = node.threshold
                     at.append(row)
@@ -233,11 +237,10 @@ class TestPredict:
 
     def test_nan_goes_right_and_a_leaf_root(self):
         tree = RegressionTree()
-        tree.root = _Node(value=0.0, feature=0, threshold=1.0,
-                          left=_Node(value=-1.0), right=_Node(value=2.0))
+        tree.nodes = trees._arrays([[0.0, 0, 1.0, 2], [-1.0, -1, 0.0, -1], [2.0, -1, 0.0, -1]])
         X = np.array([[np.nan], [-np.inf], [1.0], [np.inf]])
         np.testing.assert_array_equal(tree.predict(X), [2.0, -1.0, -1.0, 2.0])
-        tree.root = _Node(value=5.0)
+        tree.nodes = trees._arrays([[5.0, -1, 0.0, -1]])
         np.testing.assert_array_equal(tree.predict(X), [5.0] * 4)
         assert tree.predict(np.empty((0, 1))).shape == (0,)
 
@@ -264,23 +267,21 @@ class TestInputsFreedAfterFit:
             gc.enable()
 
 
-def deep_chain(depth: int) -> _Node:
-    """Split i sends x0 <= i + 0.5 to a leaf of value i and the rest one
-    level down: ``depth`` levels, far past the recursion limit of a
-    node-by-node pickle when ``depth`` is 5,000."""
-    root = node = _Node(value=-1.0)
+def deep_chain(depth: int) -> tuple:
+    """The arrays of a tree whose split i sends x0 <= i + 0.5 to a leaf of
+    value i and the rest one level down: ``depth`` levels, far past the
+    recursion limit of a node-by-node walk when ``depth`` is 5,000."""
+    rows = []
     for i in range(depth):
-        node.feature, node.threshold = 0, i + 0.5
-        node.left, node.right = _Node(value=float(i)), _Node(value=i + 1.0)
-        node = node.right
-    return root
+        rows += [[float(i) if i else -1.0, 0, i + 0.5, 2 * i + 2], [float(i), -1, 0.0, -1]]
+    return trees._arrays(rows + [[float(depth), -1, 0.0, -1]])
 
 
 class TestPickle:
     def test_deep_chain_round_trips(self):
         depth = 5000
         tree = RegressionTree(max_depth=None, min_samples_leaf=1, seed=3)
-        tree.root = deep_chain(depth)
+        tree.nodes = deep_chain(depth)
         F = np.arange(-1.0, depth + 2.0).reshape(-1, 1)
         back = pickle.loads(pickle.dumps(tree))
         np.testing.assert_array_equal(back.predict(F), tree.predict(F))
@@ -297,7 +298,6 @@ class TestPickle:
         F, y, w = tie_heavy(1, 150, 5)
         model = make().fit(F, y, w)
         back = pickle.loads(pickle.dumps(model))
-        assert back.to_dict() == model.to_dict()
         assert dump(back) == dump(model)
         np.testing.assert_array_equal(back.predict(F), model.predict(F))
 
@@ -305,7 +305,7 @@ class TestPickle:
         # what a worker sends back: the tree must travel as arrays, not
         # also node by node through the model's params
         model = fit_outcome_model(toy_dataset, None, "tree")
-        model._predictor.root = deep_chain(5000)
+        model._predictor.nodes = deep_chain(5000)
         back = pickle.loads(pickle.dumps(model))
         X = np.zeros((5002, toy_dataset.k))
         X[:, 0] = np.arange(-1.0, 5001.0)
@@ -335,21 +335,25 @@ class TestStoredArrays:
         want = make().fit(F, y, w).predict(F)
 
         def fail(*args, **kwargs):
-            raise AssertionError("a linked node was built or flattened")
+            raise AssertionError("a linked node was built")
         monkeypatch.setattr(trees, "_Node", fail)
-        monkeypatch.setattr(trees, "_preorder", fail)
         model = make().fit(F, y, w)
         np.testing.assert_array_equal(model.predict(F), want)
         np.testing.assert_array_equal(pickle.loads(pickle.dumps(model)).predict(F), want)
 
-    @pytest.mark.parametrize("make", TREE_FAMILIES, ids=FAMILY_IDS)
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_the_view_flattens_to_the_stored_arrays(self, make, seed):
-        F, y, w = tie_heavy(seed, 200, 5)
-        model = make().fit(F, y, w)
-        for tree in getattr(model, "trees", [model]):
-            assert [(a.dtype, a.tobytes()) for a in trees._preorder(tree.root)] == \
-                [(a.dtype, a.tobytes()) for a in tree.nodes]
+    def test_the_view_of_a_deep_chain_is_built_without_recursion(self):
+        tree = RegressionTree()
+        tree.nodes = deep_chain(5000)
+        count, leaves, stack = 0, [], [tree.root]
+        while stack:
+            node = stack.pop()
+            count += 1
+            if node.left is None:
+                leaves.append(node.value)
+            else:
+                stack += (node.right, node.left)
+        assert count == 10_001
+        assert leaves == tree.predict(np.arange(5001.0).reshape(-1, 1)).tolist()
 
 
 class TestDegenerateHyperparameters:

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from proxyrank import (DataValidationError, Dataset, IVExperiment,
                        SimConfig, WeakInstrumentError, simulate_campaign,
                        validate_ranking_splits, wald_2sls)
+from proxyrank.validation import IVResult
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,16 @@ class TestSimulateCampaign:
         d = Dataset(np.zeros((4, 1)), np.resize([0, 1], 4), np.zeros(4))
         with pytest.raises(DataValidationError, match="single-arm instrument"):
             IVExperiment(data=d, z=np.ones(4, dtype=int))
+
+    def test_negative_compliance_without_a_table_is_the_clean_campaign(self):
+        cfg = SimConfig(n=500, k=6, seed=4, mode="negative_compliance")
+        got, want = simulate_campaign(cfg), simulate_campaign(replace(cfg, mode="clean"))
+        for name in ("covariates", "treatment", "outcome"):
+            np.testing.assert_array_equal(getattr(got.data, name), getattr(want.data, name))
+        np.testing.assert_array_equal(got.z, want.z)
+        for name in ("true_group", "true_cate", "y0", "y1", "z"):
+            np.testing.assert_array_equal(getattr(got.data.ground_truth, name),
+                                          getattr(want.data.ground_truth, name))
 
 
 class TestWald:
@@ -143,6 +156,12 @@ class TestValidateRankingSplits:
         skipped = [r for r in result.records if r.skipped]
         assert skipped and "below 50" in skipped[0].skipped
         assert result.separation[10.0] is None
+
+    def test_separated_fraction_of_no_measured_threshold_is_none(self):
+        assert IVResult(records=(), separation={10.0: None, 20.0: None}) \
+            .separated_fraction() is None
+        assert IVResult(records=(), separation={10.0: None, 20.0: True, 30.0: False}) \
+            .separated_fraction() == 0.5
 
     def test_requires_predicted_ite(self, campaign):
         with pytest.raises(DataValidationError, match="predicted_ite"):

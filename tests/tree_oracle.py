@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from proxyrank.rng import substream
-from proxyrank.trees import _MIN_GAIN, RegressionTree, _Node
+from proxyrank.trees import _MIN_GAIN, RegressionTree, _arrays
 
 
 def best_split(F, y, w, rows, features, min_leaf):
@@ -58,21 +58,25 @@ def fit(tree: RegressionTree, F, y, w, presorted=None) -> RegressionTree:
     k = F.shape[1]
     mtry = k if tree.max_features is None else min(tree.max_features, k)
 
-    def build(rows: np.ndarray, depth: int) -> _Node:
-        node = _Node(value=float(np.average(y[rows], weights=w[rows])))
+    nodes = []  # [value, feature, threshold, right child index], in preorder
+
+    def build(rows: np.ndarray, depth: int) -> None:
+        node = [float(np.average(y[rows], weights=w[rows])), -1, 0.0, -1]
+        nodes.append(node)
         if (tree.max_depth is not None and depth >= tree.max_depth) \
                 or len(rows) < 2 * tree.min_samples_leaf:
-            return node
+            return
         feats = np.arange(k) if mtry == k else np.sort(rng.choice(k, mtry, replace=False))
         best = best_split(F, y, w, rows, feats, tree.min_samples_leaf)
         if best is None:
-            return node
+            return
         _, j, thr = best
         mask = F[rows, j] <= thr
-        node.feature, node.threshold = j, thr
-        node.left = build(rows[mask], depth + 1)
-        node.right = build(rows[~mask], depth + 1)
-        return node
+        node[1:3] = j, thr
+        build(rows[mask], depth + 1)
+        node[3] = len(nodes)
+        build(rows[~mask], depth + 1)
 
-    tree.root = build(np.arange(len(y)), 0)
+    build(np.arange(len(y)), 0)
+    tree.nodes = _arrays(nodes)
     return tree
