@@ -12,7 +12,6 @@ import sys
 from contextlib import closing
 from dataclasses import asdict, replace
 from itertools import repeat
-from pathlib import Path
 
 import numpy as np
 
@@ -20,10 +19,10 @@ from . import __version__
 from .analysis import prepare_cohort
 from .data import Dataset, SchemaError, load_dataset, load_schema, save_simulated
 from .pipeline import (REPORT_FILES, RunConfig, analyze_models, check_campaign_covariates,
-                       config_hash_of, draw_campaign, emit_report, read_json_object,
-                       run_pipeline, sweep_models, validate_model, write_balance,
-                       write_cate_by_k, write_json, write_manifest, write_model_rows,
-                       write_ranking, write_sensitivity, write_summary)
+                       config_hash_of, draw_campaign, emit_report, output_dir,
+                       read_json_object, run_pipeline, sweep_models, validate_model,
+                       write_balance, write_cate_by_k, write_json, write_manifest,
+                       write_model_rows, write_ranking, write_sensitivity, write_summary)
 from .simulate import ConfigError, simulate_cohort
 
 _CONFIG_ERRORS = (ConfigError, SchemaError)
@@ -36,12 +35,6 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _dataset_for(cfg: RunConfig, args) -> Dataset:
     if getattr(args, "data", None):
         if not getattr(args, "schema", None):
@@ -52,7 +45,7 @@ def _dataset_for(cfg: RunConfig, args) -> Dataset:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(args)
+    out = output_dir(args.out)
     chash = cfg.config_hash()
     sim_out = simulate_cohort(cfg.resolved_sim())
     schema_obs, schema_or = save_simulated(sim_out.oracle, out / "observed.csv",
@@ -69,7 +62,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(args)
+    out = output_dir(args.out)
     chash = cfg.config_hash()
     d = _dataset_for(cfg, args)
     report_range = cfg.analysis.report_range
@@ -84,7 +77,7 @@ def cmd_analyze(args) -> int:
     with closing(analyze_models(d, cfg, balance=True)) as models:
         reports = write_model_rows(out / "ite.csv", chash,
                                    ["model", "index", "ite", "y_hat_1", "y_hat_0"],
-                                   [d.n] * len(cfg.models), models, rows)
+                                   d.n, len(cfg.models), models, rows)
     prepared = reports[0].analysis.prepared
     write_balance(out, chash, prepared)
     fit = prepared.fit
@@ -100,7 +93,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_balance(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(args)
+    out = output_dir(args.out)
     prepared = prepare_cohort(_dataset_for(cfg, args), cfg.analysis)
     write_balance(out, cfg.config_hash(), prepared)
     print(f"wrote balance.csv to {out}")
@@ -109,18 +102,17 @@ def cmd_balance(args) -> int:
 
 def cmd_rank(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(args)
+    out = output_dir(args.out)
     d = _dataset_for(cfg, args)
     with closing(analyze_models(d, cfg)) as reports:
-        write_ranking(out, cfg.config_hash(), reports, cfg.k_grid,
-                      sizes=[d.n] * len(cfg.models))
+        write_ranking(out, cfg.config_hash(), reports, cfg.k_grid, d.n, len(cfg.models))
     print(f"wrote ranking.csv to {out}")
     return 0
 
 
 def cmd_sensitivity(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(args)
+    out = output_dir(args.out)
     d = _dataset_for(cfg, args)
     swept = sweep_models(d, cfg)
     for _, exc in swept:  # the first model to fail ends the command
@@ -133,7 +125,7 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(args)
+    out = output_dir(args.out)
     d = _dataset_for(cfg, args)
     check_campaign_covariates(cfg, d)
     reports = list(analyze_models(d, cfg))
@@ -147,7 +139,7 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(args)
+    out = output_dir(args.out)
     dataset = None
     if getattr(args, "data", None):
         dataset = _dataset_for(cfg, args)
@@ -163,7 +155,7 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     payload = read_json_object(args.from_report, "report")
-    out = _outdir(args)
+    out = output_dir(args.out)
     chash = payload.get("config_hash")
     for name in REPORT_FILES:
         if name != "summary.md" and (out / name).exists():
@@ -184,12 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"proxyrank {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, data_opts=False, needs_out=True):
+    def add(name, fn, help_, data_opts=False):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="JSON run config (defaults apply when omitted)")
         p.add_argument("--seed", type=int, help="override the master seed")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         if data_opts:
             p.add_argument("--data", help="input cohort CSV (instead of simulating)")
             p.add_argument("--schema", help="JSON column-role map for --data")

@@ -157,16 +157,24 @@ class Dataset:
 
 
 _GT_FIELDS = ("true_group", "true_cate", "y0", "y1", "z")
+# The keys of a schema: its roles, and the config hash ``simulate`` records.
+_SCHEMA_KEYS = ("treatment", "outcome", "covariates", "ground_truth", "config_hash")
 
 
 def _check_schema(schema: dict) -> None:
     """Raise SchemaError unless ``schema`` is a role map ``load_dataset`` can
     use: an object with string ``treatment`` and ``outcome`` columns, an
-    optional list of string ``covariates`` and an optional object of string
-    ``ground_truth`` columns, where no column has two roles."""
+    optional list of string ``covariates``, an optional object of string
+    ``ground_truth`` columns keyed by ``_GT_FIELDS`` and an optional
+    ``config_hash``, with no other key, where no column has two roles. An
+    optional role that is absent or null is not given."""
     if not isinstance(schema, dict):
         raise SchemaError(f"schema must be a JSON object mapping roles to columns, "
                           f"got {type(schema).__name__}")
+    unknown = [key for key in schema if key not in _SCHEMA_KEYS]
+    if unknown:
+        raise SchemaError(f"unknown schema keys: {', '.join(map(repr, unknown))} "
+                          f"(known: {', '.join(_SCHEMA_KEYS)})")
     for role in ("treatment", "outcome"):
         if role not in schema:
             raise SchemaError(f"schema is missing the '{role}' role")
@@ -175,10 +183,16 @@ def _check_schema(schema: dict) -> None:
                                      and all(isinstance(c, str) for c in cov_cols)):
         raise SchemaError(f"schema role 'covariates' must be a list of column names, "
                           f"got {cov_cols!r}")
-    gt_map = schema.get("ground_truth") or {}
-    if not isinstance(gt_map, dict):
+    gt_map = schema.get("ground_truth")
+    if gt_map is None:
+        gt_map = {}
+    elif not isinstance(gt_map, dict):
         raise SchemaError(f"schema role 'ground_truth' must map roles to column names, "
                           f"got {gt_map!r}")
+    unknown = [role for role in gt_map if role not in _GT_FIELDS]
+    if unknown:
+        raise SchemaError(f"unknown ground_truth roles: {', '.join(map(repr, unknown))} "
+                          f"(known: {', '.join(_GT_FIELDS)})")
     roles = [("treatment", schema["treatment"]), ("outcome", schema["outcome"]),
              *(("covariates", c) for c in cov_cols or ()),
              *((f"ground_truth.{r}", c) for r, c in gt_map.items())]
@@ -576,10 +590,11 @@ def _text_rows(columns: list[np.ndarray]) -> list[str]:
     return list(map(",".join, zip(*(map(repr, c.tolist()) for c in columns))))
 
 
-def _write_csvs(d: Dataset, targets: list[tuple[Path, bool]], treatment_col: str,
-                outcome_col: str, header_comment: str | None) -> list[dict]:
-    """Write ``d`` to each (path, include_ground_truth) target and return each
-    target's schema map.
+def _write_csvs(d: Dataset, targets: list[tuple[Path, bool]],
+                header_comment: str | None) -> list[dict]:
+    """Write ``d`` to each (path, include_ground_truth) target, with columns
+    ``a`` and ``y`` after the covariates, and return each target's schema
+    map.
 
     The row ranges of ``map_row_ranges`` are formatted on the worker pool,
     every cell once however many targets it goes to, and written in row
@@ -591,8 +606,8 @@ def _write_csvs(d: Dataset, targets: list[tuple[Path, bool]], treatment_col: str
     names = list(d.covariate_names)
     heads, schemas = [], []
     for path, with_gt in targets:
-        header = names + [treatment_col, outcome_col]
-        schema = {"treatment": treatment_col, "outcome": outcome_col, "covariates": names}
+        header = names + ["a", "y"]
+        schema = {"treatment": "a", "outcome": "y", "covariates": names}
         if with_gt:
             header += list(_GT_FIELDS)
             schema["ground_truth"] = {f: f for f in _GT_FIELDS}
@@ -621,17 +636,15 @@ def _write_csvs(d: Dataset, targets: list[tuple[Path, bool]], treatment_col: str
     return schemas
 
 
-def save_dataset(d: Dataset, path: str | Path,
-                 treatment_col: str = "a", outcome_col: str = "y",
-                 include_ground_truth: bool = False,
+def save_dataset(d: Dataset, path: str | Path, *, include_ground_truth: bool = False,
                  header_comment: str | None = None) -> dict:
-    """Write a dataset as CSV and return the matching schema map.
+    """Write a dataset as CSV, the treatment in column ``a`` and the outcome
+    in ``y``, and return the matching schema map.
 
     Floats are written with full round-trip precision so a save/load cycle
     reproduces the dataset bit for bit.
     """
-    return _write_csvs(d, [(Path(path), include_ground_truth)], treatment_col, outcome_col,
-                       header_comment)[0]
+    return _write_csvs(d, [(Path(path), include_ground_truth)], header_comment)[0]
 
 
 def save_simulated(oracle: Dataset, observed_path: str | Path, oracle_path: str | Path,
@@ -645,5 +658,5 @@ def save_simulated(oracle: Dataset, observed_path: str | Path, oracle_path: str 
     formatted once.
     """
     observed, full = _write_csvs(oracle, [(Path(observed_path), False),
-                                          (Path(oracle_path), True)], "a", "y", header_comment)
+                                          (Path(oracle_path), True)], header_comment)
     return observed, full

@@ -425,43 +425,35 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=1).encode("utf-8"))
 
 
-def write_model_rows(path: Path, config_hash: str, header: list[str], sizes: list[int],
-                     models, rows) -> list:
+def write_model_rows(path: Path, config_hash: str, header: list[str], n: int,
+                     n_models: int, models, rows) -> list:
     """Write a run CSV of each model's rows in turn: the config-hash line,
-    the header, then the ``sizes[j]`` rows of the j-th item of ``models``,
-    where ``rows(model, a, b)`` is the text of ``model``'s rows ``a`` to
-    ``b - 1``.
+    the header, then the ``n`` rows of each of the ``n_models`` items of
+    ``models``, where ``rows(model, a, b)`` is the text of ``model``'s rows
+    ``a`` to ``b - 1``.
 
     The stacked rows are formatted in the row ranges of
     ``map_row_ranges``, on the worker pool, each range from the slices of
     the models it covers, and only once every model it covers has arrived.
-    A list or tuple of models has arrived whole and is formatted in one
-    pass. Any other iterable, such as a generator of models as their
-    results are read, is read one model at a time, and the ranges each
-    model completes are formatted, on a pool of their own, before the next
-    model is read. The file is written through ``written_whole``, so a
-    failure, in a model or in formatting, leaves no file. Returns the
-    models, in order.
+    ``models``, which may be a generator of models as their results are
+    read, is read one model at a time, and the ranges each model completes
+    are formatted, on a pool of their own, before the next model is read.
+    The file is written through ``written_whole``, so a failure, in a model
+    or in formatting, leaves no file. Returns the models, in order.
     """
-    n_rows = sum(sizes)
+    n_rows = n * n_models
     ends = [hi for _, hi in row_ranges(n_rows)]
     arrived = []
 
     def range_text(lo: int, hi: int) -> str:
-        parts, start = [], 0
-        for model, size in zip(arrived, sizes):
-            a, b = max(lo - start, 0), min(hi - start, size)
-            if a < b:
-                parts.append(rows(model, a, b))
-            start += size
-        return "".join(parts)
-    batches = [models] if isinstance(models, (list, tuple)) else ([m] for m in models)
+        return "".join(rows(arrived[j], max(lo - j * n, 0), min(hi - j * n, n))
+                       for j in range(lo // n, (hi - 1) // n + 1))
     done = 0  # ranges written
     with written_whole([path]) as (fh,):
         fh.write(_csv_head(config_hash, header).encode("utf-8"))
-        for batch in batches:
-            arrived += batch
-            ready = bisect_right(ends, sum(sizes[:len(arrived)]))
+        for model in models:
+            arrived.append(model)
+            ready = bisect_right(ends, n * len(arrived))
             with closing(map_row_ranges(n_rows, path.name, range_text,
                                         slice(done, ready))) as chunks:
                 for chunk in chunks:
@@ -470,23 +462,20 @@ def write_model_rows(path: Path, config_hash: str, header: list[str], sizes: lis
     return arrived
 
 
-def write_ranking(out: Path, config_hash: str, reports, k_grid,
-                  true_levels: np.ndarray | None = None,
-                  sizes: list[int] | None = None) -> Path:
+def write_ranking(out: Path, config_hash: str, reports, k_grid, n: int, n_models: int,
+                  true_levels: np.ndarray | None = None) -> Path:
     """Write ranking.csv: per model and unit the effect estimate, rank and
     level, the true level when ``true_levels`` is given, and a 0/1 flag per
     top-k% threshold of ``k_grid``: the units ranked 1 to ``top_count``,
     which are ``top_fraction_indices``. The rows go through
     ``write_model_rows``: ``reports`` is a list, or an iterable of reports
-    as they arrive, whose units per report ``sizes`` gives."""
+    as they arrive, of ``n_models`` reports that each rank ``n`` units."""
     header = ["model", "index", "ite", "rank", "level"]
     if true_levels is not None:
         header.append("true_level")
     header += [f"top_{int(k) if float(k).is_integer() else k}" for k in k_grid]
     row = ("{},{},{!r}" + ",{}" * (len(header) - 3) + "\n").format
-    if sizes is None:
-        sizes = [m.analysis.ranked.n for m in reports]
-    tops = {n: [top_count(n, k) for k in k_grid] for n in sizes}
+    tops = [top_count(n, k) for k in k_grid]
 
     def rows(report: ModelReport, a: int, b: int) -> str:
         ranked = report.analysis.ranked
@@ -494,10 +483,10 @@ def write_ranking(out: Path, config_hash: str, reports, k_grid,
         columns = [rank, ranked.level[a:b]]
         if true_levels is not None:
             columns.append(true_levels[a:b])
-        columns += [(rank <= m).astype(np.int64) for m in tops[ranked.n]]
+        columns += [(rank <= m).astype(np.int64) for m in tops]
         return "".join(map(row, repeat(report.label, b - a), range(a, b),
                            ranked.ite[a:b].tolist(), *(c.tolist() for c in columns)))
-    write_model_rows(out / "ranking.csv", config_hash, header, sizes, reports, rows)
+    write_model_rows(out / "ranking.csv", config_hash, header, n, n_models, reports, rows)
     return out / "ranking.csv"
 
 
@@ -563,13 +552,10 @@ def write_manifest(out: Path, paths: list[Path]) -> dict:
     return manifest
 
 
-def emit_report(report: RunReport, outdir: str | Path) -> dict:
-    """Write report.json plus per-stage CSVs and summary.md; return a manifest.
-
-    Every emitted file carries the config hash in its first line (JSON files
-    as a top-level key). The manifest maps file names to SHA-256 hashes and
-    is also written as manifest.json.
-    """
+def output_dir(outdir: str | Path) -> Path:
+    """``outdir`` as a path, made with its parents when missing. Raises
+    StageError when it cannot be made or written to, as when it names a
+    file."""
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -578,14 +564,24 @@ def emit_report(report: RunReport, outdir: str | Path) -> dict:
         probe.unlink()
     except OSError as exc:
         raise StageError(f"output directory {out} is not writable: {exc}") from None
+    return out
 
+
+def emit_report(report: RunReport, outdir: str | Path) -> dict:
+    """Write report.json plus per-stage CSVs and summary.md; return a manifest.
+
+    Every emitted file carries the config hash in its first line (JSON files
+    as a top-level key). The manifest maps file names to SHA-256 hashes and
+    is also written as manifest.json.
+    """
+    out = output_dir(outdir)
     chash = report.config_hash
     write_json(out / "report.json", report.to_dict())
     written = [out / "report.json"]
     ok_models = [m for m in report.model_reports if m.analysis is not None]
     if ok_models:
         written.append(write_ranking(out, chash, ok_models, report.config.k_grid,
-                                     report.true_levels))
+                                     report.n, len(ok_models), report.true_levels))
         written.append(write_balance(out, chash, ok_models[0].analysis.prepared))
     sens_models = [m for m in report.model_reports if m.sensitivity is not None]
     if sens_models:

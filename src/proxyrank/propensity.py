@@ -33,9 +33,8 @@ class PropensityFit:
 
     ``coefficients``/``intercept`` are on the original covariate scale.
     ``marginal`` is the empirical treated fraction of the fitted data (it is
-    re-derived after trimming). ``trim_bounds`` records absolute score
-    thresholds once :func:`trim_extremes` has been applied, which is what
-    makes a second trim at the same quantiles a no-op.
+    re-derived after trimming). ``scores`` is stored read-only, so every
+    score stays strictly inside (0, 1) and every stabilized weight finite.
     """
 
     coefficients: np.ndarray
@@ -45,10 +44,10 @@ class PropensityFit:
     converged: bool
     n_iter: int
     grad_norm: float
-    trim_bounds: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
         s = np.asarray(self.scores, dtype=np.float64)
+        s.setflags(write=False)
         if s.size and (s.min() <= 0.0 or s.max() >= 1.0):
             raise FitError("propensity scores must lie strictly inside (0, 1)")
         object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=np.float64))
@@ -130,8 +129,6 @@ def trim_rows(fit: PropensityFit, treatment: np.ndarray, lo_q: float = 0.01,
     """The indices of the units whose scores lie inside the [lo_q, hi_q]
     score quantiles, in row order, and the fit re-indexed to them.
 
-    The absolute thresholds are recorded on the returned fit; re-trimming at
-    the same quantiles reuses them and removes nothing further (idempotence).
     The returned fit re-indexes scores and recomputes the marginal treated
     fraction on the retained rows.
     """
@@ -139,16 +136,12 @@ def trim_rows(fit: PropensityFit, treatment: np.ndarray, lo_q: float = 0.01,
         raise FitError("need 0 <= lo_q < hi_q <= 1")
     if len(fit.scores) != len(treatment):
         raise FitError(f"fit covers {len(fit.scores)} units, dataset has {len(treatment)}")
-    if fit.trim_bounds is not None and fit.trim_bounds[:2] == (lo_q, hi_q):
-        t_lo, t_hi = fit.trim_bounds[2], fit.trim_bounds[3]
-    else:
-        t_lo, t_hi = np.quantile(fit.scores, [lo_q, hi_q])
+    t_lo, t_hi = np.quantile(fit.scores, [lo_q, hi_q])
     keep = np.flatnonzero((fit.scores >= t_lo) & (fit.scores <= t_hi))
     a_kept = treatment[keep]
     if a_kept.size == 0 or a_kept.min() == a_kept.max():
         raise FitError("trimming would remove an entire treatment arm")
-    new_fit = replace(fit, scores=fit.scores[keep], marginal=float(a_kept.mean()),
-                      trim_bounds=(lo_q, hi_q, float(t_lo), float(t_hi)))
+    new_fit = replace(fit, scores=fit.scores[keep], marginal=float(a_kept.mean()))
     return keep, new_fit
 
 
@@ -177,8 +170,6 @@ def stabilized_weights(fit: PropensityFit, d: Dataset) -> np.ndarray:
     e = fit.scores
     if len(e) != d.n:
         raise FitError(f"fit covers {len(e)} units, dataset has {d.n}")
-    if e.size and (e.min() <= 0.0 or e.max() >= 1.0):
-        raise FitError("scores at 0 or 1 cannot be weighted")
     return ipw_weights(d.treatment, e, fit.marginal)
 
 

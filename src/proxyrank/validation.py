@@ -65,8 +65,6 @@ def simulate_campaign(cfg: SimConfig, exposure: float = 0.661) -> IVExperiment:
     clean = replace(cfg, mode="clean", compliance_table=None)
     X, names, groups, _, y0, y1 = draw_outcomes(clean)
     z = (substream(cfg.seed, "campaign-z").random(cfg.n) < exposure).astype(np.int64)
-    if cfg.n == 0 or z.min() == z.max():
-        raise DataValidationError("single-arm instrument: both z arms are required")
     a = draw_proxy(clean if cfg.compliance_table is None else cfg, z,
                    substream(cfg.seed, "campaign-a").random(cfg.n))
     y = np.where(a == 1, y1, y0)

@@ -40,6 +40,14 @@ BAD_SCHEMAS = [
      "column 'x0' has two roles: 'covariates' and 'ground_truth.true_group'"),
     ({"treatment": "a", "outcome": "y", "covariates": ["x0", "x1", "x0"]},
      "covariate column 'x0' is listed twice"),
+    # a misspelled role, in the schema or in its ground truth, is not ignored
+    ({"treatment": "a", "outcome": "y", "covariate": ["x0", "x1"]},
+     "unknown schema keys: 'covariate' "),
+    ({"treatment": "a", "outcome": "y", "ground_truth": {"true_grup": "z"}},
+     "unknown ground_truth roles: 'true_grup' "),
+    # only an absent or null ground_truth is none
+    *(({"treatment": "a", "outcome": "y", "ground_truth": falsy},
+       "role 'ground_truth' must map roles to column names") for falsy in ([], "", 0, False)),
 ]
 
 

@@ -10,6 +10,7 @@ import pytest
 import proxyrank
 import proxyrank.cli as cli
 import proxyrank.parallel as parallel
+from proxyrank import Dataset
 from proxyrank.trees import GradientBoostedTrees, RandomForest, RegressionTree
 
 # Removed because nothing in the method called them; each must stay gone.
@@ -85,6 +86,19 @@ def test_tracer_hooks_read_what_the_commands_pass(command, monkeypatch, tmp_path
     trees = [span["attrs"]["nodes"] for span in tracer.spans
              if span["name"] == "trees.RegressionTree.fit"]
     assert all(nodes > 0 for nodes in trees)
+
+
+def test_tracer_reads_the_path_save_dataset_writes(tmp_path):
+    # no traced command writes a dataset; the set-up of a CSV workload does
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        proxyrank.data.save_dataset(Dataset(np.eye(3), [0, 1, 0], [1.0, 2.0, 3.0]),
+                                    tmp_path / "d.csv")
+    finally:
+        tracer.uninstall()
+    (span,) = [span for span in tracer.spans if span["name"] == "data.save_dataset"]
+    assert span["attrs"]["bytes"] == (tmp_path / "d.csv").stat().st_size > 0
 
 
 def test_tracer_counts_every_stored_node():

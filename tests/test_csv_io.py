@@ -391,7 +391,8 @@ class TestModelRowsOnThePool:
         cfg, sim, reports = analyzed
         true_levels = ground_truth_rank(sim)
         ranges(workers, 16)
-        pipeline.write_ranking(tmp_path, "0123abcd", reports, cfg.k_grid, true_levels)
+        pipeline.write_ranking(tmp_path, "0123abcd", reports, cfg.k_grid, sim.observed.n,
+                               len(reports), true_levels)
         lines = ["# config_hash=0123abcd", "model,index,ite,rank,level,true_level,"
                  "top_10,top_33.3,top_50,top_100"]
         for m in reports:

@@ -125,6 +125,10 @@ class TestLoad:
         d = load_dataset(csv, {"treatment": "a", "outcome": "y"})
         assert d.covariate_names == ("x0", "x1")
 
+    def test_null_ground_truth_is_none(self, tmp_path):
+        csv = write_csv(tmp_path / "n.csv", "x0,x1,a,y\n0.5,1.5,0,2.0\n0,1,1,0\n")
+        assert load_dataset(csv, dict(SCHEMA, ground_truth=None)).ground_truth is None
+
     def test_comment_lines_skipped(self, tmp_path):
         csv = write_csv(tmp_path / "cc.csv",
                         "# config_hash=abc\nx0,x1,a,y\n0.5,1.5,0,2.0\n0,1,1,0\n")

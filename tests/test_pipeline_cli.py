@@ -452,6 +452,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f" file {tmp_path}: " in err
 
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "balance", "rank",
+                                         "sensitivity", "validate", "run", "report"])
+    def test_out_naming_a_file_exit_code(self, command, tmp_path, capsys):
+        """A file where the output directory belongs is a stage failure
+        naming it, for every user, root included."""
+        out = tmp_path / "out"
+        out.write_text("")
+        (tmp_path / "report.json").write_text("{}")
+        inputs = ["--from", str(tmp_path / "report.json")] if command == "report" else []
+        assert self.run_cli(command, *inputs, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage failure: StageError: output directory {out} "
+                              f"is not writable: ")
+        assert err.count("\n") == 1  # one line, no traceback
+        assert out.read_text() == ""
+
     def test_stage_failure_exit_code(self, tmp_path):
         cfg_dict = dict(TINY)
         cfg_dict["models"] = [{"family": "poisson", "label": "bad"}]

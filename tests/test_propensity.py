@@ -64,6 +64,12 @@ class TestFit:
         fit = fit_propensity(small_sim.observed)
         assert fit.scores.min() > 0.0 and fit.scores.max() < 1.0
 
+    def test_scores_cannot_be_moved_to_0_or_1(self, small_sim):
+        # what keeps stabilized_weights finite: it checks no score itself
+        fit = fit_propensity(small_sim.observed)
+        with pytest.raises(ValueError, match="read-only"):
+            fit.scores[0] = 1.0
+
     def test_marginal_is_treated_fraction(self, small_sim):
         fit = fit_propensity(small_sim.observed)
         assert fit.marginal == pytest.approx(small_sim.observed.treatment.mean())
@@ -180,15 +186,6 @@ class TestTrim:
         fit = fit_propensity(out.observed)
         trimmed, _ = trim_extremes(fit, out.observed)
         assert abs(trimmed.n - 9800) <= 20
-
-    def test_idempotence(self):
-        rng = np.random.default_rng(4)
-        scores = rng.uniform(0.05, 0.95, 400)
-        d = make_dataset(n=400, k=2)
-        fit = synthetic_fit(scores, treatment=d.treatment)
-        d1, f1 = trim_extremes(fit, d, 0.01, 0.99)
-        d2, f2 = trim_extremes(f1, d1, 0.01, 0.99)
-        assert d2.n == d1.n
 
     def test_retrim_with_new_quantiles_recomputes(self):
         rng = np.random.default_rng(4)

@@ -35,12 +35,12 @@ def model_rows(label: str, a: int, b: int) -> str:
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_streamed_file_has_the_bytes_of_all_models_at_once(block, workers, ranges, tmp_path):
     ranges(workers, block)
-    labels, sizes = ["m0", "m1", "m2"], [50, 37, 130]  # every block size straddles
+    labels, n = ["m0", "m1", "m2"], 50  # every block size straddles
     want = "# config_hash=abc\nmodel,index,value\n" + "".join(
-        model_rows(label, 0, size) for label, size in zip(labels, sizes))
+        model_rows(label, 0, n) for label in labels)
     for name, models in [("whole.csv", list(labels)), ("streamed.csv", iter(labels))]:
-        got = write_model_rows(tmp_path / name, "abc", ["model", "index", "value"], sizes,
-                               models, model_rows)
+        got = write_model_rows(tmp_path / name, "abc", ["model", "index", "value"], n,
+                               len(labels), models, model_rows)
         assert got == labels
         assert (tmp_path / name).read_text() == want
     assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.csv", "whole.csv"]

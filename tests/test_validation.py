@@ -6,6 +6,7 @@ import pytest
 from proxyrank import (DataValidationError, Dataset, IVExperiment,
                        SimConfig, WeakInstrumentError, simulate_campaign,
                        validate_ranking_splits, wald_2sls)
+from proxyrank.rng import substream
 from proxyrank.validation import IVResult
 
 
@@ -52,6 +53,13 @@ class TestSimulateCampaign:
         d = Dataset(np.zeros((4, 1)), np.resize([0, 1], 4), np.zeros(4))
         with pytest.raises(DataValidationError, match="single-arm instrument"):
             IVExperiment(data=d, z=np.ones(4, dtype=int))
+
+    def test_single_arm_campaign_rejected(self):
+        cfg = SimConfig(n=4, k=4, seed=1)
+        assert (substream(cfg.seed, "campaign-z").random(cfg.n) >= 0.01).all()  # z all 0
+        with pytest.raises(DataValidationError,
+                           match="^single-arm instrument: both z arms are required$"):
+            simulate_campaign(cfg, exposure=0.01)
 
     def test_negative_compliance_without_a_table_is_the_clean_campaign(self):
         cfg = SimConfig(n=500, k=6, seed=4, mode="negative_compliance")
