@@ -56,6 +56,7 @@ RUNS = [
     ("run_data_n400", SMALL, ["run", "--data", "{simulate_n400}/observed.csv",
                               "--schema", "{simulate_n400}/observed_schema.json"]),
     ("run_branch_fails", FAILS, ["run", "--seed", "1"]),
+    ("validate_seed_1", None, ["validate", "--seed", "1"]),
 ]
 
 
