@@ -18,9 +18,9 @@ import numpy as np
 from . import __version__
 from .analysis import prepare_cohort
 from .data import Dataset, SchemaError, load_dataset, load_schema, save_simulated
-from .pipeline import (REPORT_FILES, RunConfig, analyze_models, check_campaign_covariates,
-                       config_hash_of, draw_campaign, emit_report, output_dir,
-                       read_json_object, run_pipeline, sweep_models, validate_model,
+from .pipeline import (REPORT_FILES, CampaignDrawError, RunConfig, analyze_models,
+                       check_campaign_covariates, config_hash_of, emit_report, output_dir,
+                       read_json_object, run_pipeline, sweep_models, validate_models,
                        write_balance, write_cate_by_k, write_json, write_manifest,
                        write_model_rows, write_ranking, write_sensitivity, write_summary)
 from .simulate import ConfigError, simulate_cohort
@@ -62,9 +62,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
+    d = _dataset_for(cfg, args)
     out = output_dir(args.out)
     chash = cfg.config_hash()
-    d = _dataset_for(cfg, args)
     report_range = cfg.analysis.report_range
 
     def rows(report, a: int, b: int) -> str:
@@ -93,8 +93,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_balance(args) -> int:
     cfg = _load_config(args)
+    d = _dataset_for(cfg, args)
     out = output_dir(args.out)
-    prepared = prepare_cohort(_dataset_for(cfg, args), cfg.analysis)
+    prepared = prepare_cohort(d, cfg.analysis)
     write_balance(out, cfg.config_hash(), prepared)
     print(f"wrote balance.csv to {out}")
     return 0
@@ -102,8 +103,8 @@ def cmd_balance(args) -> int:
 
 def cmd_rank(args) -> int:
     cfg = _load_config(args)
-    out = output_dir(args.out)
     d = _dataset_for(cfg, args)
+    out = output_dir(args.out)
     with closing(analyze_models(d, cfg)) as reports:
         write_ranking(out, cfg.config_hash(), reports, cfg.k_grid, d.n, len(cfg.models))
     print(f"wrote ranking.csv to {out}")
@@ -112,8 +113,8 @@ def cmd_rank(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     cfg = _load_config(args)
-    out = output_dir(args.out)
     d = _dataset_for(cfg, args)
+    out = output_dir(args.out)
     swept = sweep_models(d, cfg)
     for _, exc in swept:  # the first model to fail ends the command
         if exc is not None:
@@ -125,13 +126,15 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
-    out = output_dir(args.out)
     d = _dataset_for(cfg, args)
     check_campaign_covariates(cfg, d)
+    out = output_dir(args.out)
     reports = list(analyze_models(d, cfg))
-    campaign = draw_campaign(cfg)
-    for m in reports:
-        m.iv = validate_model(m, campaign, cfg.k_grid)
+    with closing(validate_models(reports, cfg)) as results:
+        for m, iv in zip(reports, results):  # the first failure ends the command
+            if isinstance(iv, Exception):
+                raise iv.args[0] if isinstance(iv, CampaignDrawError) else iv
+            m.iv = iv
     write_cate_by_k(out, cfg.config_hash(), reports)
     print(f"wrote cate_by_k.csv to {out}")
     return 0
@@ -139,10 +142,11 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    out = output_dir(args.out)
     dataset = None
     if getattr(args, "data", None):
         dataset = _dataset_for(cfg, args)
+        check_campaign_covariates(cfg, dataset)
+    out = output_dir(args.out)
     report = run_pipeline(cfg, dataset=dataset)
     manifest = emit_report(report, out)
     failed = [m.label for m in report.model_reports if m.error]

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from itertools import repeat
@@ -28,7 +29,7 @@ from .data import Dataset, map_row_ranges, read_json, row_ranges, written_whole
 from .outcomes import compute_ite
 from .ranking import rank_rmse, top_count
 from .rng import derive_seed
-from .parallel import StageError
+from .parallel import StageError, iter_tasks
 from .sensitivity import (ConfounderConfig, PlaceboResult, SensitivityReport,
                           analyze_baselines, sensitivity_sweep)
 from .simulate import ConfigError, SimConfig, ground_truth_rank, simulate_cohort
@@ -250,12 +251,6 @@ def run_pipeline(cfg: RunConfig, dataset: Dataset | None = None) -> RunReport:
                        else None)
 
     check_campaign_covariates(cfg, observed)
-    campaign = campaign_error = None
-    try:
-        campaign = draw_campaign(cfg)
-    except Exception as exc:  # recorded per model below
-        campaign_error = f"campaign stage failed: {exc}"
-
     report = RunReport(config=cfg, config_hash=cfg.config_hash(),
                        n=observed.n, k=observed.k, true_levels=true_levels)
     for mr, exc in sweep_models(observed, cfg, balance=True):  # emit_report writes it
@@ -264,13 +259,14 @@ def run_pipeline(cfg: RunConfig, dataset: Dataset | None = None) -> RunReport:
             mr.rank_rmse_vs_truth = rank_rmse(mr.analysis.ranked.level, true_levels)
         if exc is not None:
             mr.error = f"{type(exc).__name__}: {exc}"
-        elif campaign is None:
-            mr.error = campaign_error
+    swept = [mr for mr in report.model_reports if mr.error is None]
+    for mr, iv in zip(swept, validate_models(swept, cfg)):
+        if isinstance(iv, CampaignDrawError):
+            mr.error = f"campaign stage failed: {iv.args[0]}"
+        elif isinstance(iv, Exception):
+            mr.error = f"{type(iv).__name__}: {iv}"
         else:
-            try:
-                mr.iv = validate_model(mr, campaign, cfg.k_grid)
-            except Exception as exc:
-                mr.error = f"{type(exc).__name__}: {exc}"
+            mr.iv = iv
     return report
 
 
@@ -296,6 +292,30 @@ def validate_model(mr: ModelReport, campaign: IVExperiment, k_grid) -> IVResult:
     campaign cohort, split at each top-k% threshold."""
     predicted = compute_ite(mr.analysis.model, campaign.data).ite
     return validate_ranking_splits(campaign.with_predicted_ite(predicted), k_grid=k_grid)
+
+
+class CampaignDrawError(Exception):
+    """Drawing the campaign of an IV task raised ``args[0]``."""
+
+
+def validate_models(reports: list[ModelReport], cfg: RunConfig) -> Iterator:
+    """The IV check of each of ``reports`` on the campaign of ``cfg``, one
+    task of ``iter_tasks`` per report, yielded in report order as read.
+
+    Each task draws the campaign itself (``draw_campaign``) and yields
+    ``validate_model``'s IVResult or the exception it raised; a draw that
+    raised is yielded as a CampaignDrawError holding its exception. The draw
+    is deterministic, so every task scores the same cohort, and this process
+    draws none unless the tasks run in it (one CPU), one at a time. Close
+    the iterator (``contextlib.closing``) to stop early.
+    """
+    def run(t: int):
+        try:
+            campaign = draw_campaign(cfg)
+        except Exception as exc:
+            return CampaignDrawError(exc.with_traceback(None))
+        return validate_model(reports[t], campaign, cfg.k_grid)
+    return iter_tasks([f"the campaign validation of model {m.label!r}" for m in reports], run)
 
 
 def analyze_models(observed: Dataset, cfg: RunConfig, balance: bool = False):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DataValidationError, GroundTruth
+from .data import Dataset, DataValidationError, GroundTruth, row_ranges
 from .propensity import _sigmoid
 from .rng import substream
 
@@ -157,18 +157,24 @@ def draw_outcomes(cfg: SimConfig):
     groups, u is the standard-normal hidden confounder draw, and y1 adds the
     group effect to y0. In confounded mode U enters y0 with coefficient
     ``confounder_strength``.
+
+    X is one (n, k) array, filled in place: the noise columns are drawn
+    from the ``"x"`` substream one row range (``row_ranges``) at a time,
+    which continues one stream, so X holds the values of a single
+    (n, noise columns) draw, and the one-hot group columns are set in X.
     """
     n, k, L = cfg.n, cfg.k, cfg.n_groups
     seed = cfg.seed
     noise_dims = k - L if cfg.embed_groups else k
-    X = substream(seed, "x").standard_normal((n, noise_dims))
+    X = np.zeros((n, k))
+    x_stream = substream(seed, "x")
+    for lo, hi in row_ranges(n):
+        X[lo:hi, :noise_dims] = x_stream.standard_normal((hi - lo, noise_dims))
     names = tuple(f"x{j}" for j in range(noise_dims))
     groups = np.tile(np.arange(L), n // L + 1)[:n]
     substream(seed, "groups").shuffle(groups)
     if cfg.embed_groups:
-        onehot = np.zeros((n, L))
-        onehot[np.arange(n), groups] = 1.0
-        X = np.hstack([X, onehot])
+        X[np.arange(n), noise_dims + groups] = 1.0
         names += tuple(f"g{j}" for j in range(L))
     beta = substream(seed, "beta").choice(
         np.asarray(cfg.coef_values, dtype=float), size=k, p=cfg.coef_probs)

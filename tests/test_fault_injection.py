@@ -101,7 +101,7 @@ def test_tied_effect_estimates(command, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_covariate_count_the_campaign_cannot_match(command, tmp_path, capsys, monkeypatch):
     # The campaign would be simulated with 8 covariates, the CSV has 4: a
-    # config error before the cohort is prepared, and no file is written.
+    # config error before the cohort is prepared, and no output directory is made.
     def no_fit(*args):
         raise AssertionError("a cohort was prepared")
     monkeypatch.setattr(sensitivity, "prepare_cohort", no_fit)
@@ -111,4 +111,4 @@ def test_covariate_count_the_campaign_cannot_match(command, tmp_path, capsys, mo
     assert capsys.readouterr().err == (
         "config error: the dataset has 4 covariates but the campaign is simulated with "
         "sim.k = 8; set sim.k to 4\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from proxyrank import (FAMILIES, ConfigError, Dataset, RunConfig, StageError, emit_report,
-                       pipeline, run_pipeline, save_dataset)
+                       parallel, pipeline, run_pipeline, save_dataset)
 from proxyrank.cli import main
 from proxyrank.pipeline import REPORT_FILES
 
@@ -485,6 +487,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and match in err
 
+    @pytest.mark.parametrize("command", ["analyze", "balance", "rank", "sensitivity",
+                                         "validate", "run"])
+    def test_bad_schema_leaves_no_output_directory(self, cli_outputs, command, tmp_path,
+                                                   capsys):
+        """Every input is read and checked before --out is made."""
+        (tmp_path / "s.json").write_text(json.dumps(
+            {"treatment": "a", "outcome": "y", "covariate": ["x0"]}))
+        out = tmp_path / "fresh" / "out"
+        assert self.run_cli(command, "--config", str(cli_outputs / "cfg.json"),
+                            "--data", str(cli_outputs / "sim" / "observed.csv"),
+                            "--schema", str(tmp_path / "s.json"), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: unknown schema keys: 'covariate' ")
+        assert not (tmp_path / "fresh").exists()
+
     def test_trimming_that_empties_an_arm_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         a = np.ones(200, dtype=np.int64)
@@ -672,3 +689,67 @@ class TestCampaignFailure:
                      "--out", str(tmp_path / "va")]) == 2
         assert "stage failure: RuntimeError: injected campaign failure" in \
             capsys.readouterr().err
+
+
+def run_and_validate(tmp_path, name: str) -> dict:
+    """Exit code, stdout, stderr (the output directory written as OUT) and
+    output files of `run` and `validate` on TINY, in ``tmp_path / name``."""
+    (tmp_path / "cfg.json").write_text(json.dumps(TINY))
+    results = {}
+    for command in ("run", "validate"):
+        out = tmp_path / name / command
+        with contextlib.redirect_stdout(io.StringIO()) as stdout, \
+                contextlib.redirect_stderr(io.StringIO()) as stderr:
+            rc = main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+        results[command] = (rc, stdout.getvalue().replace(str(out), "OUT"),
+                            stderr.getvalue().replace(str(out), "OUT"), files)
+    return results
+
+
+@pytest.mark.parametrize("failing", ["iptw_linear", "iptw_svr"])
+def test_one_model_failing_validation_on_the_pool(failing, tmp_path, monkeypatch):
+    """A model whose IV check raises records it and the other keeps its
+    check, with the same report, stdout and stderr on 1 and 2 workers."""
+    validate = pipeline.validate_model
+
+    def fail_one(mr, campaign, k_grid):
+        if mr.label == failing:
+            raise ValueError(f"injected validation failure of {mr.label}")
+        return validate(mr, campaign, k_grid)
+    monkeypatch.setattr(pipeline, "validate_model", fail_one)
+    by_workers = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "_max_workers", lambda: workers)
+        by_workers[workers] = run_and_validate(tmp_path, f"w{workers}")
+    assert by_workers[1] == by_workers[2]
+    results = by_workers[1]
+    rc, _, err, files = results["run"]
+    assert rc == 2 and err == f"model branches failed: {failing}\n"
+    models = {m["label"]: m for m in json.loads(files["report.json"])["models"]}
+    other, = set(models) - {failing}
+    assert models[failing]["error"] == f"ValueError: injected validation failure of {failing}"
+    assert "iv_separation" not in models[failing]
+    assert models[other]["error"] is None and "iv_separation" in models[other]
+    assert {line.split(",")[0] for line in files["cate_by_k.csv"].decode().splitlines()[2:]} \
+        == {other}
+    rc, out, err, files = results["validate"]
+    assert (rc, out, files) == (2, "", {})
+    assert err == f"stage failure: ValueError: injected validation failure of {failing}\n"
+
+
+def test_parent_draws_no_campaign_on_two_workers(cli_outputs, tmp_path, monkeypatch):
+    """The campaign is drawn and scored only on the workers."""
+    parent, draw = os.getpid(), pipeline.simulate_campaign
+
+    def on_a_worker_only(*args, **kwargs):
+        if os.getpid() == parent:
+            raise RuntimeError("the parent drew the campaign")
+        return draw(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "simulate_campaign", on_a_worker_only)
+    monkeypatch.setattr(parallel, "_max_workers", lambda: 2)
+    results = run_and_validate(tmp_path, "out")
+    for command in ("run", "validate"):
+        rc, _, err, files = results[command]
+        assert (rc, err) == (0, "")
+        assert files["cate_by_k.csv"] == (cli_outputs / "run" / "cate_by_k.csv").read_bytes()

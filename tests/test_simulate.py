@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from proxyrank import ConfigError, SimConfig, ground_truth_rank, simulate_cohort
+from proxyrank.rng import substream
+from proxyrank.simulate import draw_outcomes
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +182,43 @@ class TestGroupEmbedding:
     def test_k_smaller_than_groups_rejected(self):
         with pytest.raises(ConfigError, match="embed group indicators"):
             SimConfig(k=3, cate_levels=(1.0, 2.0, 3.0, 4.0))
+
+
+def draw_outcomes_hstack(cfg: SimConfig):
+    """``draw_outcomes`` as it was built before X was filled in place: one
+    (n, noise columns) draw with the one-hot block stacked on its right."""
+    n, k, L = cfg.n, cfg.k, cfg.n_groups
+    seed = cfg.seed
+    noise_dims = k - L if cfg.embed_groups else k
+    X = substream(seed, "x").standard_normal((n, noise_dims))
+    names = tuple(f"x{j}" for j in range(noise_dims))
+    groups = np.tile(np.arange(L), n // L + 1)[:n]
+    substream(seed, "groups").shuffle(groups)
+    if cfg.embed_groups:
+        onehot = np.zeros((n, L))
+        onehot[np.arange(n), groups] = 1.0
+        X = np.hstack([X, onehot])
+        names += tuple(f"g{j}" for j in range(L))
+    beta = substream(seed, "beta").choice(
+        np.asarray(cfg.coef_values, dtype=float), size=k, p=cfg.coef_probs)
+    u = substream(seed, "u").standard_normal(n)
+    y0 = X @ beta + substream(seed, "eps").normal(0.0, cfg.noise_sd, n)
+    if cfg.mode == "confounded":
+        y0 = y0 + cfg.confounder_strength * u
+    y1 = y0 + np.asarray(cfg.cate_levels, dtype=float)[groups]
+    return X, names, groups, u, y0, y1
+
+
+@pytest.mark.parametrize("mode", ["clean", "confounded"])
+@pytest.mark.parametrize("embed_groups", [True, False])
+def test_in_place_draw_equals_the_stacked_one(mode, embed_groups):
+    # several 4096-row ranges and a remainder: the "x" stream continues
+    # across ranges, so the in-place X is the single draw bit for bit
+    cfg = SimConfig(n=2 * 4096 + 3, k=12, mode=mode, embed_groups=embed_groups, seed=5)
+    got, want = draw_outcomes(cfg), draw_outcomes_hstack(cfg)
+    assert got[0].shape == want[0].shape == (cfg.n, cfg.k)
+    assert got[0].flags.c_contiguous
+    assert got[1] == want[1]
+    for a, b in zip(got[2:], want[2:]):  # groups, u, y0, y1
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got[0].tobytes() == want[0].tobytes()
