@@ -57,6 +57,7 @@ RUNS = [
                               "--schema", "{simulate_n400}/observed_schema.json"]),
     ("run_branch_fails", FAILS, ["run", "--seed", "1"]),
     ("validate_seed_1", None, ["validate", "--seed", "1"]),
+    ("balance_seed_1", None, ["balance", "--seed", "1"]),
 ]
 
 
