@@ -19,8 +19,7 @@ from .outcomes import (FAMILIES, FeatureMap, ITETable, ModelError, OutcomeModel,
 from .pipeline import (ModelReport, RunConfig, RunReport, StageError,
                        emit_report, run_pipeline)
 from .propensity import (BalanceReport, BalanceRow, FitError, PropensityFit,
-                         balance_report, fit_propensity, stabilized_weights,
-                         trim_extremes)
+                         balance_report, fit_propensity, trim_extremes)
 from .ranking import (RankedCohort, RankingError, rank_and_bucket, rank_rmse,
                       spearman_correlation, top_fraction_indices)
 from .sensitivity import (ConfounderConfig, ConfoundingRecord, ConfoundingSummary,
@@ -43,7 +42,7 @@ __all__ = [
     "ModelReport", "RunConfig", "RunReport", "StageError",
     "emit_report", "run_pipeline",
     "BalanceReport", "BalanceRow", "FitError", "PropensityFit",
-    "balance_report", "fit_propensity", "stabilized_weights", "trim_extremes",
+    "balance_report", "fit_propensity", "trim_extremes",
     "RankedCohort", "RankingError", "rank_and_bucket", "rank_rmse",
     "spearman_correlation", "top_fraction_indices",
     "ConfounderConfig", "ConfoundingRecord", "ConfoundingSummary",

@@ -16,13 +16,13 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from .analysis import prepare_cohort
 from .data import Dataset, SchemaError, load_dataset, load_schema, save_simulated
 from .pipeline import (REPORT_FILES, CampaignDrawError, RunConfig, analyze_models,
                        check_campaign_covariates, config_hash_of, emit_report, output_dir,
                        read_json_object, run_pipeline, sweep_models, validate_models,
                        write_balance, write_cate_by_k, write_json, write_manifest,
                        write_model_rows, write_ranking, write_sensitivity, write_summary)
+from .sensitivity import prepare_on_worker
 from .simulate import ConfigError, simulate_cohort
 
 _CONFIG_ERRORS = (ConfigError, SchemaError)
@@ -79,7 +79,7 @@ def cmd_analyze(args) -> int:
                                    ["model", "index", "ite", "y_hat_1", "y_hat_0"],
                                    d.n, len(cfg.models), models, rows)
     prepared = reports[0].analysis.prepared
-    write_balance(out, chash, prepared)
+    write_balance(out, chash, prepared.balance)
     fit = prepared.fit
     write_json(out / "propensity.json", {
         "config_hash": chash, "marginal": fit.marginal, "converged": fit.converged,
@@ -95,8 +95,12 @@ def cmd_balance(args) -> int:
     cfg = _load_config(args)
     d = _dataset_for(cfg, args)
     out = output_dir(args.out)
-    prepared = prepare_cohort(d, cfg.analysis)
-    write_balance(out, cfg.config_hash(), prepared)
+    # The cohort is prepared and its balance computed on a worker of its own,
+    # which sends back only the balance report.
+    balance = prepare_on_worker(d, cfg.analysis, lambda prepared: prepared.balance)
+    if isinstance(balance, Exception):
+        raise balance
+    write_balance(out, cfg.config_hash(), balance)
     print(f"wrote balance.csv to {out}")
     return 0
 

@@ -24,12 +24,13 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, PreparedCohort
+from .analysis import AnalysisConfig, AnalysisResult, ModelSpec
 from .data import Dataset, map_row_ranges, read_json, row_ranges, written_whole
 from .outcomes import compute_ite
 from .ranking import rank_rmse, top_count
 from .rng import derive_seed
 from .parallel import StageError, iter_tasks
+from .propensity import BalanceReport
 from .sensitivity import (ConfounderConfig, PlaceboResult, SensitivityReport,
                           analyze_baselines, sensitivity_sweep)
 from .simulate import ConfigError, SimConfig, ground_truth_rank, simulate_cohort
@@ -510,9 +511,8 @@ def write_ranking(out: Path, config_hash: str, reports, k_grid, n: int, n_models
     return out / "ranking.csv"
 
 
-def write_balance(out: Path, config_hash: str, prepared: PreparedCohort) -> Path:
+def write_balance(out: Path, config_hash: str, balance: BalanceReport) -> Path:
     """Write balance.csv: each covariate's SMD before and after weighting."""
-    balance = prepared.balance
     rows = [[r.covariate, repr(r.smd_before), repr(r.smd_after),
              int(r.smd_after > balance.threshold)] for r in balance.rows]
     write_csv(out / "balance.csv", config_hash,
@@ -602,7 +602,7 @@ def emit_report(report: RunReport, outdir: str | Path) -> dict:
     if ok_models:
         written.append(write_ranking(out, chash, ok_models, report.config.k_grid,
                                      report.n, len(ok_models), report.true_levels))
-        written.append(write_balance(out, chash, ok_models[0].analysis.prepared))
+        written.append(write_balance(out, chash, ok_models[0].analysis.prepared.balance))
     sens_models = [m for m in report.model_reports if m.sensitivity is not None]
     if sens_models:
         written += write_sensitivity(out, chash, sens_models)

@@ -160,19 +160,6 @@ def ipw_weights(a: np.ndarray, e: np.ndarray, p: float) -> np.ndarray:
     return np.where(a == 1, p / e, (1.0 - p) / (1.0 - e))
 
 
-def stabilized_weights(fit: PropensityFit, d: Dataset) -> np.ndarray:
-    """Stabilized inverse-propensity weights.
-
-    w_i = a_i * P(a=1) / e(x_i) + (1 - a_i) * (1 - P(a=1)) / (1 - e(x_i)),
-    with P(a=1) the empirical treated fraction of the fitted (post-trim)
-    data. Scores strictly inside (0, 1) make every weight positive.
-    """
-    e = fit.scores
-    if len(e) != d.n:
-        raise FitError(f"fit covers {len(e)} units, dataset has {d.n}")
-    return ipw_weights(d.treatment, e, fit.marginal)
-
-
 @dataclass(frozen=True)
 class BalanceRow:
     covariate: str

@@ -25,7 +25,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .analysis import AnalysisConfig, AnalysisResult, ModelSpec, analyze_model, prepare_cohort
+from .analysis import (AnalysisConfig, AnalysisResult, ModelSpec, PreparedCohort, analyze_model,
+                       prepare_cohort)
 from .data import Dataset, DataValidationError
 from .parallel import iter_tasks, on_worker
 from .propensity import ipw_weights
@@ -187,16 +188,26 @@ def _sweep(tasks: list[tuple], specs: list[ModelSpec], baselines: list,
     return list(zip(records, errors))
 
 
+def prepare_on_worker(d: Dataset, cfg: AnalysisConfig,
+                      read: Callable[[PreparedCohort], object]) -> object:
+    """``read(prepare_cohort(d, cfg))``, or the exception it raised, computed
+    on a forked worker of its own (``on_worker``: in-process with one CPU or
+    without fork). This process receives only what ``read`` returns, so
+    neither the propensity design nor a trimmed copy of ``d`` that ``read``
+    builds lives in it."""
+    return on_worker("the preparation of the observed cohort",
+                     lambda: read(prepare_cohort(d, cfg)))
+
+
 def analyze_baselines(d: Dataset, specs: list[ModelSpec],
                       cfg: AnalysisConfig = AnalysisConfig(), balance: bool = False):
     """Every spec's analysis of ``d``, all on one prepared cohort, yielded in
     spec order as each result is read.
 
     The cohort is prepared once, on a forked worker of its own
-    (``on_worker``: in-process with one CPU or without fork), which sends
-    back only the propensity fit, the indices of the trimmed rows and the
-    weights, so the propensity design and the trimmed copy of the cohort
-    never live in this process. The specs are then dealt to forked workers,
+    (``prepare_on_worker``), which sends back only the propensity fit, the
+    indices of the trimmed rows and the weights, so the propensity design
+    and the trimmed copy of the cohort never live in this process. The specs are then dealt to forked workers,
     which inherit the prepared cohort; each builds its own trimmed cohort,
     sends back only its spec's model, effects and ranking, and every result
     refers to this process's prepared cohort. Yields one ``AnalysisResult``
@@ -214,8 +225,7 @@ def analyze_baselines(d: Dataset, specs: list[ModelSpec],
     raises, the field is left unset, and its first read raises again.
     """
     # A worker sends back its prepared cohort or result without the cohort.
-    value = on_worker("the preparation of the observed cohort",
-                      lambda: replace(prepare_cohort(d, cfg), full=None))
+    value = prepare_on_worker(d, cfg, lambda prepared: replace(prepared, full=None))
     if isinstance(value, Exception):
         yield from [value] * len(specs)
         return

@@ -2,6 +2,7 @@
 import importlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from proxyrank.trees import GradientBoostedTrees, RandomForest, RegressionTree
 
 # Removed because nothing in the method called them; each must stay gone.
 DELETED = ("predict_scores", "SplitSpec", "train_validation_split", "save_model",
-           "load_model", "select_top_percentile")
+           "load_model", "select_top_percentile", "stabilized_weights")
 # Removed with the linked-node form of a fitted tree, which only the
 # preorder arrays now hold; each must stay gone.
 DELETED_TREE_API = ((proxyrank.trees, "_preorder"), (proxyrank.trees._Node, "to_dict"),
@@ -120,6 +121,15 @@ def test_deleted_names_not_exported():
     for name in DELETED:
         assert name not in proxyrank.__all__
         assert not hasattr(proxyrank, name)
+
+
+def test_readme_export_paragraph_names_exported_names():
+    lead = "The package exports the names in `proxyrank.__all__`"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index(lead) + len(lead)
+    names = re.findall(r"`([^`]+)`", readme[start:readme.index("\n\n", start)])
+    assert len(names) > 10
+    assert [name for name in names if name not in proxyrank.__all__] == []
 
 
 def test_deleted_tree_api_stays_deleted():

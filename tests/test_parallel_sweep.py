@@ -108,7 +108,8 @@ def in_confounded_cohort(prepared, config_index, run):
 @pytest.mark.parametrize("command,config", [
     ("run", CONFIG), ("sensitivity", CONFIG), ("run", CONFIG_CONFOUNDER_FAILS),
     ("rank", CONFIG), ("analyze", CONFIG), ("validate", CONFIG), ("run", TREES),
-    ("rank", TREES), ("analyze", TREES), ("analyze", REPORT_RANGE), ("run", REPORT_RANGE)])
+    ("rank", TREES), ("analyze", TREES), ("analyze", REPORT_RANGE), ("run", REPORT_RANGE),
+    ("balance", CONFIG)])
 def test_same_bytes_for_one_two_and_three_workers(command, config, monkeypatch, tmp_path,
                                                   capsys):
     # Ranges of 64 rows: ranking.csv and ite.csv are formatted in several.
@@ -408,39 +409,44 @@ def log_pids(monkeypatch, fn, log: Path):
     return lambda: [int(pid) for pid in log.read_text().split()] if log.exists() else []
 
 
-@pytest.mark.parametrize("command", ["analyze", "rank", "run"])
+@pytest.mark.parametrize("command", ["analyze", "balance", "rank", "run"])
 def test_no_propensity_fit_in_the_parent(command, monkeypatch, tmp_path, capsys, time_limit):
     # The observed cohort is prepared on a worker of its own, and every
-    # cohort of the sweep on the sweep's workers.
+    # cohort of the sweep on the sweep's workers; the observed cohort's
+    # balance is computed on a worker too, so this process holds neither the
+    # propensity design nor a trimmed copy of X.
     pids = log_pids(monkeypatch, propensity.fit_propensity, tmp_path / "pids")
+    reports = log_pids(monkeypatch, propensity.balance_report, tmp_path / "reports")
     workers(monkeypatch, 2)
     rc, _, err, _ = run_cli(tmp_path, capsys, command, CONFIG, "out")
     assert rc == 0 and err == ""
     fits = 6 if command == "run" else 1  # the baseline, the placebo and 2 x 2 confounders
     assert len(pids()) == fits and os.getpid() not in pids()
+    assert len(reports()) == (0 if command == "rank" else 1) and os.getpid() not in reports()
 
 
 def test_analyze_leaves_no_trimmed_cohort_in_the_parent(monkeypatch, tmp_path, capsys,
                                                         time_limit):
     seen = []
-    real = cli.write_balance
+    real = cli.analyze_models
 
-    def write_balance(out, chash, prepared):
-        seen.append(prepared)
-        return real(out, chash, prepared)
-    monkeypatch.setattr(cli, "write_balance", write_balance)
+    def analyze_models(*args, **kwargs):
+        for report in real(*args, **kwargs):
+            seen.append(report.analysis.prepared)  # one cohort per run, for every model
+            yield report
+    monkeypatch.setattr(cli, "analyze_models", analyze_models)
     outs = []
     for n in (1, 2):
         workers(monkeypatch, n)
         outs.append(run_cli(tmp_path, capsys, "analyze", CONFIG, f"w{n}"))
     assert outs[0] == outs[1] and outs[0][0] == 0
-    in_process, forked = seen
+    in_process, forked = seen[0], seen[-1]
     assert "trimmed" in vars(in_process) and "trimmed" not in vars(forked)
     fit = json.loads((tmp_path / "w2" / "propensity.json").read_text())
     assert fit["n_after_trim"] == forked.trimmed.n == in_process.trimmed.n < fit["n_before_trim"]
 
 
-@pytest.mark.parametrize("command", ["analyze", "rank", "run"])
+@pytest.mark.parametrize("command", ["analyze", "balance", "rank", "run"])
 def test_killed_prepare_worker_is_a_stage_error(command, monkeypatch, tmp_path, capsys,
                                                 time_limit):
     parent = os.getpid()

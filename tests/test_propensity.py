@@ -4,9 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxyrank import (Dataset, FitError, PropensityFit, SimConfig, balance_report,
-                       fit_propensity, simulate_cohort, stabilized_weights,
-                       trim_extremes)
-from proxyrank.propensity import _sigmoid
+                       fit_propensity, simulate_cohort, trim_extremes)
+from proxyrank.propensity import _sigmoid, ipw_weights
 
 import balance_oracle
 import propensity_oracle
@@ -65,7 +64,7 @@ class TestFit:
         assert fit.scores.min() > 0.0 and fit.scores.max() < 1.0
 
     def test_scores_cannot_be_moved_to_0_or_1(self, small_sim):
-        # what keeps stabilized_weights finite: it checks no score itself
+        # what keeps ipw_weights finite: it checks no score itself
         fit = fit_propensity(small_sim.observed)
         with pytest.raises(ValueError, match="read-only"):
             fit.scores[0] = 1.0
@@ -216,13 +215,13 @@ class TestStabilizedWeights:
     def test_direct_substitution(self):
         d = Dataset(np.zeros((1, 1)), np.array([1]), np.zeros(1))
         fit = synthetic_fit(np.array([0.25]), treatment=np.array([1]), marginal=0.5)
-        assert stabilized_weights(fit, d)[0] == pytest.approx(2.0)
+        assert ipw_weights(d.treatment, fit.scores, fit.marginal)[0] == pytest.approx(2.0)
 
     def test_stabilization_identity(self):
         a = np.resize([0, 1], 30)
         d = Dataset(np.zeros((30, 1)), a, np.zeros(30))
         fit = synthetic_fit(np.full(30, a.mean()), treatment=a)
-        np.testing.assert_allclose(stabilized_weights(fit, d), 1.0)
+        np.testing.assert_allclose(ipw_weights(d.treatment, fit.scores, fit.marginal), 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(e=st.floats(0.02, 0.98), p=st.floats(0.05, 0.95),
@@ -230,7 +229,7 @@ class TestStabilizedWeights:
     def test_formula_pointwise(self, e, p, a):
         d = Dataset(np.zeros((1, 1)), np.array([a]), np.zeros(1))
         fit = synthetic_fit(np.array([e]), treatment=np.array([a]), marginal=p)
-        w = stabilized_weights(fit, d)[0]
+        w = ipw_weights(d.treatment, fit.scores, fit.marginal)[0]
         expected = a * p / e + (1 - a) * (1 - p) / (1 - e)
         assert w == pytest.approx(expected)
         assert w > 0
@@ -239,7 +238,7 @@ class TestStabilizedWeights:
         obs = small_confounded_sim.observed
         fit = fit_propensity(obs)
         trimmed, fit_t = trim_extremes(fit, obs)
-        w = stabilized_weights(fit_t, trimmed)
+        w = ipw_weights(trimmed.treatment, fit_t.scores, fit_t.marginal)
         a = trimmed.treatment
         assert abs(w[a == 1].mean() - 1.0) < 0.05
         assert abs(w[a == 0].mean() - 1.0) < 0.05
@@ -273,7 +272,7 @@ class TestBalance:
                                         z_covariate_strength=1.0))
         fit = fit_propensity(out.observed)
         trimmed, fit_t = trim_extremes(fit, out.observed)
-        w = stabilized_weights(fit_t, trimmed)
+        w = ipw_weights(trimmed.treatment, fit_t.scores, fit_t.marginal)
         report = balance_report(trimmed, w)
         assert report.mean_after() < report.mean_before()
         improved = np.mean([r.smd_after <= r.smd_before for r in report.rows])

@@ -117,32 +117,65 @@ class TestPresortedSearchMatchesPerNodeSort:
         F, _, _ = tie_heavy(seed, 90, 8)
         F[rng.integers(0, 90, 2), 3] = np.nan
         rows = rng.permutation(90) if seed % 2 else rng.integers(0, 90, 90)
-        _, tied_in_f, _ = _presort(F)
-        got_order, got_tied, repeats = _presort_sample(F[rows], rows, _presort(F))
-        want_order, want_tied, _ = _presort(F[rows])
+        got_order, got_tied = _presort_sample(F[rows], rows, _presort(F))
+        want_order, want_tied = _presort(F[rows])
         np.testing.assert_array_equal(got_order, want_order)
-        # flagged exactly where a fresh sort finds ties; by source row only in
-        # the columns untied in F
-        np.testing.assert_array_equal(got_tied != trees._UNTIED, want_tied != trees._UNTIED)
-        np.testing.assert_array_equal(got_tied == trees._BY_SOURCE,
-                                      (tied_in_f == trees._UNTIED) & (want_tied != trees._UNTIED))
-        # a repeat: a lower position holds the same source row
-        np.testing.assert_array_equal(repeats, [r in rows[:p] for p, r in enumerate(rows)])
+        np.testing.assert_array_equal(got_tied, want_tied)  # where a fresh sort finds ties
 
     @pytest.mark.parametrize("screen", SCREENS)
-    def test_forest_with_ties_by_value_and_by_source(self, screen, monkeypatch):
+    def test_forest_with_columns_tied_in_f_and_by_resampling(self, screen, monkeypatch):
         # Seed 5 keeps its continuous columns (3 and 7) free of ties in F, so
-        # a resample checks their cuts by source row and the others' by value.
+        # only the resample's repeated rows tie them.
         monkeypatch.setattr(trees, "_SCREEN", screen)
         F, y, w = tie_heavy(5, 240, 8)
-        rows = np.random.default_rng(5).integers(0, 240, 240)
-        _, tied, _ = _presort_sample(F[rows], rows, _presort(F))
-        assert set(np.flatnonzero(tied == trees._BY_SOURCE)) == {3, 7}
-        assert set(np.flatnonzero(tied == trees._BY_VALUE)) == {0, 1, 2, 4, 5, 6, 8}
 
         def make():
             return RandomForest(n_trees=4, min_samples_leaf=2, seed=5)
         assert dump(make().fit(F, y, w)) == with_oracle(monkeypatch, make, F, y, w)
+
+
+def resample_case(seed: int, n: int, k: int, how: int):
+    """A small F of untied, tied and NaN-holding columns, and rows drawn from
+    it with repeats (``how`` 0), as a permutation (1) or as one index
+    repeated (2)."""
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((n, k))
+    F[:, 1::3] = rng.integers(0, 3, (n, len(range(1, k, 3))))
+    F[rng.random((n, k)) < 0.1 * (np.arange(k) % 3 == 2)] = np.nan
+    rows = [rng.integers(0, n, n), rng.permutation(n), np.full(n, rng.integers(n))][how]
+    y = rng.standard_normal(n)
+    return F, y, rng.choice([0.5, 1.0, 2.0], n), rows
+
+
+class TestOneTieRule:
+    """A resample's columns carry the tie flag a fresh sort gives them, so a
+    forest checks every flagged column's cuts by value and grows the trees of
+    a per-node sort."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 7), st.integers(0, 2))
+    def test_resample_presort_is_a_fresh_sort(self, seed, n, k, how):
+        F, _, _, rows = resample_case(seed, n, k, how)
+        got_order, got_tied = _presort_sample(F[rows], rows, _presort(F))
+        want_order, want_tied = _presort(F[rows])
+        assert got_tied.dtype == want_tied.dtype == bool
+        np.testing.assert_array_equal(got_order, want_order)
+        np.testing.assert_array_equal(got_tied, want_tied)
+
+    # A bounded depth: a search that cuts between copies of one row can send
+    # every row to the left child, which would then split the same way forever.
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 6),
+           st.integers(1, 4), st.integers(1, 8), st.sampled_from(SCREENS))
+    def test_forest_equals_per_node_sort(self, seed, n, k, leaf, depth, screen):
+        F, y, w, _ = resample_case(seed, n, k, 0)
+
+        def make():
+            return RandomForest(n_trees=2, min_samples_leaf=leaf, max_depth=depth,
+                                seed=seed % 1000)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(trees, "_SCREEN", screen)
+            assert dump(make().fit(F, y, w)) == with_oracle(m, make, F, y, w)
 
 
 def adversarial(seed: int):
