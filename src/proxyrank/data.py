@@ -11,9 +11,10 @@ import io
 import json
 import math
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -51,23 +52,32 @@ class GroundTruth:
     z: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "true_group", _readonly(np.asarray(self.true_group, dtype=np.int64)))
+        # The whole-number columns are checked as given, then stored as int64.
+        group, z = np.asarray(self.true_group), np.asarray(self.z)
         object.__setattr__(self, "true_cate", _readonly(np.asarray(self.true_cate, dtype=np.float64)))
         object.__setattr__(self, "y0", _readonly(np.asarray(self.y0, dtype=np.float64)))
         object.__setattr__(self, "y1", _readonly(np.asarray(self.y1, dtype=np.float64)))
-        object.__setattr__(self, "z", _readonly(np.asarray(self.z, dtype=np.int64)))
-        n = len(self.true_group)
-        for name in ("true_cate", "y0", "y1", "z"):
-            if len(getattr(self, name)) != n:
+        n = len(group)
+        for name, column in (("true_cate", self.true_cate), ("y0", self.y0), ("y1", self.y1),
+                             ("z", z)):
+            if len(column) != n:
                 raise DataValidationError(f"ground-truth column '{name}' has length "
-                                          f"{len(getattr(self, name))}, expected {n}")
+                                          f"{len(column)}, expected {n}")
         for name in ("true_cate", "y0", "y1"):
             bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
             if bad.size:
                 raise DataValidationError(
                     f"non-finite ground-truth value in column '{name}' at row {bad[0]}")
-        if n and not np.isin(self.z, (0, 1)).all():
+        if n and not np.isin(z, (0, 1)).all():
             raise DataValidationError("ground-truth z must be 0/1")
+        if n and group.dtype.kind not in "biu":
+            bad = np.flatnonzero(~(np.abs(group) < 2.0**63) | (group != np.trunc(group)))
+            if bad.size:
+                raise DataValidationError(
+                    f"ground-truth column 'true_group' has value {group[bad[0]]:g} at row "
+                    f"{bad[0]}, which is not an int64 whole number")
+        object.__setattr__(self, "true_group", _readonly(np.asarray(group, dtype=np.int64)))
+        object.__setattr__(self, "z", _readonly(np.asarray(z, dtype=np.int64)))
         if n and (self.true_group < 1).any():
             raise DataValidationError("true_group ids must be >= 1")
         gap = np.abs(self.y1 - self.y0 - self.true_cate)
@@ -101,7 +111,7 @@ class Dataset:
         X = np.asarray(self.covariates, dtype=np.float64)
         if X.ndim != 2:
             raise DataValidationError("covariates must be a 2-D matrix")
-        a = np.asarray(self.treatment, dtype=np.int64)
+        a = np.asarray(self.treatment)  # checked as given, then stored as int64
         y = np.asarray(self.outcome, dtype=np.float64)
         n = X.shape[0]
         if len(a) != n or len(y) != n:
@@ -124,7 +134,7 @@ class Dataset:
         if self.ground_truth is not None and len(self.ground_truth.y0) != n:
             raise DataValidationError("ground-truth length differs from dataset length")
         object.__setattr__(self, "covariates", _readonly(X))
-        object.__setattr__(self, "treatment", _readonly(a))
+        object.__setattr__(self, "treatment", _readonly(np.asarray(a, dtype=np.int64)))
         object.__setattr__(self, "outcome", _readonly(y))
         object.__setattr__(self, "covariate_names", names)
 
@@ -237,13 +247,17 @@ def load_schema(path: str | Path) -> dict:
     return schema
 
 
-def _parse_cell(raw: str, column: str, row: int) -> float:
+def _parse_cell(record: list[str], j: int, column: str, row: int) -> float:
+    """Cell ``j`` of ``record``, data row ``row``, as ``float()`` reads it.
+    Raises DataValidationError when there is none or it is not finite."""
+    if j >= len(record):
+        raise DataValidationError(f"row {row} is short: no value for column '{column}'")
     try:
-        value = float(raw)
+        value = float(record[j])
     except ValueError:
         raise DataValidationError(
-            f"unparseable value {raw!r} in column '{column}' at row {row}") from None
-    if math.isnan(value) or math.isinf(value):
+            f"unparseable value {record[j]!r} in column '{column}' at row {row}") from None
+    if not math.isfinite(value):
         raise DataValidationError(f"non-finite value in column '{column}' at row {row}")
     return value
 
@@ -255,12 +269,12 @@ _BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
 
 def _parse_rows(body: list[str], width: int) -> np.ndarray | None:
     """The lines as a (rows, width) float64 table, parsed in C, or None when
-    the per-cell scan must decide instead.
+    the csv module must split them instead.
 
     ``np.loadtxt`` converts with ``PyOS_string_to_double``, the converter of
-    ``float()``, so an accepted table is bit-identical to the per-cell scan.
-    It is accepted only where the two provably agree: no quoting (a quote
-    makes a cell unparseable), one row per line (``loadtxt`` skips blank
+    ``float()``, so an accepted table is bit-identical to a cell-by-cell
+    parse. It is accepted only where the two provably agree: no quoting (a
+    quote makes a cell unparseable), one row per line (``loadtxt`` skips blank
     lines, hence the shape check), no cell the csv module would refuse as
     too long, and every value finite. Each check holds line by line, so a
     body is accepted exactly when each of its ranges is.
@@ -279,11 +293,11 @@ def _parse_rows(body: list[str], width: int) -> np.ndarray | None:
     return table
 
 
-def _read_header(fh) -> tuple[list[str], int] | None:
-    """The header row of the binary CSV file ``fh``, read as the scan reads
-    it, and the byte offset where the body starts; None when the scan must
-    decide: no header, or a header that is not UTF-8 or that the csv module
-    refuses."""
+def _read_header(fh) -> tuple[list[str], int]:
+    """The header row of the binary CSV file ``fh``, read as the csv module
+    reads the whole file, and the byte offset where the body starts. Raises
+    DataValidationError when there is no header, and the decode or csv error
+    of a header that is not UTF-8 or that the csv module refuses."""
     taken = 0  # bytes of the lines the csv reader has taken
 
     def lines():
@@ -295,8 +309,8 @@ def _read_header(fh) -> tuple[list[str], int] | None:
                     yield line
     try:
         return next(csv.reader(lines())), taken
-    except (StopIteration, UnicodeDecodeError, csv.Error):
-        return None
+    except StopIteration:
+        raise DataValidationError("no data rows") from None
 
 
 # Bytes per read of the scan that finds where each row range of a body starts.
@@ -321,30 +335,71 @@ def _range_starts(fh, start: int, every: int) -> tuple[list[int], int, int]:
     return starts, n_lines + int(last != b"\n"), pos
 
 
-def _fast_columns(p: Path, fh, start: int, width: int, scalars: list[int],
-                  covariates: list[int]) -> tuple[list[np.ndarray], np.ndarray] | None:
-    """The ``scalars`` columns of the body of ``p``, from byte ``start``, one
-    float64 array each, and its ``covariates`` columns as one (rows, k)
-    matrix, parsed in C; or None when the per-cell scan must decide instead.
+def _parse_range(lines: Iterable[str], width: int, wanted: list[int], names: list[str],
+                 errors: dict | None = None) -> np.ndarray | None:
+    """The columns ``wanted``, named ``names``, of the body lines ``lines`` as
+    one (rows, len(wanted)) float64 table.
 
-    The parent only finds where each range of ``_BLOCK_ROWS`` body lines
-    starts (``_range_starts``). Each range is a task of ``map_row_ranges``:
-    it reads and decodes its own bytes, splits them into lines as a file
-    opened with ``newline=""`` does, drops the ``#`` lines, parses the rest
-    with ``_parse_rows`` and sends back only the wanted columns, or declines
-    when its bytes are not UTF-8. A range starts right after a ``\\n`` byte,
-    which never cuts a UTF-8 character or a ``\\r\\n``, so the ranges' lines,
-    joined in order, are the lines of the whole body. The arrays are sized by
-    the body's ``\\n`` lines; the parent copies each range into them as it
-    arrives and drops it, so it never holds the body as a table. They grow
-    where bare ``\\r`` line ends give a range more lines, and are cut in
-    place to the rows read once ``#`` lines are left out. If any range
-    declines, so does the body, and every error is left to the scan and its
-    messages.
+    A worker's range is a list of lines (``errors`` None). It is parsed in C
+    by ``_parse_rows`` where that accepts it, else split by the csv module
+    with one ``"\\n"`` line appended, which reads as the empty record ``[]``
+    unless a quoted cell is still open at the range's end. The range then
+    declines (None), as it does when it holds any error. The whole body,
+    streamed, is split by the csv module as the file reads, and its errors
+    go into ``errors``: the first row longer than the header at key None,
+    and the first bad cell of each column at its name. Records are parsed
+    ``_BLOCK_ROWS`` at a time, each wanted cell by ``_parse_cell``.
     """
-    every = _BLOCK_ROWS
+    if errors is None:
+        table = _parse_rows(lines, width)
+        if table is not None:
+            return np.take(table, wanted, axis=1)
+        try:
+            *records, last = csv.reader([*lines, "\n"])
+        except csv.Error:
+            return None
+        if last:
+            return None
+    found = {} if errors is None else errors
+    records, parts, rows = iter(records if errors is None else csv.reader(lines)), [], 0
+    while chunk := list(islice(records, _BLOCK_ROWS)):
+        long = next((i for i, record in enumerate(chunk) if len(record) > width), None)
+        if long is not None:
+            found.setdefault(None, f"row {rows + long} has {len(chunk[long])} cells; "
+                                   f"the header has {width}")
+        part = np.empty((len(chunk), len(wanted)))
+        for k, (j, name) in enumerate(zip(wanted, names)):
+            try:
+                part[:, k] = [_parse_cell(r, j, name, i) for i, r in enumerate(chunk, rows)]
+            except DataValidationError as exc:
+                found.setdefault(name, str(exc))
+        parts.append(part)
+        rows += len(chunk)
+    if errors is None and found:
+        return None
+    return np.concatenate(parts) if parts else np.empty((0, len(wanted)))
+
+
+def _read_body(p: Path, fh, start: int, col_index: dict[str, int], scalars: list[str],
+               covariates: list[str]) -> tuple[list[np.ndarray], np.ndarray, dict]:
+    """The ``scalars`` columns of the body of ``p``, from byte ``start``, one
+    float64 array each, its ``covariates`` columns as one (rows, k) matrix,
+    and the errors ``_parse_range`` finds in it.
+
+    Each range of ``_BLOCK_ROWS`` body lines (``_range_starts``) is a task of
+    ``map_row_ranges``: it reads and decodes its own bytes (or declines),
+    splits them as a file opened with ``newline=""`` does, drops the ``#``
+    lines and parses the rest with ``_parse_range``. A range starts right
+    after a ``\\n`` byte, which never cuts a UTF-8 character or a ``\\r\\n``.
+    The parent copies each range into the arrays, sized by the body's
+    ``\\n`` lines, as it arrives: they grow where bare ``\\r`` line ends give
+    more lines, and are cut in place to the rows read. Once a range declines,
+    the body is read again, streamed from ``fh`` as one range.
+    """
+    every, width = _BLOCK_ROWS, len(col_index)
+    names = [*scalars, *covariates]
+    wanted = [col_index[c] for c in names]
     starts, n_lines, end = _range_starts(fh, start, every)
-    wanted = scalars + covariates
 
     def parse(lo: int, hi: int) -> np.ndarray | None:
         first = starts[lo // every]
@@ -355,22 +410,24 @@ def _fast_columns(p: Path, fh, start: int, width: int, scalars: list[int],
             text = io.StringIO(raw.decode("utf-8"), newline="")
         except UnicodeDecodeError:
             return None
-        body = [line for line in text if not line.startswith("#")]
-        table = _parse_rows(body, width) if body else np.empty((0, width))
-        return None if table is None else np.take(table, wanted, axis=1)
-    if not n_lines:
-        return None
+        return _parse_range([line for line in text if not line.startswith("#")],
+                            width, wanted, names)
     columns = [np.empty(n_lines) for _ in scalars]
     X = np.empty((n_lines, len(covariates)))
 
     def resize(n: int) -> None:  # in place: no view of another buffer is kept
         for array in (*columns, X):
             array.resize((n, *array.shape[1:]), refcheck=False)
-    rows = 0
+    rows, errors = 0, {}
     with closing(map_row_ranges(n_lines, p.name, parse)) as ranges:
         for (lo, hi), part in zip(row_ranges(n_lines), ranges):
-            if part is None:
-                return None
+            if part is None:  # the next zip step ends the loop
+                ranges.close()
+                fh.seek(start)
+                with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+                    part = _parse_range((line for line in text if not line.startswith("#")),
+                                        width, wanted, names, errors)
+                rows, hi = 0, n_lines
             m = len(part)
             if rows + m > len(X):  # a bare "\r" ended a line: more lines than "\n"s
                 resize(rows + m + n_lines - hi)
@@ -378,16 +435,15 @@ def _fast_columns(p: Path, fh, start: int, width: int, scalars: list[int],
                 column[rows:rows + m] = part[:, j]
             X[rows:rows + m] = part[:, len(scalars):]
             rows += m
-    if not rows:
-        return None
     resize(rows)  # "#" lines left out
-    return columns, X
+    return columns, X, errors
 
 
-def _not_utf8(p: Path) -> DataValidationError:
-    """The error for a file that is not UTF-8. It names the first line that
-    does not decode: the header, a 0-based data row as the scan counts them,
-    or a comment line before one of those."""
+def _not_utf8(p: Path) -> DataValidationError | None:
+    """The error for a file that is not UTF-8, or None when every line
+    decodes. It names the first line that does not decode: the header, a
+    0-based data row as the csv module counts them, or a comment line
+    before one of those."""
     bad = None
     records = 0  # records the csv reader has completed, the header included
 
@@ -404,56 +460,12 @@ def _not_utf8(p: Path) -> DataValidationError:
     with open(p, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for _ in csv.reader(lines()):
             records += 1
+    if bad is None:
+        return None
     record, comment, reason = bad
     where = "the header" if record == 0 else f"row {record - 1}"
     return DataValidationError(
         f"{'a comment line before ' if comment else ''}{where} is not UTF-8 ({reason})")
-
-
-def _column_index(header: list[str]) -> dict[str, int]:
-    col_index = {name: j for j, name in enumerate(header)}
-    if len(col_index) != len(header):
-        dup = next(name for j, name in enumerate(header) if col_index[name] != j)
-        raise SchemaError(f"duplicate column name {dup!r} in header")
-    return col_index
-
-
-def _scan_rows(p: Path) -> tuple[list[str], dict[str, int], list[list[str]]]:
-    """The header, its column index and every body row of ``p``, as the csv
-    module splits them."""
-    try:
-        with open(p, newline="", encoding="utf-8") as fh:
-            lines = [line for line in fh if not line.startswith("#")]
-    except UnicodeDecodeError:
-        raise _not_utf8(p) from None
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataValidationError("no data rows") from None
-    col_index = _column_index(header)
-    rows = list(reader)
-    if not rows:
-        raise DataValidationError("no data rows")
-    width = len(header)
-    long_row = next((i for i, row in enumerate(rows) if len(row) > width), None)
-    if long_row is not None:
-        raise DataValidationError(f"row {long_row} has {len(rows[long_row])} cells; "
-                                  f"the header has {width}")
-    return header, col_index, rows
-
-
-def _role_columns(schema: dict, header: list[str]) -> tuple[list[str], list[str]]:
-    """The columns the schema's roles name for ``header``: the treatment,
-    outcome and ground-truth columns, in that order, and the covariate
-    columns (when the schema lists none, every column no other role claims,
-    in file order)."""
-    scalars = [schema["treatment"], schema["outcome"],
-               *(schema.get("ground_truth") or {}).values()]
-    cov_cols = schema.get("covariates")
-    if cov_cols is None:
-        cov_cols = [c for c in header if c not in scalars]
-    return scalars, cov_cols
 
 
 def load_dataset(path: str | Path, schema: dict) -> Dataset:
@@ -466,50 +478,51 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
     Row indices in error messages are 0-based data rows (the header is not
     counted). Row order is preserved. Lines starting with ``#`` are skipped.
     A file that is not UTF-8 raises DataValidationError naming its first
-    undecodable row.
+    undecodable row, whatever else is wrong with it.
 
-    An all-numeric, all-finite file is parsed in C, range by range on the
-    worker pool, each worker reading its own range from the file and
-    sending back only the columns the roles name; this process copies each
-    range into the final covariate matrix and columns as it arrives, so it
-    holds the cohort once. Any other file (quoted or non-numeric cells,
-    ragged or blank rows, non-finite values, bytes that are not UTF-8) is
-    scanned cell by cell with ``float()``. Both give the same arrays, bit
-    for bit, and the scan gives every error message.
+    Each range of the body is parsed on the worker pool, by the worker that
+    reads it from the file: in C where it is all-numeric and all-finite, else
+    with the csv module and ``float()``. This process copies each range's
+    role columns into the final arrays as it arrives, so it holds the cohort
+    once. A range that holds an error, or ends inside a quoted cell, has the
+    body streamed through the csv module once, as one range, which finds
+    every error in the order of a row-by-row scan of the whole file.
     """
     _check_schema(schema)
     p = Path(path)
-    loaded = None
     with open_input(p, "data", SchemaError, mode="rb") as fh:
-        head = _read_header(fh)
-        if head is not None:
-            header, start = head
-            col_index = _column_index(header)
-            scalars, cov_cols = _role_columns(schema, header)
-            # With a role's column missing nothing is loaded, but the body is
-            # still parsed: an error the scan finds in it comes first.
-            found = all(c in col_index for c in (*scalars, *cov_cols))
-            loaded = _fast_columns(p, fh, start, len(header),
-                                   [col_index[c] for c in scalars] if found else [],
-                                   [col_index[c] for c in cov_cols] if found else [])
-    if loaded is None:
-        header, col_index, rows = _scan_rows(p)
-        scalars, cov_cols = _role_columns(schema, header)
-    tre_col, out_col, *gt_cols = scalars
-    for col in [tre_col, out_col, *cov_cols, *gt_cols]:
-        if col not in col_index:
-            raise SchemaError(f"missing column '{col}'")
+        try:
+            header, start = _read_header(fh)
+            col_index = {name: j for j, name in enumerate(header)}
+            if len(col_index) != len(header):
+                dup = next(name for j, name in enumerate(header) if col_index[name] != j)
+                raise SchemaError(f"duplicate column name {dup!r} in header")
+            gt_map = schema.get("ground_truth") or {}
+            scalars = [schema["treatment"], schema["outcome"], *gt_map.values()]
+            cov_cols = schema.get("covariates")  # by default, every other column
+            if cov_cols is None:
+                cov_cols = [c for c in header if c not in scalars]
+            tre_col, out_col, *gt_cols = scalars
+            absent = [c for c in [tre_col, out_col, *cov_cols, *gt_cols] if c not in col_index]
+            # With a role's column missing, the body is still read: a long row comes first.
+            columns, X, errors = _read_body(p, fh, start, col_index, [] if absent else scalars,
+                                            [] if absent else cov_cols)
+        except (ValueError, csv.Error):  # what the file's content can raise
+            error = _not_utf8(p)
+            if error is None:
+                raise
+            raise error from None
+    if not len(X):
+        raise DataValidationError("no data rows")
+    if None in errors:
+        raise DataValidationError(errors[None])
+    if absent:
+        raise SchemaError(f"missing column '{absent[0]}'")
 
-    def column(name: str) -> np.ndarray:
-        if loaded is not None:
-            return loaded[0][scalars.index(name)]
-        j = col_index[name]
-        out = np.empty(len(rows))
-        for i, row in enumerate(rows):
-            if j >= len(row):
-                raise DataValidationError(f"row {i} is short: no value for column '{name}'")
-            out[i] = _parse_cell(row[j], name, i)
-        return out
+    def column(name: str) -> np.ndarray | None:
+        if name in errors:
+            raise DataValidationError(errors[name])
+        return columns[scalars.index(name)] if name in scalars else None
 
     a = column(tre_col)
     bad = np.flatnonzero(~np.isin(a, (0.0, 1.0)))
@@ -517,13 +530,10 @@ def load_dataset(path: str | Path, schema: dict) -> Dataset:
         raise DataValidationError(
             f"treatment column '{tre_col}' has non-binary value {a[bad[0]]:g} at row {bad[0]}")
     y = column(out_col)
-    if loaded is not None:
-        X = loaded[1]
-    else:
-        X = np.column_stack([column(c) for c in cov_cols]) if cov_cols else np.empty((len(a), 0))
+    for c in cov_cols:
+        column(c)  # its first bad cell, if any
 
     gt = None
-    gt_map = schema.get("ground_truth") or {}
     if gt_map:
         missing = [f for f in _GT_FIELDS if f not in gt_map]
         if missing:

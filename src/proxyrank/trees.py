@@ -223,7 +223,11 @@ def _best_split(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarra
         if wins.any():
             f = int(np.argmax(np.where(wins, gain, -np.inf)))
             j, i = int(feats[f]), lo + int(cut[f])
-            best = (float(gain[f]), j, float(0.5 * (F[idx[f, i], j] + F[idx[f, i + 1], j])))
+            below, above = float(F[idx[f, i], j]), float(F[idx[f, i + 1], j])
+            # The midpoint, unless it overflows or rounds onto ``above``:
+            # each side of the cut must keep its rows.
+            mid = 0.5 * (below + above)  # Python floats: an overflow is inf, unwarned
+            best = (float(gain[f]), j, mid if below <= mid < above else below)
     return best
 
 

@@ -31,11 +31,12 @@ class IVExperiment:
     predicted_ite: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        z = np.asarray(self.z, dtype=np.int64)
+        z = np.asarray(self.z)  # checked as given, then stored as int64
         if len(z) != self.data.n:
             raise DataValidationError("z length differs from dataset length")
         if self.data.n and not np.isin(z, (0, 1)).all():
             raise DataValidationError("z must be 0/1")
+        z = np.asarray(z, dtype=np.int64)
         if self.data.n and z.min() == z.max():
             raise DataValidationError("single-arm instrument: both z arms are required")
         object.__setattr__(self, "z", z)

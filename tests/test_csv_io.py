@@ -10,11 +10,12 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import csv_oracle
@@ -433,6 +434,10 @@ def body_text(rows, ends="\n", final=True):
 
 
 ROWS = [f"{i},{i / 3!r},{i % 2},{i * 1.5!r}" for i in range(13)]
+# Two unused columns, n1 and n2. Body lines 3 and 4 are one record: line 3
+# holds two quotes, yet its second opens a quoted cell that line 4 closes.
+NOTE_ROWS = [f"{i},n,n,{i / 3!r},{i % 2},{i * 1.5!r}" for i in range(13)]
+NOTE_ROWS[3:5] = ['3,a"b,"c', 'd",1.0,1,4.5']
 # Files whose body is cut into ranges of physical lines: with ranges of 4
 # lines, body lines 4 and 8 start a range.
 RANGE_FILES = {
@@ -452,13 +457,36 @@ RANGE_FILES = {
     "header_only": body_text([]),
     "comments_only_body": body_text(["# a", "# b"]),
     "non_ascii_header": "é,x1,a,y\n" + "\n".join(ROWS) + "\n",
+    "quoted_cells_in_several_ranges": body_text(
+        [f'{i},"{i / 3!r}",{i % 2},"{i * 1.5!r}"' if i % 3 == 1 else row
+         for i, row in enumerate(ROWS)]),
+    "non_finite_in_a_late_range": body_text(ROWS[:11] + ["11,3.5,1,inf"] + ROWS[12:]),
+    "quote_pair_straddles_a_boundary": "# h\nx0,n1,n2,x1,a,y\n" + "\n".join(NOTE_ROWS) + "\n",
+    "last_line_opens_a_quote": body_text(ROWS + ['13,4.5,1,"19.5']),
 }
-# The files the per-cell scan reads in ranges of 4 lines; the others are
-# parsed in C.
-SCANNED = {"blank_line_at_range_boundary", "blank_last_line", "header_only",
-           "comments_only_body"}
+# The files the csv module reads in ranges of 4 lines, because the C step
+# declines a range; the others are parsed in C. A body with no line to parse
+# (header_only, comments_only_body) needs neither.
+SCANNED = {"blank_line_at_range_boundary", "blank_last_line", "quoted_cells_in_several_ranges",
+           "non_finite_in_a_late_range", "quote_pair_straddles_a_boundary",
+           "last_line_opens_a_quote"}
 # (workers, range lines, bytes per read of the parent's scan)
 RANGE_SETTINGS = [(1, 4, 1 << 20), (2, 4, 5), (3, 4, 1 << 20), (2, 1, 1 << 20), (3, 1, 7)]
+
+
+def spy_on_csv_ranges(monkeypatch) -> list:
+    """The range bodies with a line that ``_parse_rows`` declines, so that
+    the csv module must split them, as seen in this process: every range,
+    with one worker."""
+    scanned, parse_rows = [], data._parse_rows
+
+    def spy(body, width):
+        table = parse_rows(body, width)
+        if table is None and body:
+            scanned.append(body)
+        return table
+    monkeypatch.setattr(data, "_parse_rows", spy)
+    return scanned
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the ranges run on forked workers")
@@ -474,11 +502,33 @@ class TestRangesReadFromTheFile:
         path.write_bytes(RANGE_FILES[name].encode("utf-8"))
         ranges(workers, block)
         monkeypatch.setattr(data, "_SCAN_BYTES", scan)
-        scanned, scan_rows = [], data._scan_rows
-        monkeypatch.setattr(data, "_scan_rows", lambda p: scanned.append(p) or scan_rows(p))
+        scanned = spy_on_csv_ranges(monkeypatch)
         for schema in SCHEMAS:
             assert_same_load(path, schema)
-        assert bool(scanned) == (name in SCANNED)
+        if workers == 1:
+            assert bool(scanned) == (name in SCANNED)
+
+    @pytest.mark.filterwarnings("error:loadtxt:UserWarning")
+    @pytest.mark.parametrize("workers,block", [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3)])
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts(), schema=st.sampled_from(SCHEMAS))
+    def test_adversarial_text_in_ranges(self, ranges, tmp_path_factory, workers, block, text,
+                                        schema):
+        # Ranges of one to three lines: a quoted line break, a blank line or
+        # a bad cell falls in any range, and often on a boundary.
+        ranges(workers, block)
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_load(path, schema)
+
+    def test_quote_pair_across_a_boundary_is_one_record(self, ranges, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(RANGE_FILES["quote_pair_straddles_a_boundary"].encode())
+        ranges(2, 4)
+        d = load_dataset(path, SCHEMAS[0])
+        assert d.n == 12 and d.covariates[3].tolist() == [3.0, 1.0] and d.outcome[3] == 4.5
+        assert d.covariates[4].tolist() == [5.0, 5 / 3]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("bare_cr", [False, True])
@@ -497,11 +547,11 @@ class TestRangesReadFromTheFile:
         path.write_bytes("".join(line + ends[i % 2]
                                  for i, line in enumerate([head, header, *rows])).encode())
         ranges(workers, 64)
-        scanned, scan_rows = [], data._scan_rows
-        monkeypatch.setattr(data, "_scan_rows", lambda p: scanned.append(p) or scan_rows(p))
+        scanned = spy_on_csv_ranges(monkeypatch)
         assert_same_load(path, schema)
         d = load_dataset(path, schema)
-        assert not scanned
+        if workers == 1:
+            assert not scanned
         # X owns a buffer of exactly n x k: no view of a longer one
         assert d.covariates.base is None and d.covariates.nbytes == 300 * 3 * 8
         assert d.outcome.base is None and d.outcome.nbytes == 300 * 8
@@ -532,7 +582,9 @@ class TestRangesReadFromTheFile:
         ("comment", "a comment line before row 9 is not UTF-8 (invalid start byte)"),
         ("first_comment", "a comment line before the header is not UTF-8 "
                           "(invalid continuation byte)"),
-        ("quoted_cell", "row 5 is not UTF-8 (invalid start byte)")])
+        ("quoted_cell", "row 5 is not UTF-8 (invalid start byte)"),
+        # a header that repeats a column does not hide the body's bad byte
+        ("repeated_header", "row 12 is not UTF-8 (invalid start byte)")])
     def test_not_utf8_names_its_row(self, ranges, tmp_path, capsys, workers, where, message):
         text = body_text(ROWS).encode("utf-8")
         lines = text.split(b"\n")  # the comment line, the header, rows 0-12
@@ -544,6 +596,9 @@ class TestRangesReadFromTheFile:
             lines.insert(11, b"# \xff")
         elif where == "first_comment":
             lines[0] += b"\xc3("
+        elif where == "repeated_header":
+            lines[1] = lines[1].replace(b"x1", b"x0")
+            lines[14] += b"\xff"
         else:  # the second line of a quoted cell of row 5
             lines[7] = b'5,"1.6\n\xff",1,7.5'
         path = tmp_path / "d.csv"
@@ -601,6 +656,30 @@ class TestRangesReadFromTheFile:
         reads = [size for kind, size in got if kind == "read"]
         assert lines == [len(head[0]) + 1, len(head[1]) + 1]
         assert max(reads) == 256 and path.stat().st_size > 10 * 256
+
+
+def test_quoted_cells_load_within_a_few_times_the_arrays(ranges, tmp_path):
+    """One worker, ranges of 256 rows, a quoted cell every 300 rows: each
+    range is split by the csv module on its own, so the load's traced peak
+    stays a small multiple of the arrays it returns."""
+    rng = np.random.default_rng(0)
+    d = Dataset(rng.standard_normal((6000, 10)), rng.integers(0, 2, 6000),
+                rng.standard_normal(6000))
+    path = tmp_path / "d.csv"
+    schema = save_dataset(d, path)
+    header, *rows = path.read_text().splitlines()
+    for i in range(0, len(rows), 300):
+        rows[i] = '"{}",{}'.format(*rows[i].split(",", 1))
+    path.write_text("\n".join([header, *rows]) + "\n")
+    ranges(1, 256)
+    tracemalloc.start()
+    try:
+        got = load_dataset(path, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome_of(lambda *_: got, path, schema) == outcome_of(lambda *_: d, path, schema)
+    assert peak < 6 * (got.covariates.nbytes + got.treatment.nbytes + got.outcome.nbytes)
 
 
 def test_killed_simulate_leaves_no_partial_csv(tmp_path):

@@ -1,10 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from proxyrank import (Dataset, DataValidationError, GroundTruth, SchemaError,
                        load_dataset, load_schema, save_dataset)
+from proxyrank.cli import main
+from proxyrank.validation import IVExperiment
 
 from conftest import BAD_SCHEMAS, make_dataset
 
@@ -174,6 +177,24 @@ class TestDatasetInvariants:
         F = np.asfortranarray(np.zeros((3, 2)))  # any other kind is copied
         assert Dataset(F, a, y).covariates is not F and F.flags.writeable
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Dataset(np.zeros((2, 1)), [0, 0.5], [0.0, 0.0]),
+         "treatment must be 0 or 1; offending row 1"),
+        (lambda: Dataset(np.zeros((2, 1)), [1.7, 0], [0.0, 0.0]),
+         "treatment must be 0 or 1; offending row 0"),
+        (lambda: GroundTruth([4.5, 1], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0, 1]),
+         "ground-truth column 'true_group' has value 4.5 at row 0, which is not an int64 "
+         "whole number"),
+        (lambda: GroundTruth([1, 1e300], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0, 1]),
+         "ground-truth column 'true_group' has value 1e+300 at row 1, which is not an int64 "
+         "whole number"),
+        (lambda: GroundTruth([1, 2], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0, 0.5]),
+         "ground-truth z must be 0/1"),
+        (lambda: IVExperiment(make_dataset(n=4), [0, 1, 0.5, 1]), "z must be 0/1")])
+    def test_whole_number_columns_are_checked_before_the_cast(self, make, message):
+        with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+            make()
+
     def test_with_covariate_returns_new(self, toy_dataset):
         d2 = toy_dataset.with_covariate("extra", np.zeros(toy_dataset.n))
         assert d2.k == toy_dataset.k + 1
@@ -201,3 +222,23 @@ class TestDatasetInvariants:
         with pytest.raises(DataValidationError,
                            match=f"^non-finite ground-truth value in column '{column}' at row 1$"):
             GroundTruth(**cols)
+
+
+def test_run_refuses_a_fractional_true_group(tmp_path, capsys):
+    """An oracle CSV whose first true_group cell reads 4.5 is refused, not
+    read as group 4."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sim": {"n": 300, "k": 4}}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+    path = tmp_path / "sim" / "oracle.csv"
+    comment, header, first, rest = path.read_text().split("\n", 3)
+    cells = first.split(",")
+    cells[header.split(",").index("true_group")] = "4.5"
+    path.write_text("\n".join([comment, header, ",".join(cells), rest]))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--data", str(path),
+                 "--schema", str(tmp_path / "sim" / "oracle_schema.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("stage failure: DataValidationError: ground-truth column "
+                                       "'true_group' has value 4.5 at row 0, which is not an "
+                                       "int64 whole number\n")

@@ -417,3 +417,16 @@ class TestDegenerateHyperparameters:
         RegressionTree(max_depth=0, min_samples_leaf=1, max_features=1)
         RandomForest(n_trees=1, max_depth=None)
         GradientBoostedTrees(shrinkage=1.99, max_depth=0)
+
+
+@pytest.mark.parametrize("below,above", [(1e308, 1.7e308), (1 + 2**-52, 1 + 2**-51),
+                                         (-1.7e308, 1.7e308), (-1.7e308, -1e308)])
+def test_cut_between_huge_or_adjacent_values_keeps_both_sides(below, above):
+    # The midpoint of these overflows or rounds onto the upper value.
+    F = np.array([[below]] * 2 + [[above]] * 2)
+    y, w = np.array([0.0, 0.0, 1.0, 1.0]), np.ones(4)
+    tree = RegressionTree(max_depth=3, min_samples_leaf=1).fit(F, y, w)
+    np.testing.assert_array_equal(tree.predict(F), y)
+    assert tree.nodes[1][0] == 0 and below <= tree.nodes[2][0] < above
+    oracle = tree_oracle.fit(RegressionTree(max_depth=3, min_samples_leaf=1), F, y, w)
+    assert dump(tree) == dump(oracle)

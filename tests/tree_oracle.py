@@ -43,8 +43,9 @@ def best_split(F, y, w, rows, features, min_leaf):
         gain = parent_sse - float(sse[i])
         if gain > _MIN_GAIN and (best is None or gain > best[0]):
             cut = valid[i]
-            thr = 0.5 * (xs[cut] + xs[cut + 1])
-            best = (gain, int(j), float(thr))
+            below, above = float(xs[cut]), float(xs[cut + 1])
+            thr = 0.5 * (below + above)  # may overflow, or round onto a value
+            best = (gain, int(j), thr if below <= thr < above else below)
     return best
 
 
