@@ -45,8 +45,10 @@ FAILS = {"sim": {"n": 400, "k": 8}, "sensitivity_runs": 1, "placebo_bootstrap": 
          "sensitivity_configs": [{"alpha": 1000.0, "epsilon": 1000000.0}],
          "models": [{"family": "linear_wls", "label": "lin"},
                     {"family": "poisson", "label": "poisson"}]}
+NOTED = {"sim": {"n": 8200}}
 # (name, config or None, argv before --out); a name that the next runs read
-# from is given as {name} and resolved to its output directory.
+# from is given as {name} and resolved to its output directory, and {noted}
+# is the file ``write_noted`` makes of simulate_n8200's observed.csv.
 RUNS = [
     ("run_seed_1", None, ["run", "--seed", "1"]),
     ("rank_trees_n2000", TREES, ["rank", "--seed", "1"]),
@@ -58,7 +60,22 @@ RUNS = [
     ("run_branch_fails", FAILS, ["run", "--seed", "1"]),
     ("validate_seed_1", None, ["validate", "--seed", "1"]),
     ("balance_seed_1", None, ["balance", "--seed", "1"]),
+    ("simulate_n8200", NOTED, ["simulate", "--seed", "1"]),
+    ("analyze_data_note_n8200", NOTED, ["analyze", "--data", "{noted}", "--schema",
+                                        "{simulate_n8200}/observed_schema.json"]),
 ]
+
+
+def write_noted(observed: Path, path: Path) -> None:
+    """Write ``observed`` with a ``note`` column in front, empty but on data
+    row 4,095, whose quoted cell holds a line break. That record crosses from
+    body line 4,095 into line 4,096, where the body's second range starts,
+    so ``load_dataset`` parses the whole body in one stream."""
+    comment, body = observed.read_bytes().split(b"\n", 1)
+    header, *rows = body.split(b"\r\n")[:-1]
+    rows = [b"," + row for row in rows]
+    rows[4095] = b'"see\nbelow"' + rows[4095]
+    path.write_bytes(comment + b"\n" + b"\r\n".join([b"note," + header, *rows, b""]))
 
 
 def fingerprint() -> str:
@@ -75,6 +92,7 @@ def digests(work: Path) -> dict:
     """Every run of ``RUNS`` in ``work``: its exit code and the SHA-256 of its
     stdout, stderr (with ``work`` written as WORK) and output files."""
     dirs = {name: str(work / name) for name, _, _ in RUNS}
+    dirs["noted"] = str(work / "noted.csv")
     outs = {}
     for name, config, argv in RUNS:
         out = work / name
@@ -90,6 +108,8 @@ def digests(work: Path) -> dict:
             "stdout": _sha(stdout.getvalue().replace(str(work), "WORK").encode()),
             "stderr": _sha(stderr.getvalue().replace(str(work), "WORK").encode()),
             "files": {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}}
+        if name == "simulate_n8200":
+            write_noted(out / "observed.csv", Path(dirs["noted"]))
     return outs
 
 
