@@ -77,7 +77,7 @@ def cmd_analyze(args) -> int:
     with closing(analyze_models(d, cfg, balance=True)) as models:
         reports = write_model_rows(out / "ite.csv", chash,
                                    ["model", "index", "ite", "y_hat_1", "y_hat_0"],
-                                   d.n, len(cfg.models), models, rows)
+                                   d.n, models, rows)
     prepared = reports[0].analysis.prepared
     write_balance(out, chash, prepared.balance)
     fit = prepared.fit
@@ -110,7 +110,7 @@ def cmd_rank(args) -> int:
     d = _dataset_for(cfg, args)
     out = output_dir(args.out)
     with closing(analyze_models(d, cfg)) as reports:
-        write_ranking(out, cfg.config_hash(), reports, cfg.k_grid, d.n, len(cfg.models))
+        write_ranking(out, cfg.config_hash(), reports, cfg.k_grid, d.n)
     print(f"wrote ranking.csv to {out}")
     return 0
 

@@ -11,7 +11,7 @@ import io
 import json
 import math
 import os
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -335,34 +335,23 @@ def _range_starts(fh, start: int, every: int) -> tuple[list[int], int, int]:
     return starts, n_lines + int(last != b"\n"), pos
 
 
-def _parse_range(lines: Iterable[str], width: int, wanted: list[int], names: list[str],
-                 errors: dict | None = None) -> np.ndarray | None:
-    """The columns ``wanted``, named ``names``, of the body lines ``lines`` as
-    one (rows, len(wanted)) float64 table.
+# Cells per chunk of records split by the csv module, which holds a str per
+# cell until the chunk is parsed. ``analyze --data`` on 50k rows by 53
+# columns read in one stream peaked at 91.3 MiB with chunks of 4,096 records,
+# 67.0 with 1 << 15 cells and 65.0 with 1 << 14, against 62.2 parsed in
+# ranges (parent ru_maxrss, 2 vCPU), and loaded as fast with each.
+_CHUNK_CELLS = 1 << 14
 
-    A worker's range is a list of lines (``errors`` None). It is parsed in C
-    by ``_parse_rows`` where that accepts it, else split by the csv module
-    with one ``"\\n"`` line appended, which reads as the empty record ``[]``
-    unless a quoted cell is still open at the range's end. The range then
-    declines (None), as it does when it holds any error. The whole body,
-    streamed, is split by the csv module as the file reads, and its errors
-    go into ``errors``: the first row longer than the header at key None,
-    and the first bad cell of each column at its name. Records are parsed
-    ``_BLOCK_ROWS`` at a time, each wanted cell by ``_parse_cell``.
-    """
-    if errors is None:
-        table = _parse_rows(lines, width)
-        if table is not None:
-            return np.take(table, wanted, axis=1)
-        try:
-            *records, last = csv.reader([*lines, "\n"])
-        except csv.Error:
-            return None
-        if last:
-            return None
-    found = {} if errors is None else errors
-    records, parts, rows = iter(records if errors is None else csv.reader(lines)), [], 0
-    while chunk := list(islice(records, _BLOCK_ROWS)):
+
+def _parse_records(records: Iterator[list[str]], width: int, wanted: list[int],
+                   names: list[str], found: dict) -> Iterator[np.ndarray]:
+    """Yield the columns ``wanted``, named ``names``, of the csv records
+    ``records``, a (rows, len(wanted)) float64 table per chunk of about
+    ``_CHUNK_CELLS`` cells, each cell parsed by ``_parse_cell``. Errors go
+    into ``found``: the first row longer than ``width`` at key None, and
+    each column's first bad cell at its name."""
+    rows, every = 0, max(1, _CHUNK_CELLS // width)
+    while chunk := list(islice(records, every)):
         long = next((i for i, record in enumerate(chunk) if len(record) > width), None)
         if long is not None:
             found.setdefault(None, f"row {rows + long} has {len(chunk[long])} cells; "
@@ -373,35 +362,55 @@ def _parse_range(lines: Iterable[str], width: int, wanted: list[int], names: lis
                 part[:, k] = [_parse_cell(r, j, name, i) for i, r in enumerate(chunk, rows)]
             except DataValidationError as exc:
                 found.setdefault(name, str(exc))
-        parts.append(part)
         rows += len(chunk)
-    if errors is None and found:
+        yield part
+
+
+def _parse_range(lines: list[str], width: int, wanted: list[int],
+                 names: list[str]) -> list[np.ndarray] | None:
+    """``_parse_records`` of a worker's range of body lines, as a list, or
+    parsed in C by ``_parse_rows`` where that accepts the range. The csv
+    module splits it with one ``"\\n"`` line appended, which reads as the
+    empty record ``[]`` unless a quoted cell is still open at the range's
+    end; the range then declines (None), as it does when it holds an error.
+    """
+    table = _parse_rows(lines, width)
+    if table is not None:
+        return [np.take(table, wanted, axis=1)]
+    try:
+        *records, last = csv.reader([*lines, "\n"])
+    except csv.Error:
         return None
-    return np.concatenate(parts) if parts else np.empty((0, len(wanted)))
+    if last:
+        return None
+    found = {}
+    parts = list(_parse_records(iter(records), width, wanted, names, found))
+    return None if found else parts
 
 
 def _read_body(p: Path, fh, start: int, col_index: dict[str, int], scalars: list[str],
                covariates: list[str]) -> tuple[list[np.ndarray], np.ndarray, dict]:
     """The ``scalars`` columns of the body of ``p``, from byte ``start``, one
     float64 array each, its ``covariates`` columns as one (rows, k) matrix,
-    and the errors ``_parse_range`` finds in it.
+    and the errors ``_parse_records`` finds in it.
 
     Each range of ``_BLOCK_ROWS`` body lines (``_range_starts``) is a task of
     ``map_row_ranges``: it reads and decodes its own bytes (or declines),
     splits them as a file opened with ``newline=""`` does, drops the ``#``
     lines and parses the rest with ``_parse_range``. A range starts right
     after a ``\\n`` byte, which never cuts a UTF-8 character or a ``\\r\\n``.
-    The parent copies each range into the arrays, sized by the body's
+    The parent copies each table into the arrays, sized by the body's
     ``\\n`` lines, as it arrives: they grow where bare ``\\r`` line ends give
     more lines, and are cut in place to the rows read. Once a range declines,
-    the body is read again, streamed from ``fh`` as one range.
+    the body is read again, streamed from ``fh`` by the csv module, and each
+    chunk is copied as it is parsed.
     """
     every, width = _BLOCK_ROWS, len(col_index)
     names = [*scalars, *covariates]
     wanted = [col_index[c] for c in names]
     starts, n_lines, end = _range_starts(fh, start, every)
 
-    def parse(lo: int, hi: int) -> np.ndarray | None:
+    def parse(lo: int, hi: int) -> list[np.ndarray] | None:
         first = starts[lo // every]
         with open(p, "rb") as part:
             part.seek(first)
@@ -419,22 +428,23 @@ def _read_body(p: Path, fh, start: int, col_index: dict[str, int], scalars: list
         for array in (*columns, X):
             array.resize((n, *array.shape[1:]), refcheck=False)
     rows, errors = 0, {}
-    with closing(map_row_ranges(n_lines, p.name, parse)) as ranges:
-        for (lo, hi), part in zip(row_ranges(n_lines), ranges):
-            if part is None:  # the next zip step ends the loop
+    with closing(map_row_ranges(n_lines, p.name, parse)) as ranges, ExitStack() as stack:
+        for (lo, hi), parts in zip(row_ranges(n_lines), ranges):
+            if parts is None:  # the next zip step ends the loop
                 ranges.close()
                 fh.seek(start)
-                with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-                    part = _parse_range((line for line in text if not line.startswith("#")),
-                                        width, wanted, names, errors)
+                text = stack.enter_context(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+                records = csv.reader(line for line in text if not line.startswith("#"))
+                parts = _parse_records(records, width, wanted, names, errors)
                 rows, hi = 0, n_lines
-            m = len(part)
-            if rows + m > len(X):  # a bare "\r" ended a line: more lines than "\n"s
-                resize(rows + m + n_lines - hi)
-            for j, column in enumerate(columns):
-                column[rows:rows + m] = part[:, j]
-            X[rows:rows + m] = part[:, len(scalars):]
-            rows += m
+            for part in parts:
+                m = len(part)
+                if rows + m > len(X):  # a bare "\r" ended a line: more lines than "\n"s
+                    resize(rows + m + n_lines - hi)
+                for j, column in enumerate(columns):
+                    column[rows:rows + m] = part[:, j]
+                X[rows:rows + m] = part[:, len(scalars):]
+                rows += m
     resize(rows)  # "#" lines left out
     return columns, X, errors
 
@@ -556,10 +566,9 @@ def row_ranges(n_rows: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n_rows]))
 
 
-def map_row_ranges(n_rows: int, what: str, run: Callable[[int, int], object],
-                   which: slice = slice(None)) -> Iterator:
-    """Yield ``run(lo, hi)`` for the ranges ``row_ranges(n_rows)[which]``
-    (all of them by default), in row order, computed on the worker pool.
+def map_row_ranges(n_rows: int, what: str, run: Callable[[int, int], object]) -> Iterator:
+    """Yield ``run(lo, hi)`` for the ranges ``row_ranges(n_rows)``, in row
+    order, computed on the worker pool.
 
     A single range is a single task, run in-process. The ranges are tasks of
     ``parallel.iter_tasks``, named ``rows lo-(hi-1) of <what>`` in its
@@ -567,7 +576,7 @@ def map_row_ranges(n_rows: int, what: str, run: Callable[[int, int], object],
     here after every earlier range, for any worker count; close the iterator
     (``contextlib.closing``) to stop early.
     """
-    bounds = row_ranges(n_rows)[which]
+    bounds = row_ranges(n_rows)
     with closing(iter_tasks([f"rows {lo}-{hi - 1} of {what}" for lo, hi in bounds],
                             lambda t: run(*bounds[t]))) as values:
         for value in values:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from bisect import bisect_right
 from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from types import UnionType
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import AnalysisConfig, AnalysisResult, ModelSpec
-from .data import Dataset, map_row_ranges, read_json, row_ranges, written_whole
+from .data import Dataset, map_row_ranges, read_json, written_whole
 from .outcomes import compute_ite
 from .ranking import rank_rmse, top_count
 from .rng import derive_seed
@@ -447,50 +447,39 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_model_rows(path: Path, config_hash: str, header: list[str], n: int,
-                     n_models: int, models, rows) -> list:
+                     models, rows) -> list:
     """Write a run CSV of each model's rows in turn: the config-hash line,
-    the header, then the ``n`` rows of each of the ``n_models`` items of
-    ``models``, where ``rows(model, a, b)`` is the text of ``model``'s rows
-    ``a`` to ``b - 1``.
+    the header, then the ``n`` rows of each item of ``models``, where
+    ``rows(model, a, b)`` is the text of ``model``'s rows ``a`` to ``b - 1``.
 
-    The stacked rows are formatted in the row ranges of
-    ``map_row_ranges``, on the worker pool, each range from the slices of
-    the models it covers, and only once every model it covers has arrived.
     ``models``, which may be a generator of models as their results are
-    read, is read one model at a time, and the ranges each model completes
-    are formatted, on a pool of their own, before the next model is read.
-    The file is written through ``written_whole``, so a failure, in a model
-    or in formatting, leaves no file. Returns the models, in order.
+    read, is read one model at a time, and each model's rows are formatted
+    in its own row ranges of ``map_row_ranges``, on a pool of their own,
+    before the next model is read; model ``j``'s ranges are named ``model j
+    in <file name>``. The file is written through ``written_whole``, so a
+    failure, in a model or in formatting, leaves no file. Returns the
+    models, in order.
     """
-    n_rows = n * n_models
-    ends = [hi for _, hi in row_ranges(n_rows)]
     arrived = []
-
-    def range_text(lo: int, hi: int) -> str:
-        return "".join(rows(arrived[j], max(lo - j * n, 0), min(hi - j * n, n))
-                       for j in range(lo // n, (hi - 1) // n + 1))
-    done = 0  # ranges written
     with written_whole([path]) as (fh,):
         fh.write(_csv_head(config_hash, header).encode("utf-8"))
         for model in models:
-            arrived.append(model)
-            ready = bisect_right(ends, n * len(arrived))
-            with closing(map_row_ranges(n_rows, path.name, range_text,
-                                        slice(done, ready))) as chunks:
+            with closing(map_row_ranges(n, f"model {len(arrived)} in {path.name}",
+                                        partial(rows, model))) as chunks:
                 for chunk in chunks:
                     fh.write(chunk.encode("utf-8"))
-            done = ready
+            arrived.append(model)
     return arrived
 
 
-def write_ranking(out: Path, config_hash: str, reports, k_grid, n: int, n_models: int,
+def write_ranking(out: Path, config_hash: str, reports, k_grid, n: int,
                   true_levels: np.ndarray | None = None) -> Path:
     """Write ranking.csv: per model and unit the effect estimate, rank and
     level, the true level when ``true_levels`` is given, and a 0/1 flag per
     top-k% threshold of ``k_grid``: the units ranked 1 to ``top_count``,
     which are ``top_fraction_indices``. The rows go through
     ``write_model_rows``: ``reports`` is a list, or an iterable of reports
-    as they arrive, of ``n_models`` reports that each rank ``n`` units."""
+    as they arrive, that each rank ``n`` units."""
     header = ["model", "index", "ite", "rank", "level"]
     if true_levels is not None:
         header.append("true_level")
@@ -507,7 +496,7 @@ def write_ranking(out: Path, config_hash: str, reports, k_grid, n: int, n_models
         columns += [(rank <= m).astype(np.int64) for m in tops]
         return "".join(map(row, repeat(report.label, b - a), range(a, b),
                            ranked.ite[a:b].tolist(), *(c.tolist() for c in columns)))
-    write_model_rows(out / "ranking.csv", config_hash, header, n, n_models, reports, rows)
+    write_model_rows(out / "ranking.csv", config_hash, header, n, reports, rows)
     return out / "ranking.csv"
 
 
@@ -601,7 +590,7 @@ def emit_report(report: RunReport, outdir: str | Path) -> dict:
     ok_models = [m for m in report.model_reports if m.analysis is not None]
     if ok_models:
         written.append(write_ranking(out, chash, ok_models, report.config.k_grid,
-                                     report.n, len(ok_models), report.true_levels))
+                                     report.n, report.true_levels))
         written.append(write_balance(out, chash, ok_models[0].analysis.prepared.balance))
     sens_models = [m for m in report.model_reports if m.sensitivity is not None]
     if sens_models:

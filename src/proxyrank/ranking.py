@@ -17,18 +17,22 @@ def top_count(n: int, k_percent: float) -> int:
     return int(np.ceil(n * k_percent / 100.0))
 
 
-def top_fraction_indices(values: np.ndarray, k_percent: float) -> np.ndarray:
-    """Indices of the ``top_count(n, k)`` largest values.
+def _descending_ranks(values: np.ndarray) -> np.ndarray:
+    """Each unit's rank by descending value, 1 for the largest, ties broken
+    by ascending original index: the one tie rule of every ranking."""
+    n = len(values)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), -values))] = np.arange(1, n + 1)
+    return rank
 
-    Ties are broken by ascending original index, as in ``rank_and_bucket``,
-    so these are the units it ranks 1 to ``top_count(n, k)``. Repeated calls
+
+def top_fraction_indices(values: np.ndarray, k_percent: float) -> np.ndarray:
+    """Indices, ascending, of the ``top_count(n, k)`` largest values: the
+    units ``rank_and_bucket`` ranks 1 to ``top_count(n, k)``. Repeated calls
     agree and nested percentiles give nested sets.
     """
     values = np.asarray(values, dtype=np.float64)
-    n = len(values)
-    m = top_count(n, k_percent)
-    order = np.lexsort((np.arange(n), -values))  # descending value, ties by index
-    return np.sort(order[:m])
+    return np.flatnonzero(_descending_ranks(values) <= top_count(len(values), k_percent))
 
 
 @dataclass(frozen=True)
@@ -61,9 +65,7 @@ def rank_and_bucket(ite: np.ndarray, n_levels: int = 4) -> RankedCohort:
         raise RankingError("n_levels must be >= 1")
     if n < n_levels:
         raise RankingError(f"cannot cut {n} units into {n_levels} buckets")
-    desc = np.lexsort((np.arange(n), -ite))
-    rank = np.empty(n, dtype=np.int64)
-    rank[desc] = np.arange(1, n + 1)
+    rank = _descending_ranks(ite)
 
     base, rem = divmod(n, n_levels)
     sizes = np.full(n_levels, base, dtype=np.int64)

@@ -240,5 +240,4 @@ def ground_truth_rank(out: SimOutput | Dataset) -> np.ndarray:
     if oracle.ground_truth is None:
         raise DataValidationError("ground truth is required to compute true levels")
     cate = oracle.ground_truth.true_cate
-    levels_of = {c: i + 1 for i, c in enumerate(np.unique(cate))}
-    return np.array([levels_of[c] for c in cate], dtype=np.int64)
+    return (np.searchsorted(np.unique(cate), cate) + 1).astype(np.int64)

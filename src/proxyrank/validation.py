@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, DataValidationError, GroundTruth
-from .ranking import top_fraction_indices
+from .ranking import _descending_ranks, top_count
 from .rng import substream
 from .simulate import ConfigError, SimConfig, draw_outcomes, draw_proxy
 
@@ -164,13 +164,12 @@ def validate_ranking_splits(e: IVExperiment, k_grid=DEFAULT_K_GRID,
     if e.predicted_ite is None:
         raise DataValidationError("predicted_ite is required to split the cohort")
     n = e.data.n
+    rank = _descending_ranks(e.predicted_ite)  # high at k: top_fraction_indices
     records = []
     separation: dict = {}
     for k in k_grid:
-        high = top_fraction_indices(e.predicted_ite, k)
-        mask = np.zeros(n, dtype=bool)
-        mask[high] = True
-        low = np.flatnonzero(~mask)
+        m = top_count(n, k)
+        high, low = np.flatnonzero(rank <= m), np.flatnonzero(rank > m)
         estimates = {}
         for name, idx in (("high", high), ("low", low)):
             if idx.size == 0:

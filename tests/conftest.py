@@ -68,11 +68,13 @@ def toy_dataset():
 
 @pytest.fixture
 def ranges(monkeypatch):
-    """``ranges(workers, block)``: cut tables into ranges of ``block`` rows
-    and run them on ``workers`` workers."""
+    """``ranges(workers, block)``: cut tables into ranges of ``block`` rows,
+    and the csv records parsed into chunks of ``block`` cells, and run the
+    ranges on ``workers`` workers."""
     def set_ranges(workers, block):
         monkeypatch.setattr(parallel, "_max_workers", lambda: workers)
         monkeypatch.setattr(data, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(data, "_CHUNK_CELLS", block)
     return set_ranges
 
 

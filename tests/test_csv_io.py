@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import csv_oracle
 from proxyrank import (Dataset, GroundTruth, RunConfig, SimConfig, data, ground_truth_rank,
-                       load_dataset, pipeline, save_dataset, simulate_cohort,
+                       load_dataset, parallel, pipeline, save_dataset, simulate_cohort,
                        top_fraction_indices)
 from proxyrank.data import DataValidationError
 from proxyrank.cli import main
@@ -370,8 +370,8 @@ class TestRangesOnThePool:
             assert got == ("raised", DataValidationError, message)
 
 
-# Two models on 90 units: 180 stacked rows in ranges of 16, where rows 80-95
-# straddle the boundary between the models.
+# Two models on 90 units: each model's rows in ranges of 16, the last of
+# rows 80-89.
 MODEL_ROWS = {"sim": {"n": 90, "k": 4}, "k_grid": [10.0, 33.3, 50.0, 100.0],
               "analysis": {"report_range": [0.0, 20.0]}}
 
@@ -393,7 +393,7 @@ class TestModelRowsOnThePool:
         true_levels = ground_truth_rank(sim)
         ranges(workers, 16)
         pipeline.write_ranking(tmp_path, "0123abcd", reports, cfg.k_grid, sim.observed.n,
-                               len(reports), true_levels)
+                               true_levels)
         lines = ["# config_hash=0123abcd", "model,index,ite,rank,level,true_level,"
                  "top_10,top_33.3,top_50,top_100"]
         for m in reports:
@@ -680,6 +680,32 @@ def test_quoted_cells_load_within_a_few_times_the_arrays(ranges, tmp_path):
         tracemalloc.stop()
     assert outcome_of(lambda *_: got, path, schema) == outcome_of(lambda *_: d, path, schema)
     assert peak < 6 * (got.covariates.nbytes + got.treatment.nbytes + got.outcome.nbytes)
+
+
+def test_body_read_in_one_stream_loads_within_a_few_times_the_arrays(monkeypatch, tmp_path):
+    """Two workers, the default ranges and chunks, and a quoted line break in
+    a note cell that runs from body line 4,095 into line 4,096, where the
+    second range starts: the first range declines, and the body is read
+    again in one stream in this process, which copies each chunk of records
+    into the arrays as it is parsed."""
+    rng = np.random.default_rng(0)
+    d = Dataset(rng.standard_normal((9000, 18)), rng.integers(0, 2, 9000),
+                rng.standard_normal(9000))
+    path = tmp_path / "d.csv"
+    schema = save_dataset(d, path)
+    header, *rows = path.read_text().splitlines()
+    rows = ["," + row for row in rows]
+    rows[4095] = '"see\nbelow"' + rows[4095]
+    path.write_text("\n".join(["note," + header, *rows]) + "\n")
+    monkeypatch.setattr(parallel, "_max_workers", lambda: 2)
+    tracemalloc.start()
+    try:
+        got = load_dataset(path, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome_of(lambda *_: got, path, schema) == outcome_of(lambda *_: d, path, schema)
+    assert peak < 4 * (got.covariates.nbytes + got.treatment.nbytes + got.outcome.nbytes)
 
 
 def test_killed_simulate_leaves_no_partial_csv(tmp_path):

@@ -1,10 +1,13 @@
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from proxyrank import (Dataset, DataValidationError, GroundTruth, SchemaError,
+from proxyrank import (Dataset, DataValidationError, GroundTruth, SchemaError, data,
                        load_dataset, load_schema, save_dataset)
 from proxyrank.cli import main
 from proxyrank.validation import IVExperiment
@@ -242,3 +245,22 @@ def test_run_refuses_a_fractional_true_group(tmp_path, capsys):
     assert capsys.readouterr().err == ("stage failure: DataValidationError: ground-truth column "
                                        "'true_group' has value 4.5 at row 0, which is not an "
                                        "int64 whole number\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=st.sampled_from([2, 3, 8, data._BLOCK_ROWS]), draw=st.data())
+def test_row_ranges_contract(block, draw):
+    """The ranges cover ``[0, n)`` in order, each starts at a multiple of
+    the block, every one but the last holds a block, the last fewer than two
+    blocks, and only a table of one row has a one-row range."""
+    n = draw.draw(st.integers(0, 5 * block) | st.sampled_from([0, 1, block - 1, block,
+                                                               2 * block - 1, 2 * block]))
+    with mock.patch.object(data, "_BLOCK_ROWS", block):
+        got = data.row_ranges(n)
+    bounds = [0, *(hi for _, hi in got)]
+    assert [lo for lo, _ in got] == bounds[:-1] and bounds[-1] == n
+    assert (got == []) == (n == 0)
+    assert all(lo % block == 0 for lo, _ in got)
+    assert all(hi - lo == block for lo, hi in got[:-1])
+    assert all(0 < hi - lo < 2 * block for lo, hi in got)
+    assert any(hi - lo == 1 for lo, hi in got) == (n == 1)

@@ -18,6 +18,7 @@ import pytest
 import proxyrank.cli as cli
 import proxyrank.data as data
 import proxyrank.parallel as parallel
+import proxyrank.pipeline as pipeline
 import proxyrank.propensity as propensity
 import proxyrank.sensitivity as sensitivity
 from proxyrank import (AnalysisConfig, ConfounderConfig, ModelError, ModelSpec, RunConfig,
@@ -619,8 +620,8 @@ def test_rank_data_same_bytes_for_one_two_and_three_workers(monkeypatch, tmp_pat
 def test_run_oracle_data_same_bytes_for_one_two_and_three_workers(monkeypatch, tmp_path,
                                                                     capsys):
     # Ranges of 64 rows: ranking.csv's 800 rows (two models on the full
-    # cohort) are formatted in twelve, and rows 384-447 straddle the models'
-    # boundary. The oracle file's ground truth adds the true_level column.
+    # cohort) are formatted in six ranges per model, the last of rows
+    # 320-399. The oracle file's ground truth adds the true_level column.
     assert run_cli(tmp_path, capsys, "simulate", CONFIG, "sim")[0] == 0
     (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
     monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
@@ -688,6 +689,27 @@ def test_killed_formatting_worker_is_a_stage_error(monkeypatch, tmp_path, capsys
     assert rc == 2
     assert err == ("stage failure: StageError: the worker died running rows 0-63 of "
                    "observed.csv and oracle.csv (exit code -9)\n")
+    assert files == {}  # not even a temporary file
+
+
+def test_killed_ranking_worker_names_its_model(monkeypatch, tmp_path, capsys, time_limit):
+    # Each worker dies on its first range of the second model, 'svr'; each
+    # model's rows are cut into ranges of their own, so the error names the
+    # model's first range, not a row of the two models stacked.
+    parent = os.getpid()
+    real = pipeline.repeat
+
+    def repeat(label, times):
+        if os.getpid() != parent and label == "svr":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(label, times)
+    monkeypatch.setattr(pipeline, "repeat", repeat)
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
+    workers(monkeypatch, 2)
+    rc, _, err, files = run_cli(tmp_path, capsys, "rank", CONFIG, "out")
+    assert rc == 2
+    assert err == ("stage failure: StageError: the worker died running rows 0-63 of "
+                   "model 1 in ranking.csv (exit code -9)\n")
     assert files == {}  # not even a temporary file
 
 

@@ -124,6 +124,23 @@ class TestTopPercentile:
         flagged = np.flatnonzero(rc.rank <= top_count(rc.n, k))
         assert flagged.tolist() == top_fraction_indices(rc.ite, k).tolist()
 
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), min_size=1, max_size=60)
+           | floats_unique,
+           ks=st.lists(st.floats(0.0, 100.0, exclude_min=True), min_size=1, max_size=5))
+    def test_indices_equal_the_first_ones_of_a_descending_sort(self, values, ks):
+        """Tied and untied values: the indices are those of the first
+        ``top_count`` units of a sort by descending value and ascending index,
+        in ascending order, and a larger k gives a superset."""
+        values = np.asarray(values)
+        order = np.lexsort((np.arange(len(values)), -values))
+        previous = set()
+        for k in sorted(ks):
+            got = top_fraction_indices(values, k)
+            assert got.tolist() == np.sort(order[:top_count(len(values), k)]).tolist()
+            assert previous <= set(got.tolist())
+            previous = set(got.tolist())
+
     def test_top_count_bad_k(self):
         for bad in (0.0, -5.0, 101.0):
             with pytest.raises(RankingError):

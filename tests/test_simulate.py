@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from proxyrank import ConfigError, SimConfig, ground_truth_rank, simulate_cohort
+from proxyrank import (ConfigError, Dataset, GroundTruth, SimConfig, ground_truth_rank,
+                       simulate_cohort)
 from proxyrank.rng import substream
 from proxyrank.simulate import draw_outcomes
 
@@ -145,6 +148,23 @@ class TestGroundTruthRank:
         out = simulate_cohort(SimConfig(n=400, k=8, cate_levels=(5.0, 5.0, 9.0, 9.0), seed=1))
         levels = ground_truth_rank(out)
         assert set(np.unique(levels)) == {1, 2}
+
+    @settings(max_examples=200, deadline=None)
+    @given(cate=st.lists(st.sampled_from([-0.0, 0.0, 40.0, -2.5, 1e-300])
+                         | st.floats(-1e6, 1e6), min_size=1, max_size=40))
+    def test_levels_equal_a_lookup_by_effect(self, cate):
+        """Tied and unsorted effects, a single group, and -0.0 next to 0.0,
+        which are one key: each unit's level is its effect's 1-based
+        position among the distinct effects."""
+        cate = np.asarray(cate)
+        n = len(cate)
+        gt = GroundTruth(true_group=np.ones(n, dtype=np.int64), true_cate=cate,
+                         y0=np.zeros(n), y1=cate, z=np.zeros(n, dtype=np.int64))
+        d = Dataset(np.zeros((n, 1)), np.zeros(n, dtype=np.int64), np.zeros(n), ground_truth=gt)
+        levels_of = {c: i + 1 for i, c in enumerate(np.unique(cate))}
+        want = np.array([levels_of[c] for c in cate], dtype=np.int64)
+        got = ground_truth_rank(d)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
     def test_requires_ground_truth(self, default_cohort):
         from proxyrank import DataValidationError

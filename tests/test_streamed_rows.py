@@ -1,7 +1,7 @@
-"""ite.csv and ranking.csv streamed: each row range is formatted once every
-model it covers has arrived, while later models are still being fitted; a
-streamed file has the bytes of writing every model at once, and a model
-that fails leaves neither the file nor a temporary one, nor a worker."""
+"""ite.csv and ranking.csv streamed: each model's rows are formatted in its
+own row ranges once it has arrived, while later models are still being
+fitted; a streamed file has the bytes of writing every model at once, and a
+model that fails leaves neither the file nor a temporary one, nor a worker."""
 import json
 import multiprocessing
 import os
@@ -18,9 +18,8 @@ from proxyrank.pipeline import write_model_rows
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the ranges run on forked workers")
 
-# Two models on 400 units: with ranges of 64 rows, ite.csv and ranking.csv
-# have 12, rows 384-447 straddle the models, and the first six are the
-# first model's alone.
+# Two models on 400 units: with ranges of 64 rows, each model's 400 rows of
+# ite.csv and ranking.csv are formatted in six, the last of rows 320-399.
 CONFIG = {"sim": {"n": 400, "k": 8},
           "models": [{"family": "linear_wls", "label": "lin"},
                      {"family": "svr_linear", "label": "svr", "hyperparams": {"epochs": 3}}]}
@@ -35,12 +34,12 @@ def model_rows(label: str, a: int, b: int) -> str:
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_streamed_file_has_the_bytes_of_all_models_at_once(block, workers, ranges, tmp_path):
     ranges(workers, block)
-    labels, n = ["m0", "m1", "m2"], 50  # every block size straddles
+    labels, n = ["m0", "m1", "m2"], 50  # no block size divides n
     want = "# config_hash=abc\nmodel,index,value\n" + "".join(
         model_rows(label, 0, n) for label in labels)
     for name, models in [("whole.csv", list(labels)), ("streamed.csv", iter(labels))]:
         got = write_model_rows(tmp_path / name, "abc", ["model", "index", "value"], n,
-                               len(labels), models, model_rows)
+                               models, model_rows)
         assert got == labels
         assert (tmp_path / name).read_text() == want
     assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.csv", "whole.csv"]
@@ -71,9 +70,8 @@ def test_first_model_formatted_before_second_model_is_read(command, workers, ran
     assert main([command, "--config", str(tmp_path / "cfg.json"),
                  "--out", str(tmp_path / "out")]) == 0
     name = FILES[command]
-    first = [f"rows {lo}-{lo + 63} of {name}" for lo in range(0, 384, 64)]
-    rest = [f"rows {lo}-{lo + 63} of {name}" for lo in range(384, 704, 64)]
-    rest.append(f"rows 704-799 of {name}")
+    first, rest = ([f"rows {lo}-{lo + 63} of model {j} in {name}" for lo in range(0, 320, 64)]
+                   + [f"rows 320-399 of model {j} in {name}"] for j in (0, 1))
     if command == "analyze":  # the balance task, read once the models are written
         rest.append("the covariate balance of the observed cohort")
     assert log == ["the baseline of model 'lin'", *first, "the baseline of model 'svr'", *rest]

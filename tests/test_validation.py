@@ -6,6 +6,7 @@ import pytest
 from proxyrank import (DataValidationError, Dataset, IVExperiment,
                        SimConfig, WeakInstrumentError, simulate_campaign,
                        validate_ranking_splits, wald_2sls)
+from proxyrank.ranking import top_fraction_indices
 from proxyrank.rng import substream
 from proxyrank.validation import IVResult
 
@@ -140,6 +141,16 @@ class TestValidateRankingSplits:
         ns = {r.group: r.estimate.n_group for r in result.records}
         assert ns["high"] + ns["low"] == campaign.data.n
         assert ns["high"] == 3000
+
+    def test_splits_are_the_top_fraction_and_the_rest(self, campaign):
+        # coarse predictions, so most units tie with others
+        rng = np.random.default_rng(5)
+        e = campaign.with_predicted_ite(np.round(rng.standard_normal(campaign.data.n), 1))
+        result = validate_ranking_splits(e)
+        for rec in result.records:
+            high = top_fraction_indices(e.predicted_ite, rec.k)
+            idx = high if rec.group == "high" else np.setdiff1d(np.arange(e.data.n), high)
+            assert rec.estimate == wald_2sls(e, idx)
 
     def test_uninformative_ranking_separates_nowhere_systematically(self, campaign):
         rng = np.random.default_rng(17)
