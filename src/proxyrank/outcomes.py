@@ -105,59 +105,16 @@ class OutcomeModel:
         return self._predictor.predict(self.feature_map.features(self._predictor, X, a))
 
 
-def _fit_linear_wls(D, y, w, l2=0.0):
-    sq = np.sqrt(w)
-    if l2 == 0.0:
-        coef, *_ = np.linalg.lstsq(D * sq[:, None], y * sq, rcond=None)
-    else:
-        A = D.T @ (D * w[:, None])
-        pen = np.full(D.shape[1], l2)
-        pen[0] = 0.0  # intercept unpenalized
-        coef = np.linalg.solve(A + np.diag(pen), D.T @ (w * y))
-    resid = y - D @ coef
-    return coef, float(np.sum(w * resid ** 2))
-
-
 def _poisson_deviance(y, mu, w):
     with np.errstate(divide="ignore", invalid="ignore"):
         term = np.where(y > 0, y * np.log(y / mu), 0.0)
     return float(2.0 * np.sum(w * (term - (y - mu))))
 
 
-def _fit_poisson(D, y, w, tol=1e-8, max_iter=100):
-    if (y < 0).any():
-        raise ModelError("poisson family requires non-negative outcomes")
-    n, p = D.shape
-    coef = np.zeros(p)
-    coef[0] = np.log(max(np.average(y, weights=w), 1e-8))
-    dev = _poisson_deviance(y, np.exp(np.clip(D @ coef, -30, 30)), w)
-    it = 0
-    for it in range(1, max_iter + 1):
-        eta = np.clip(D @ coef, -30.0, 30.0)
-        mu = np.exp(eta)
-        grad = D.T @ (w * (y - mu))
-        if np.max(np.abs(grad)) < tol * max(1.0, abs(dev)):
-            it -= 1
-            break
-        H = D.T @ (D * (w * mu)[:, None]) + 1e-10 * np.eye(p)
-        step = np.linalg.solve(H, grad)
-        # step halving keeps the deviance non-increasing
-        scale = 1.0
-        while scale > 1e-8:
-            trial = coef + scale * step
-            new_dev = _poisson_deviance(y, np.exp(np.clip(D @ trial, -30, 30)), w)
-            if new_dev <= dev + 1e-12:
-                coef, dev = trial, new_dev
-                break
-            scale *= 0.5
-        else:
-            break
-    return coef, dev, it
-
-
 def _fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
              grad_clip=1.0, seed=0):
-    """Primal epsilon-insensitive subgradient descent (last iterate).
+    """Primal epsilon-insensitive subgradient descent (last iterate), as
+    ``(theta, y_mean, y_scale, steps)``.
 
     The outcome is standardized internally so the default step sizes are
     scale-free in y; the design is consumed raw.
@@ -206,11 +163,7 @@ def _fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
                     grad *= grad_clip / norm
             grad *= lr0 / math.sqrt(t)
             theta -= grad
-    resid = yn - D @ theta
-    loss = float(np.sum(w * np.maximum(np.abs(resid) - epsilon, 0.0)))
-    params = {"theta": theta, "y_mean": y_mean, "y_scale": y_scale,
-              "epsilon": epsilon, "C": C}
-    return params, loss, t
+    return theta, y_mean, y_scale, t
 
 
 @dataclass
@@ -225,7 +178,14 @@ class LinearWLS:
         _require(self.l2 >= 0, "l2 must be >= 0")
 
     def fit(self, D: np.ndarray, y: np.ndarray, w: np.ndarray) -> "LinearWLS":
-        self.coefficients, _ = _fit_linear_wls(D, y, w, **asdict(self))
+        if self.l2 == 0.0:
+            sq = np.sqrt(w)
+            self.coefficients = np.linalg.lstsq(D * sq[:, None], y * sq, rcond=None)[0]
+        else:
+            pen = np.full(D.shape[1], self.l2)
+            pen[0] = 0.0  # intercept unpenalized
+            self.coefficients = np.linalg.solve(D.T @ (D * w[:, None]) + np.diag(pen),
+                                                D.T @ (w * y))
         return self
 
     def predict(self, D: np.ndarray) -> np.ndarray:
@@ -248,7 +208,31 @@ class PoissonRegression:
         _check_count("max_iter", self.max_iter, 1)
 
     def fit(self, D: np.ndarray, y: np.ndarray, w: np.ndarray) -> "PoissonRegression":
-        self.coefficients, _, self.n_iter = _fit_poisson(D, y, w, **asdict(self))
+        _require(not (y < 0).any(), "poisson family requires non-negative outcomes")
+        p = D.shape[1]
+        self.coefficients = np.zeros(p)
+        self.coefficients[0] = np.log(max(np.average(y, weights=w), 1e-8))
+        dev = self.loss(D, y, w)
+        self.n_iter = 0
+        while self.n_iter < self.max_iter:
+            mu = self.predict(D)
+            grad = D.T @ (w * (y - mu))
+            if np.max(np.abs(grad)) < self.tol * max(1.0, abs(dev)):
+                break
+            step = np.linalg.solve(D.T @ (D * (w * mu)[:, None]) + 1e-10 * np.eye(p), grad)
+            self.n_iter += 1
+            # step halving keeps the deviance non-increasing
+            coef, scale = self.coefficients, 1.0
+            while scale > 1e-8:
+                self.coefficients = coef + scale * step
+                new_dev = self.loss(D, y, w)
+                if new_dev <= dev + 1e-12:
+                    dev = new_dev
+                    break
+                scale *= 0.5
+            else:
+                self.coefficients = coef
+                break
         return self
 
     def predict(self, D: np.ndarray) -> np.ndarray:
@@ -282,8 +266,7 @@ class LinearSVR:
                  "svr_linear grad_clip must be None or > 0")
 
     def fit(self, D: np.ndarray, y: np.ndarray, w: np.ndarray) -> "LinearSVR":
-        fitted, _, self.n_iter = _fit_svr(D, y, w, **asdict(self))
-        vars(self).update(fitted)  # theta, y_mean, y_scale; epsilon and C as given
+        self.theta, self.y_mean, self.y_scale, self.n_iter = _fit_svr(D, y, w, **asdict(self))
         return self
 
     def predict(self, D: np.ndarray) -> np.ndarray:
@@ -324,8 +307,11 @@ def fit_outcome_model(d: Dataset, weights: np.ndarray | None = None, family: str
     """Fit a weighted outcome regressor of the requested family.
 
     ``weights=None`` or all-ones gives exactly the ordinary regression fit.
-    Weights must be positive; rescaling them all by a constant does not
-    change the fitted model.
+    Weights must be positive. Rescaling them all by a constant does not
+    change the fitted model, except for ``linear_wls`` with ``l2 > 0`` (its
+    penalty is absolute) and ``poisson`` (its start value and stop rule are
+    not scale-free); ``poisson`` also varies with the outcome's scale.
+    ``tests/test_equivariance.py`` checks these contracts to the bit.
     """
     est = make_estimator(family, hyperparams)
     fm = feature_map or FeatureMap()

@@ -292,7 +292,7 @@ def validate_model(mr: ModelReport, campaign: IVExperiment, k_grid) -> IVResult:
     """IV check of the model's ranking: its effect predictions on the
     campaign cohort, split at each top-k% threshold."""
     predicted = compute_ite(mr.analysis.model, campaign.data).ite
-    return validate_ranking_splits(campaign.with_predicted_ite(predicted), k_grid=k_grid)
+    return validate_ranking_splits(campaign, predicted, k_grid=k_grid)
 
 
 class CampaignDrawError(Exception):
@@ -362,9 +362,10 @@ def sweep_models(observed: Dataset, cfg: RunConfig,
 
 
 def _report_number(entry: dict, key: str, at: str):
-    """``entry[key]`` if it is a JSON number; else a ConfigError naming it."""
+    """``entry[key]`` if it is a JSON number (``true`` and ``false`` are not);
+    else a ConfigError naming it."""
     value = entry.get(key)
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return value
     raise ConfigError(f"report {at}.{key} must be a number, not {value!r}")
 

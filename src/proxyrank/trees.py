@@ -2,7 +2,10 @@
 
 Instance weights enter the split criterion as frequency weights (weighted
 variance reduction) and leaves predict weighted means, so rescaling all
-weights by a constant leaves every fitted tree unchanged.
+weights by a constant leaves every fitted tree unchanged. A split must gain
+more than the node's rounding bound, a fixed multiple of its Σwy², so the
+bound scales with the gains: rescaling y by c rescales every prediction by c,
+and a power-of-two c (or power-of-two weight scale) keeps every bit.
 
 The split search is exact CART over presorted attribute lists (SLIQ, Mehta
 et al., EDBT 1996). Each fit stable-sorts every feature once; every node
@@ -35,7 +38,9 @@ import numpy as np
 
 from .rng import derive_seed, substream
 
-_MIN_GAIN = 1e-12
+# Rounding bound of a node's sums, relative to its sum of w*y*y: 64u, u = 2**-53
+# (``_screen`` proves it). A split must gain more than this times Σwy².
+_ROUNDING = 64 * 2.0**-53
 _BLOCK = 1 << 16  # gathered elements (features x node rows) scored at once
 _SCREEN = 1 << 14  # features x node rows from which a node's features are screened
 
@@ -182,7 +187,7 @@ def _screen(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarray,
     M = float(best.max())
     if not (np.isfinite(M) and np.isfinite(swyy) and sw > lw_max):
         return features
-    return features[best >= M - 64 * 2.0**-53 * (abs(swyy) + M)]
+    return features[best >= M - _ROUNDING * (abs(swyy) + M)]
 
 
 def _best_split(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarray,
@@ -195,9 +200,10 @@ def _best_split(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarra
     by feature j, ``tied`` flags the features whose cuts are checked
     (``_mask_ties``) and ``sums`` holds the node's sums of the rows of G. Within
     a feature the first cut of least SSE wins; across features, taken in
-    ascending order, a later one wins only with a strictly larger gain. With
-    ``screen`` (all weights positive), a node of at least ``_SCREEN``
-    features x rows scans only the features that ``_screen`` keeps.
+    ascending order, a later one wins only with a strictly larger gain. The
+    first must gain more than ``_ROUNDING`` Σwy², which rounding alone can
+    give. With ``screen`` (all weights positive), a node of at least
+    ``_SCREEN`` features x rows scans only the features that ``_screen`` keeps.
     """
     m = order.shape[1]
     lo, hi = min_leaf - 1, m - min_leaf  # cut after position i, lo <= i < hi
@@ -219,7 +225,7 @@ def _best_split(F: np.ndarray, G: np.ndarray, order: np.ndarray, tied: np.ndarra
         _mask_ties(sse, F, tied, idx, feats, lo, hi, np.inf)
         cut = np.argmin(sse, axis=1)
         gain = parent_sse - sse[np.arange(len(feats)), cut]
-        wins = gain > (_MIN_GAIN if best is None else best[0])
+        wins = gain > (_ROUNDING * abs(swyy) if best is None else best[0])
         if wins.any():
             f = int(np.argmax(np.where(wins, gain, -np.inf)))
             j, i = int(feats[f]), lo + int(cut[f])

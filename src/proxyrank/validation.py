@@ -24,11 +24,10 @@ class WeakInstrumentError(ValueError):
 
 @dataclass(frozen=True)
 class IVExperiment:
-    """A cohort with a randomized instrument and externally predicted effects."""
+    """A cohort with a randomized instrument."""
 
     data: Dataset
     z: np.ndarray
-    predicted_ite: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         z = np.asarray(self.z)  # checked as given, then stored as int64
@@ -40,14 +39,6 @@ class IVExperiment:
         if self.data.n and z.min() == z.max():
             raise DataValidationError("single-arm instrument: both z arms are required")
         object.__setattr__(self, "z", z)
-        if self.predicted_ite is not None:
-            p = np.asarray(self.predicted_ite, dtype=np.float64)
-            if len(p) != self.data.n:
-                raise DataValidationError("predicted_ite length differs from dataset length")
-            object.__setattr__(self, "predicted_ite", p)
-
-    def with_predicted_ite(self, ite: np.ndarray) -> "IVExperiment":
-        return replace(self, predicted_ite=ite)
 
 
 def simulate_campaign(cfg: SimConfig, exposure: float = 0.661) -> IVExperiment:
@@ -154,17 +145,19 @@ class IVResult:
 DEFAULT_K_GRID = (10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0)
 
 
-def validate_ranking_splits(e: IVExperiment, k_grid=DEFAULT_K_GRID,
-                            min_arm: int = 50) -> IVResult:
-    """Wald estimates for top-k / rest splits of the predicted-effect ranking.
+def validate_ranking_splits(e: IVExperiment, predicted_ite: np.ndarray,
+                            k_grid=DEFAULT_K_GRID, min_arm: int = 50) -> IVResult:
+    """Wald estimates for top-k / rest splits of the ranking of
+    ``predicted_ite``, one predicted effect per unit of the campaign ``e``.
 
     Groups with fewer than ``min_arm`` units in either instrument arm are
     skipped with a note rather than estimated.
     """
-    if e.predicted_ite is None:
-        raise DataValidationError("predicted_ite is required to split the cohort")
     n = e.data.n
-    rank = _descending_ranks(e.predicted_ite)  # high at k: top_fraction_indices
+    predicted_ite = np.asarray(predicted_ite, dtype=np.float64)
+    if len(predicted_ite) != n:
+        raise DataValidationError("predicted_ite length differs from dataset length")
+    rank = _descending_ranks(predicted_ite)  # high at k: top_fraction_indices
     records = []
     separation: dict = {}
     for k in k_grid:

@@ -4,7 +4,7 @@ Each step fancy-indexes its batch, keeps the rows outside the epsilon tube
 with a boolean mask and sums ``row * w * sign(resid)`` over those rows only,
 skipping the update when none is outside. This is the subgradient step the
 single-gather step in ``proxyrank.outcomes._fit_svr`` must reproduce
-exactly (same ``theta`` bytes, loss and step count), kept here (not in the
+exactly (same ``theta`` bytes, outcome scale and step count), kept here (not in the
 package) purely as a test oracle.
 """
 from __future__ import annotations
@@ -50,8 +50,4 @@ def fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
                 if norm > grad_clip:
                     grad *= grad_clip / norm
             theta = theta - lr * grad
-    resid = yn - D @ theta
-    loss = float(np.sum(w * np.maximum(np.abs(resid) - epsilon, 0.0)))
-    params = {"theta": theta, "y_mean": y_mean, "y_scale": y_scale,
-              "epsilon": epsilon, "C": C}
-    return params, loss, t
+    return theta, y_mean, y_scale, t

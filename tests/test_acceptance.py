@@ -185,8 +185,7 @@ class TestCriterion8IVValidation:
     def test_oracle_ranking_and_wald_accuracy(self):
         campaign = simulate_campaign(SimConfig(seed=8), exposure=0.661)
         truth = campaign.data.ground_truth
-        e = campaign.with_predicted_ite(truth.true_cate)
-        result = validate_ranking_splits(e)
+        result = validate_ranking_splits(campaign, truth.true_cate)
         assert set(result.separation) == {10.0, 20.0, 30.0, 40.0, 50.0,
                                           60.0, 70.0, 80.0, 90.0}
         assert all(v is True for v in result.separation.values()), \

@@ -11,7 +11,7 @@ import pytest
 import proxyrank
 import proxyrank.cli as cli
 import proxyrank.parallel as parallel
-from proxyrank import Dataset
+from proxyrank import Dataset, IVExperiment
 from proxyrank.trees import GradientBoostedTrees, RandomForest, RegressionTree
 
 # Removed because nothing in the method called them; each must stay gone.
@@ -22,6 +22,12 @@ DELETED = ("predict_scores", "SplitSpec", "train_validation_split", "save_model"
 DELETED_TREE_API = ((proxyrank.trees, "_preorder"), (proxyrank.trees._Node, "to_dict"),
                     (proxyrank.trees._Node, "is_leaf"), (RegressionTree, "to_dict"),
                     (RandomForest, "to_dict"), (GradientBoostedTrees, "to_dict"))
+# Removed when each outcome family took its own fit, when the tree gain bound
+# became relative to the node, and when a campaign's ranking became an
+# argument of validate_ranking_splits; each must stay gone.
+DELETED_INTERNALS = ((proxyrank.outcomes, "_fit_linear_wls"),
+                     (proxyrank.outcomes, "_fit_poisson"), (proxyrank.trees, "_MIN_GAIN"),
+                     (IVExperiment, "with_predicted_ite"), (IVExperiment, "predicted_ite"))
 
 
 def _tracer():
@@ -136,3 +142,8 @@ def test_deleted_tree_api_stays_deleted():
     assert [(owner.__name__, attr) for owner, attr in DELETED_TREE_API
             if hasattr(owner, attr)] == []
     assert RegressionTree.root.fset is None  # the tracer's view is read-only
+
+
+def test_deleted_internals_stay_deleted():
+    assert [(owner.__name__, attr) for owner, attr in DELETED_INTERNALS
+            if hasattr(owner, attr)] == []

@@ -587,6 +587,13 @@ class TestCli:
          "report models[0].placebo must be an object"),
         (lambda p: p["models"][0].update(iv_separated_fraction="all"),
          "report models[0].iv_separated_fraction must be a number"),
+        # a JSON boolean is not a number, though Python's bool is an int
+        (lambda p: p["models"][0].update(rank_rmse_vs_truth=True),
+         "report models[0].rank_rmse_vs_truth must be a number, not True"),
+        (lambda p: p["models"][1]["placebo"].update(ate_estimate=False),
+         "report models[1].placebo.ate_estimate must be a number, not False"),
+        (lambda p: p["models"][0].update(iv_separated_fraction=True),
+         "report models[0].iv_separated_fraction must be a number, not True"),
     ])
     def test_malformed_report_exit_code(self, cli_outputs, tmp_path, capsys, edit, problem):
         payload = json.loads((cli_outputs / "run" / "report.json").read_text())

@@ -123,21 +123,19 @@ class TestWald:
 
 class TestValidateRankingSplits:
     def test_oracle_ranking_separates_everywhere(self, campaign):
-        e = campaign.with_predicted_ite(campaign.data.ground_truth.true_cate)
-        result = validate_ranking_splits(e)
+        result = validate_ranking_splits(campaign, campaign.data.ground_truth.true_cate)
         assert len(result.separation) == 9
         assert all(v is True for v in result.separation.values())
 
     def test_grid_produces_pairs(self, campaign):
-        e = campaign.with_predicted_ite(campaign.data.ground_truth.true_cate)
-        result = validate_ranking_splits(e)
+        result = validate_ranking_splits(campaign, campaign.data.ground_truth.true_cate)
         assert len(result.records) == 18  # high and low per threshold
         ks = sorted({r.k for r in result.records})
         assert ks == [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0]
 
     def test_high_low_partition(self, campaign):
-        e = campaign.with_predicted_ite(campaign.data.ground_truth.true_cate)
-        result = validate_ranking_splits(e, k_grid=(30.0,))
+        result = validate_ranking_splits(campaign, campaign.data.ground_truth.true_cate,
+                                         k_grid=(30.0,))
         ns = {r.group: r.estimate.n_group for r in result.records}
         assert ns["high"] + ns["low"] == campaign.data.n
         assert ns["high"] == 3000
@@ -145,17 +143,16 @@ class TestValidateRankingSplits:
     def test_splits_are_the_top_fraction_and_the_rest(self, campaign):
         # coarse predictions, so most units tie with others
         rng = np.random.default_rng(5)
-        e = campaign.with_predicted_ite(np.round(rng.standard_normal(campaign.data.n), 1))
-        result = validate_ranking_splits(e)
+        predicted = np.round(rng.standard_normal(campaign.data.n), 1)
+        result = validate_ranking_splits(campaign, predicted)
         for rec in result.records:
-            high = top_fraction_indices(e.predicted_ite, rec.k)
-            idx = high if rec.group == "high" else np.setdiff1d(np.arange(e.data.n), high)
-            assert rec.estimate == wald_2sls(e, idx)
+            high = top_fraction_indices(predicted, rec.k)
+            idx = high if rec.group == "high" else np.setdiff1d(np.arange(campaign.data.n), high)
+            assert rec.estimate == wald_2sls(campaign, idx)
 
     def test_uninformative_ranking_separates_nowhere_systematically(self, campaign):
         rng = np.random.default_rng(17)
-        e = campaign.with_predicted_ite(rng.standard_normal(campaign.data.n))
-        result = validate_ranking_splits(e)
+        result = validate_ranking_splits(campaign, rng.standard_normal(campaign.data.n))
         by_k = {}
         for rec in result.records:
             if rec.estimate is not None:
@@ -170,8 +167,8 @@ class TestValidateRankingSplits:
     def test_small_groups_skipped_with_note(self):
         cfg = SimConfig(n=300, k=8, seed=9, compliance_table=(0.8, 0.3))
         e = simulate_campaign(cfg)
-        e = e.with_predicted_ite(e.data.ground_truth.true_cate)
-        result = validate_ranking_splits(e, k_grid=(10.0,), min_arm=50)
+        result = validate_ranking_splits(e, e.data.ground_truth.true_cate, k_grid=(10.0,),
+                                         min_arm=50)
         skipped = [r for r in result.records if r.skipped]
         assert skipped and "below 50" in skipped[0].skipped
         assert result.separation[10.0] is None
@@ -182,15 +179,15 @@ class TestValidateRankingSplits:
         assert IVResult(records=(), separation={10.0: None, 20.0: True, 30.0: False}) \
             .separated_fraction() == 0.5
 
-    def test_requires_predicted_ite(self, campaign):
-        with pytest.raises(DataValidationError, match="predicted_ite"):
-            validate_ranking_splits(campaign)
+    def test_prediction_length_mismatch(self, campaign):
+        with pytest.raises(DataValidationError,
+                           match="predicted_ite length differs from dataset length"):
+            validate_ranking_splits(campaign, np.zeros(campaign.data.n - 1))
 
     def test_monotone_expected_high_group_effect(self, campaign):
         # nested top-k sets over the true effect: mean true effect of the
         # high group is non-increasing in k
-        e = campaign.with_predicted_ite(campaign.data.ground_truth.true_cate)
-        result = validate_ranking_splits(e)
+        result = validate_ranking_splits(campaign, campaign.data.ground_truth.true_cate)
         highs = [r for r in result.records if r.group == "high" and r.estimate]
         highs.sort(key=lambda r: r.k)
         cates = [r.estimate.cate for r in highs]

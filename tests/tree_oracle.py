@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from proxyrank.rng import substream
-from proxyrank.trees import _MIN_GAIN, RegressionTree, _arrays
+from proxyrank.trees import _ROUNDING, RegressionTree, _arrays
 
 
 def best_split(F, y, w, rows, features, min_leaf):
@@ -41,7 +41,7 @@ def best_split(F, y, w, rows, features, min_leaf):
         sse = (lwyy - lwy * lwy / lw) + (rwyy - rwy * rwy / rw)
         i = int(np.argmin(sse))
         gain = parent_sse - float(sse[i])
-        if gain > _MIN_GAIN and (best is None or gain > best[0]):
+        if gain > (_ROUNDING * abs(swyy) if best is None else best[0]):
             cut = valid[i]
             below, above = float(xs[cut]), float(xs[cut + 1])
             thr = 0.5 * (below + above)  # may overflow, or round onto a value
