@@ -4,21 +4,41 @@ output bits are the same on any host. numpy's OpenBLAS reads the pin below
 when numpy is imported, so the package imports this module first. A value
 already set is kept, and the output is then that thread count's.
 
-The allocator is pinned too (``_pin_malloc_thresholds``), so that a
-process's peak memory is that of the arrays it holds, not of the order of
-its allocations and frees.
+The parent's allocator is pinned too (``_pin_malloc_thresholds``), so that
+its peak is that of the arrays it holds, not of the order of its allocations
+and frees; a forked worker reuses its freed memory instead.
 """
 from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterator
+from contextlib import suppress
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # glibc <malloc.h> options, and the values this package fixes them at.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _TRIM_THRESHOLD, _MMAP_THRESHOLD = 64 << 20, 1 << 20
+# A forked worker's mmap threshold: the ceiling of glibc's own dynamic one.
+_WORKER_MMAP_THRESHOLD = 32 << 20
 _MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+def _mallopt(*settings: tuple[int, int]) -> None:
+    """Set each (option, value) of glibc's malloc. A ``_MALLOC_VARS``
+    variable already set is kept, and other C libraries are left alone."""
+    if any(var in os.environ for var in _MALLOC_VARS):
+        return
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return
+    import ctypes
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for option, value in settings:
+        mallopt(option, value)
 
 
 def _pin_malloc_thresholds() -> None:
@@ -36,22 +56,10 @@ def _pin_malloc_thresholds() -> None:
     The trim threshold is fixed with it, high enough that the heap does not
     give back and fault in again the same pages op after op: at glibc's
     128 KiB a ``rank`` of the three tree families at n=10k took 3.1-3.4 s
-    where it takes 2.3-2.6 s. A ``MALLOC_MMAP_THRESHOLD_``,
-    ``MALLOC_TRIM_THRESHOLD_`` or ``GLIBC_TUNABLES`` already set is kept,
-    and other C libraries are left alone.
+    where it takes 2.3-2.6 s. This is the parent's policy; each forked
+    worker raises its own mmap threshold (``_WORKER_MMAP_THRESHOLD``).
     """
-    if any(var in os.environ for var in _MALLOC_VARS):
-        return
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
-    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
-        return
-    import ctypes
-
-    libc = ctypes.CDLL(None)
-    libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    _mallopt((_M_MMAP_THRESHOLD, _MMAP_THRESHOLD), (_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
 
 
 _pin_malloc_thresholds()
@@ -74,18 +82,17 @@ def iter_tasks(names: list[str], run: Callable[[int], object]) -> Iterator:
     """Yield ``run(i)``, or the exception it raised (``_call``), for ``i in
     range(len(names))``, in task order, computed on forked workers.
 
-    The task indices are dealt round-robin to ``min(_max_workers(),
-    len(names))`` workers; with one, they run in-process, one per yield. A
-    worker inherits ``run`` and whatever it reads through fork, so nothing is
-    pickled on the way in, and sends its results back through a pipe in its
-    task order; task t's is read from worker ``t % n_workers`` in its turn,
-    so a worker that is ahead waits to send it. Every worker is joined before
-    the generator finishes, raises or is closed, so close it
-    (``contextlib.closing``) when stopping early. A worker that dies, or
-    whose result cannot be pickled or unpickled, loses the rest of its
-    tasks, and StageError names (by ``names``) the first lost task in task
-    order once every earlier result has been yielded, so the error does not
-    depend on which worker failed first.
+    ``min(_max_workers(), len(names))`` workers take the task indices on
+    demand, and a result read ahead of its turn waits for it; no task more
+    than ``2 * n_workers`` past the next one to yield is started. With one
+    worker the tasks run in-process, one per yield. A worker inherits ``run``
+    and what it reads through fork, so only the index is pickled on the way
+    in, and its allocator reuses freed memory (``_WORKER_MMAP_THRESHOLD``).
+    Every worker is killed and joined when the generator ends or is closed
+    (``contextlib.closing``, to stop early). A worker that dies, or whose
+    result cannot be pickled or unpickled, loses the task it held, and
+    StageError names (by ``names``) the first lost task in task order once
+    every earlier result has been yielded, whichever worker failed first.
     """
     n_workers = min(_max_workers(), len(names))
     return _tasks(names, run, n_workers if n_workers > 1 else 0)
@@ -112,6 +119,24 @@ def _call(run: Callable[[int], object], t: int) -> object:
         return exc.with_traceback(None)
 
 
+def _serve(conn, parent_ends: list, names: list[str], run: Callable[[int], object]) -> None:
+    """A forked worker: run each task index read from ``conn`` and send back
+    (True, its value), or (False, why) and stop if it cannot be pickled. It
+    closes the parent's ends of the pipes, so that it ends with the parent."""
+    for end in parent_ends:
+        end.close()
+    _mallopt((_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD))
+    with suppress(EOFError):  # the parent has gone
+        while True:
+            t = conn.recv()
+            try:  # the value is not kept: the next task needs the worker's memory
+                conn.send((True, _call(run, t)))
+            except Exception as exc:  # pickling failed; nothing was sent
+                conn.send((False, f"the worker cannot return {names[t]}: "
+                                  f"{type(exc).__name__}: {exc}"))
+                return
+
+
 def _tasks(names: list[str], run: Callable[[int], object], n_workers: int) -> Iterator:
     """``iter_tasks`` on ``n_workers`` forked workers; in-process with 0."""
     if not n_workers:
@@ -119,47 +144,48 @@ def _tasks(names: list[str], run: Callable[[int], object], n_workers: int) -> It
             yield _call(run, t)
         return
     import multiprocessing  # loaded only by a stage that forks
+    from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    procs, readers = [], []
+    procs, idle, held, done = {}, [], {}, {}  # held: conn -> its task; done: task -> result
+    started, stop = 0, len(names)  # no task at or past the first lost one is started
     try:
         for w in range(n_workers):
-            reader, writer = ctx.Pipe(duplex=False)
-
-            def work(w=w, writer=writer):
-                for t in range(w, len(names), n_workers):
-                    result = _call(run, t)
-                    try:
-                        writer.send((True, result))
-                    except Exception as exc:  # pickling failed; nothing was sent
-                        writer.send((False, f"the worker cannot return {names[t]}: "
-                                            f"{type(exc).__name__}: {exc}"))
-                        return
-
-            proc = ctx.Process(target=work, name=f"proxyrank-worker-{w}")
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(target=_serve, args=(child, [*procs, conn], names, run),
+                               name=f"proxyrank-worker-{w}")
             proc.start()
-            procs.append(proc)
-            readers.append(reader)
-            writer.close()  # so the reader sees EOF once the worker is gone
+            child.close()  # so that conn reads EOF once the worker is gone
+            procs[conn] = proc
+            idle.append(conn)
         for t in range(len(names)):
-            # Every earlier result of t's worker has been read, so the worker
-            # is not blocked, and t is the first lost task if it has failed.
-            proc = procs[t % n_workers]
-            try:
-                ok, value = readers[t % n_workers].recv()
-            except EOFError:
-                proc.join()
-                ok, value = False, (f"the worker died running {names[t]} "
-                                    f"(exit code {proc.exitcode})")
-            except Exception as exc:  # a result that cannot be unpickled
-                ok, value = False, (f"cannot read the result of {names[t]}: "
-                                    f"{type(exc).__name__}: {exc}")
-            if not ok:
-                raise StageError(value)
-            yield value
+            while t not in done:
+                while idle and started < min(stop, t + 2 * n_workers + 1):
+                    held[idle[0]] = started
+                    with suppress(OSError):  # a worker gone: its conn reads EOF below
+                        idle.pop(0).send(started)
+                    started += 1
+                for conn in wait(list(held)):
+                    s = held.pop(conn)
+                    try:
+                        done[s] = conn.recv()
+                    except (EOFError, ConnectionResetError):  # reset: it died unread
+                        procs[conn].join()
+                        done[s] = (False, f"the worker died running {names[s]} "
+                                          f"(exit code {procs[conn].exitcode})")
+                    except Exception as exc:  # a result that cannot be unpickled
+                        done[s] = (False, f"cannot read the result of {names[s]}: "
+                                          f"{type(exc).__name__}: {exc}")
+                    if done[s][0]:
+                        idle.append(conn)
+                    else:  # every task before s has been started
+                        stop = min(stop, s)
+            if not done[t][0]:
+                raise StageError(done[t][1])
+            yield done.pop(t)[1]  # not kept here while the next result is read
     finally:
-        for proc, reader in zip(procs, readers):
+        for conn, proc in procs.items():
             proc.kill()
-            reader.close()
-        for proc in procs:
+            conn.close()
+        for proc in procs.values():
             proc.join()

@@ -338,23 +338,20 @@ def analyze_models(observed: Dataset, cfg: RunConfig, balance: bool = False):
 
 def sweep_models(observed: Dataset, cfg: RunConfig,
                  balance: bool = False) -> list[tuple[ModelReport, Exception | None]]:
-    """Baseline analysis, placebo test and confounder sweep of every model.
-
-    The baselines share one prepared cohort (with ``balance``, its covariate
-    balance is computed on the pool with them, as in ``analyze_baselines``);
-    the placebo cohort and every confounded cohort then form one
-    ``sensitivity_sweep``, each prepared once for all models. Returns, per
-    model of ``cfg``, its report with ``analysis``, ``placebo`` and
-    ``sensitivity`` filled as far as the model got, and the exception that
-    ended its branch (None if none did).
-    """
+    """Baseline analysis, placebo test and confounder sweep of every model,
+    as one pool (``sensitivity_sweep``): the baselines, on one prepared
+    cohort (with ``balance`` its covariate balance too, as in
+    ``analyze_baselines``), the placebo cohort and every confounded cohort,
+    each prepared once for all models. Returns, per model of ``cfg``, its
+    report with ``analysis``, ``placebo`` and ``sensitivity`` filled as far
+    as the model got, and the exception that ended its branch (None if none
+    did)."""
     specs = list(cfg.models)
-    baselines = list(analyze_baselines(observed, specs, cfg.analysis, balance))
-    swept = sensitivity_sweep(
+    baselines, swept = sensitivity_sweep(
         observed, specs, list(cfg.sensitivity_configs), runs=cfg.sensitivity_runs,
         cfg=cfg.analysis, placebo_seed=derive_seed(cfg.master_seed, "placebo"),
-        seed=derive_seed(cfg.master_seed, "sensitivity"), baselines=baselines,
-        n_bootstrap=cfg.placebo_bootstrap)
+        seed=derive_seed(cfg.master_seed, "sensitivity"), n_bootstrap=cfg.placebo_bootstrap,
+        balance=balance)
     return [(ModelReport(label=spec.name(), family=spec.family, causal=spec.causal,
                          analysis=None if isinstance(base, Exception) else base,
                          placebo=placebo, sensitivity=sens), exc)
@@ -555,9 +552,15 @@ def write_summary(out: Path, payload: dict) -> Path:
 
 
 def write_manifest(out: Path, paths: list[Path]) -> dict:
-    """Write manifest.json, mapping each file's name to its SHA-256; return
-    the mapping."""
-    manifest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    """Write manifest.json, mapping each file's name to its SHA-256, read in
+    blocks of 256 KiB rather than whole; return the mapping."""
+    manifest = {}
+    for p in paths:
+        with open(p, "rb") as fh:
+            digest = hashlib.sha256()
+            for block in iter(partial(fh.read, 1 << 18), b""):
+                digest.update(block)
+        manifest[p.name] = digest.hexdigest()
     write_json(out / "manifest.json", manifest)
     return manifest
 

@@ -11,22 +11,24 @@ measures how much the ranking moves.
 Neither the placebo cohort nor the confounder draws depend on the model, so
 both tests take a list of models and run cohort-major: each cohort is drawn
 and prepared once, every model is analyzed on it, and it is dropped before
-the next one is drawn. The cohorts, and the baselines both tests compare
-against (one model per task, on the observed cohort prepared once), are the
-tasks of ``parallel.iter_tasks``, which turns a task's exception into its
-value; the records merge in task order, which gives the values and errors of
-running the tasks one by one.
+the next one is drawn. The baselines both tests compare against (one model
+per task, on the observed cohort prepared once) and the cohorts are one task
+list of ``parallel.iter_tasks``, whose workers take the tasks on demand and
+which turns a task's exception into its value. A cohort's worker sends back
+each model's effects and levels; the records are made from them in task
+order, which gives the values and errors of running the tasks one by one.
 """
 from __future__ import annotations
 
 from collections.abc import Callable
 from contextlib import closing
 from dataclasses import asdict, dataclass, replace
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
-from .analysis import (AnalysisConfig, AnalysisResult, ModelSpec, PreparedCohort, analyze_model,
-                       prepare_cohort)
+from .analysis import AnalysisConfig, ModelSpec, PreparedCohort, analyze_model, prepare_cohort
 from .data import Dataset, DataValidationError
 from .parallel import iter_tasks, on_worker
 from .propensity import ipw_weights
@@ -135,57 +137,61 @@ def _weighted_ate(y: np.ndarray, a: np.ndarray, w: np.ndarray) -> float:
                  - np.average(y[~treated], weights=w[~treated]))
 
 
-def _analyze_cohort(draw: Callable[[], tuple],
-                    record: Callable[[int, object, AnalysisResult], object],
-                    specs: list[ModelSpec], live: list[int], cfg: AnalysisConfig):
-    """Draw a cohort (``draw()`` returns (key, dataset)), prepare it once and
-    record each spec of ``live`` on it as ``record(i, key, result)``.
-    Returns one value or exception per live spec, so that one spec's failure
-    does not end the others; a failed draw or preparation raises."""
-    key, cohort = draw()
-    prepared = prepare_cohort(cohort, cfg)
+def _analyze_cohort(prepare: Callable[[AnalysisConfig], tuple], specs: list[ModelSpec],
+                    cfg: AnalysisConfig) -> tuple:
+    """Draw and prepare a cohort (``prepare(cfg)`` returns (key, prepared
+    cohort)) and analyze every spec on it: the key and, per spec, its
+    (effects, levels) or the exception its analysis raised. A failed draw or
+    preparation raises."""
+    key, prepared = prepare(cfg)
     out = []
-    for i in live:
+    for spec in specs:
         try:
-            out.append(record(i, key, analyze_model(prepared, specs[i], cfg)))
+            result = analyze_model(prepared, spec, cfg)
+            out.append((result.ites.ite, result.ranked.level))
         except Exception as exc:
             out.append(exc.with_traceback(None))
-    return out
+    return key, out
 
 
-def _sweep(tasks: list[tuple], specs: list[ModelSpec], baselines: list,
-           cfg: AnalysisConfig) -> list[tuple[list, Exception | None]]:
+def _sweep(d: Dataset, specs: list[ModelSpec], cfg: AnalysisConfig, tasks: list[tuple],
+           baselines: list | None = None, balance: bool = False) -> tuple[list, list]:
     """The cohort-major loop behind ``placebo_test``, ``confounding_overlap``
-    and ``sensitivity_sweep``.
-
-    A task is one cohort as (name, draw, record): ``_analyze_cohort`` takes
-    the last two, and ``name`` says which cohort it is in an error. Each
-    cohort is drawn and prepared once, and every spec whose entry in
-    ``baselines`` is not an exception is analyzed on it; the tasks run on
-    forked workers (``iter_tasks``), so only one cohort per worker is alive
-    at a time. Returns, per spec, its records in task order up to its first
-    failure, and the exception that ended it (None if none did): its
-    baseline's exception, else the first in task order, where a cohort that
-    fails to draw or prepare (``iter_tasks`` yields that task's exception as
-    its value) ends every spec with its error. These are the values and
-    errors of running the tasks one by one.
+    and ``sensitivity_sweep``. A task is one cohort as (name, prepare,
+    record): ``prepare`` is that of ``_analyze_cohort``, on a worker, and
+    ``record(key, ite, level, baseline)`` makes a spec's record here, as
+    soon as the cohort is read. Without ``baselines``, they (with
+    ``balance``, as in ``analyze_baselines``) and the cohorts are one task
+    list, and every spec is analyzed on every cohort; given them, only the
+    specs whose baseline is not an exception are. Returns the baselines
+    and, per spec, its records up to its first failure and the exception
+    that ended it (None if none did): its baseline's, else the first in task
+    order, where a cohort that fails to draw or prepare ends every spec.
+    These are the values and errors of running the tasks one by one.
     """
+    if baselines is None:
+        fitted = list(range(len(specs)))
+        values = analyze_baselines(d, specs, cfg, balance, [
+            (name, partial(_analyze_cohort, prepare, specs, cfg)) for name, prepare, _ in tasks])
+        baselines = list(islice(values, len(specs)))
+    else:
+        fitted = [i for i, b in enumerate(baselines) if not isinstance(b, Exception)]
+        values = iter_tasks([name for name, _, _ in tasks], lambda c: _analyze_cohort(
+            tasks[c][1], [specs[i] for i in fitted], cfg))
     records = [[] for _ in specs]
     errors = [b if isinstance(b, Exception) else None for b in baselines]
-    live = [i for i, e in enumerate(errors) if e is None]
-    if not live:
-        return list(zip(records, errors))
-    for result in iter_tasks([name for name, _, _ in tasks],
-                             lambda t: _analyze_cohort(*tasks[t][1:], specs, live, cfg)):
-        for j, i in enumerate(live):
-            if errors[i] is not None:
-                continue
-            value = result if isinstance(result, Exception) else result[j]
-            if isinstance(value, Exception):
+
+    def add(result, record) -> None:  # the only reference to a cohort's arrays
+        for j, i in enumerate(fitted):
+            value = result if isinstance(result, Exception) else result[1][j]
+            if errors[i] is None and isinstance(value, Exception):
                 errors[i] = value
-            else:
-                records[i].append(value)
-    return list(zip(records, errors))
+            elif errors[i] is None:
+                records[i].append(record(result[0], *value, baselines[i]))
+    with closing(values):  # with no spec left, the pool stops here
+        for _, _, record in tasks if any(e is None for e in errors) else []:
+            add(next(values), record)
+    return baselines, list(zip(records, errors))
 
 
 def prepare_on_worker(d: Dataset, cfg: AnalysisConfig,
@@ -200,29 +206,29 @@ def prepare_on_worker(d: Dataset, cfg: AnalysisConfig,
 
 
 def analyze_baselines(d: Dataset, specs: list[ModelSpec],
-                      cfg: AnalysisConfig = AnalysisConfig(), balance: bool = False):
+                      cfg: AnalysisConfig = AnalysisConfig(), balance: bool = False,
+                      then: list[tuple[str, Callable[[], object]]] = ()):
     """Every spec's analysis of ``d``, all on one prepared cohort, yielded in
-    spec order as each result is read.
+    spec order as each result is read: an ``AnalysisResult`` or the
+    exception its analysis raised (every spec gets the exception of
+    preparing the cohort, if that fails).
 
     The cohort is prepared once, on a forked worker of its own
     (``prepare_on_worker``), which sends back only the propensity fit, the
-    indices of the trimmed rows and the weights, so the propensity design
-    and the trimmed copy of the cohort never live in this process. The specs are then dealt to forked workers,
-    which inherit the prepared cohort; each builds its own trimmed cohort,
-    sends back only its spec's model, effects and ranking, and every result
-    refers to this process's prepared cohort. Yields one ``AnalysisResult``
-    per spec, or the exception its analysis raised (every spec gets the
-    exception of preparing the cohort, if that fails); these are the
-    baselines the sweeps compare against. A worker that dies, or cannot
-    return its result, raises ``StageError``. Close the generator
-    (``contextlib.closing``) to stop early: the workers still running are
-    killed.
+    indices of the trimmed rows and the weights, so neither the propensity
+    design nor a trimmed copy of the cohort lives in this process. The specs
+    are then tasks of ``iter_tasks``, whose workers inherit the prepared
+    cohort, build their own trimmed cohort and send back only the spec's
+    model, effects and ranking. A worker that dies, or cannot return its
+    result, raises ``StageError``. Close the generator
+    (``contextlib.closing``) to stop early: the workers are killed.
 
-    With ``balance``, one more task after the specs computes the prepared
-    cohort's covariate balance, dealt round-robin like the others (on two
-    workers, behind the first spec), and fills ``PreparedCohort.balance``
-    once the last spec has been yielded and the generator is resumed. If it
-    raises, the field is left unset, and its first read raises again.
+    With ``balance``, one more task computes the covariate balance and
+    fills ``PreparedCohort.balance`` once the last spec has been yielded and
+    the generator is resumed; if it raises, the field is left unset, and its
+    first read raises again. Each (name, run) of ``then`` is one more task
+    of the pool, its value yielded after the baselines; it first drops the
+    trimmed cohort a baseline may have cached on its worker.
     """
     # A worker sends back its prepared cohort or result without the cohort.
     value = prepare_on_worker(d, cfg, lambda prepared: replace(prepared, full=None))
@@ -233,17 +239,21 @@ def analyze_baselines(d: Dataset, specs: list[ModelSpec],
     names = [f"the baseline of model {spec.name()!r}" for spec in specs]
     if balance:
         names.append("the covariate balance of the observed cohort")
+    first = len(names)
 
     def run(t: int):
         if t < len(specs):
             return replace(analyze_model(prepared, specs[t], cfg), prepared=None)
-        return prepared.balance
-    with closing(iter_tasks(names, run)) as values:
+        if t < first:  # the balance task
+            return prepared.balance
+        vars(prepared).pop("trimmed", None)
+        return then[t - first][1]()
+    with closing(iter_tasks(names + [name for name, _ in then], run)) as values:
         for _, value in zip(specs, values):
             yield value if isinstance(value, Exception) else replace(value, prepared=prepared)
-        for value in values:  # the balance task, if any
-            if not isinstance(value, Exception):
-                prepared.balance = value
+        if balance and not isinstance(value := next(values), Exception):
+            prepared.balance = value
+        yield from values
 
 
 def _placebo_ate(prepared, seed: int, n_bootstrap: int) -> tuple[float, float]:
@@ -265,24 +275,19 @@ def _placebo_ate(prepared, seed: int, n_bootstrap: int) -> tuple[float, float]:
     return ate, float(np.nanstd(draws, ddof=1))
 
 
-def _placebo_task(d: Dataset, baselines: list, seed: int, n_bootstrap: int) -> tuple:
-    """The placebo cohort: ``d`` with a fair-coin treatment. Its ATE and SE
-    depend on no model and are computed once, at the first record."""
-    ate_se = None
-
-    def draw():
+def _placebo_task(d: Dataset, seed: int, n_bootstrap: int) -> tuple:
+    """The placebo cohort: ``d`` with a fair-coin treatment. Its key is its
+    ATE and SE, which depend on no model and are computed once."""
+    def prepare(cfg):
         fake = (substream(seed, "placebo-treatment").random(d.n) < 0.5).astype(np.int64)
-        return None, d.with_treatment(fake)
+        prepared = prepare_cohort(d.with_treatment(fake), cfg)
+        return _placebo_ate(prepared, seed, n_bootstrap), prepared
 
-    def record(i, key, result):
-        nonlocal ate_se
-        if ate_se is None:
-            ate_se = _placebo_ate(result.prepared, seed, n_bootstrap)
-        return PlaceboResult(
-            ate_estimate=ate_se[0], ate_se=ate_se[1],
-            rank_rmse_vs_original=rank_rmse(result.ranked.level, baselines[i].ranked.level),
-            levels=result.ranked.level)
-    return "the placebo cohort", draw, record
+    def record(key, ite, level, base):
+        return PlaceboResult(ate_estimate=key[0], ate_se=key[1],
+                             rank_rmse_vs_original=rank_rmse(level, base.ranked.level),
+                             levels=level)
+    return "the placebo cohort", prepare, record
 
 
 def placebo_test(d: Dataset, specs: list[ModelSpec],
@@ -296,15 +301,12 @@ def placebo_test(d: Dataset, specs: list[ModelSpec],
     original one. A sound estimator shows an ATE within noise of zero. The
     placebo cohort is prepared once, and its ATE and SE, which depend on no
     model, are computed once. ``baselines`` are the specs' analyses of ``d``
-    (``analyze_baselines``; computed here when omitted); a spec whose entry
-    is an exception is not run and gets that exception back. Returns one
-    ``PlaceboResult`` per spec, or the exception that ended the spec.
-    """
-    if baselines is None:
-        baselines = list(analyze_baselines(d, specs, cfg))
-    task = _placebo_task(d, baselines, seed, n_bootstrap)
+    (``analyze_baselines``; run on the same pool when omitted); a spec whose
+    entry is an exception is not run and gets it back. Returns one
+    ``PlaceboResult`` per spec, or the exception that ended the spec."""
+    task = _placebo_task(d, seed, n_bootstrap)
     return [values[0] if exc is None else exc
-            for values, exc in _sweep([task], specs, baselines, cfg)]
+            for values, exc in _sweep(d, specs, cfg, [task], baselines)[1]]
 
 
 @dataclass(frozen=True)
@@ -360,24 +362,25 @@ def _summarize(records: list[ConfoundingRecord], configs: list[ConfounderConfig]
                              summaries=tuple(summaries))
 
 
-def _confounder_tasks(d: Dataset, baselines: list, configs: list[ConfounderConfig],
-                      runs: int, seed: int) -> list[tuple]:
+def _confounder_tasks(d: Dataset, configs: list[ConfounderConfig], runs: int,
+                      seed: int) -> list[tuple]:
     """One task per (config, run): ``d`` with a synthetic confounder drawn
-    from a seed that depends on (seed, config index, run index) only."""
+    from a seed that depends on (seed, config index, run index) only. Its
+    key is the confounder's correlations with the treatment and outcome."""
     def task(ci: int, r: int) -> tuple:
-        def draw():
+        def prepare(cfg):
             draw_cfg = replace(configs[ci], seed=derive_seed(seed, "confounder-run", ci, r))
             u, corr_a, corr_y = generate_confounder(d, draw_cfg)
-            return (corr_a, corr_y), d.with_covariate(f"u_synth_{ci}_{r}", u)
+            return (corr_a, corr_y), prepare_cohort(d.with_covariate(f"u_synth_{ci}_{r}", u),
+                                                    cfg)
 
-        def record(i, key, result):
-            base = baselines[i]
+        def record(key, ite, level, base):
             return ConfoundingRecord(
                 config_index=ci, alpha=configs[ci].alpha, epsilon=configs[ci].epsilon,
                 run=r, corr_u_a=key[0], corr_u_y=key[1],
-                overlap=overlap_fraction(base.ites.ite, result.ites.ite),
-                rank_rmse_vs_baseline=rank_rmse(base.ranked.level, result.ranked.level))
-        return f"the confounder cohort of config {ci}, run {r}", draw, record
+                overlap=overlap_fraction(base.ites.ite, ite),
+                rank_rmse_vs_baseline=rank_rmse(base.ranked.level, level))
+        return f"the confounder cohort of config {ci}, run {r}", prepare, record
     return [task(ci, r) for ci in range(len(configs)) for r in range(runs)]
 
 
@@ -396,27 +399,23 @@ def confounding_overlap(d: Dataset, specs: list[ModelSpec],
     ``baselines`` are as in ``placebo_test``. Returns one
     ``SensitivityReport`` per spec, or the exception that ended the spec.
     """
-    if baselines is None:
-        baselines = list(analyze_baselines(d, specs, cfg))
-    tasks = _confounder_tasks(d, baselines, configs, runs, seed)
+    tasks = _confounder_tasks(d, configs, runs, seed)
     return [_summarize(values, configs) if exc is None else exc
-            for values, exc in _sweep(tasks, specs, baselines, cfg)]
+            for values, exc in _sweep(d, specs, cfg, tasks, baselines)[1]]
 
 
 def sensitivity_sweep(d: Dataset, specs: list[ModelSpec], configs: list[ConfounderConfig],
                       runs: int, cfg: AnalysisConfig, placebo_seed: int, seed: int,
-                      baselines: list, n_bootstrap: int) -> list[tuple]:
-    """``placebo_test`` and ``confounding_overlap`` as one sweep: the placebo
-    cohort and every confounded cohort are one task list, so they share the
-    workers. Returns, per spec, (placebo result or None, sensitivity report
-    or None, exception or None): a spec whose placebo failed has neither,
-    and one that failed on a confounded cohort keeps its placebo result.
-    """
-    tasks = [_placebo_task(d, baselines, placebo_seed, n_bootstrap),
-             *_confounder_tasks(d, baselines, configs, runs, seed)]
-    out = []
-    for values, exc in _sweep(tasks, specs, baselines, cfg):
-        placebo = values[0] if values else None
-        report = _summarize(values[1:], configs, placebo) if exc is None else None
-        out.append((placebo, report, exc))
-    return out
+                      n_bootstrap: int, balance: bool = False) -> tuple[list, list[tuple]]:
+    """Every spec's baseline (``analyze_baselines``, with its ``balance``),
+    ``placebo_test`` and ``confounding_overlap`` as one task list, on one
+    pool. Returns the baselines and, per spec, (placebo result or None,
+    sensitivity report or None, exception or None): a spec whose placebo
+    failed has neither, and one that failed on a confounded cohort keeps
+    its placebo result."""
+    tasks = [_placebo_task(d, placebo_seed, n_bootstrap),
+             *_confounder_tasks(d, configs, runs, seed)]
+    baselines, swept = _sweep(d, specs, cfg, tasks, balance=balance)
+    return baselines, [(values[0] if values else None,
+                        _summarize(values[1:], configs, values[0]) if exc is None else None, exc)
+                       for values, exc in swept]

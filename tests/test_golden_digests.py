@@ -27,6 +27,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import proxyrank  # before numpy: pins the BLAS thread count
+import proxyrank.parallel as parallel
 
 import numpy as np
 import pytest
@@ -88,13 +89,13 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(work: Path) -> dict:
-    """Every run of ``RUNS`` in ``work``: its exit code and the SHA-256 of its
+def digests(work: Path, runs: list = RUNS) -> dict:
+    """Every run of ``runs`` in ``work``: its exit code and the SHA-256 of its
     stdout, stderr (with ``work`` written as WORK) and output files."""
     dirs = {name: str(work / name) for name, _, _ in RUNS}
     dirs["noted"] = str(work / "noted.csv")
     outs = {}
-    for name, config, argv in RUNS:
+    for name, config, argv in runs:
         out = work / name
         args = [a.format(**dirs) for a in argv]
         if config is not None:
@@ -129,6 +130,18 @@ def test_output_bytes_match_the_recorded_digests(tmp_path):
             if want["files"].get(name) != got["files"].get(name):
                 moved.append(f"{run}: {name}")
     assert not moved, "output bytes differ from the recorded digests: " + ", ".join(moved)
+
+
+def test_in_process_run_matches_the_recorded_digests(monkeypatch, tmp_path):
+    # With one worker every task runs in this process, under the pin that
+    # maps each block of 1 MiB or more; forked workers take theirs from the
+    # heap. The allocator must not reach the bits.
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    key = fingerprint()
+    if key not in recorded:
+        pytest.skip(f"no digests recorded for {key}")
+    monkeypatch.setattr(parallel, "_max_workers", lambda: 1)
+    assert digests(tmp_path, RUNS[:1]) == {"run_seed_1": recorded[key]["run_seed_1"]}
 
 
 def test_an_unrecorded_fingerprint_is_skipped_and_named(monkeypatch, tmp_path):

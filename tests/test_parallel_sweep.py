@@ -238,7 +238,13 @@ def test_unpicklable_baseline_is_a_stage_error(monkeypatch, tmp_path, capsys, ti
 
 
 def test_unpicklable_result_is_a_stage_error(monkeypatch, tmp_path, capsys, time_limit):
-    monkeypatch.setattr(sensitivity, "overlap_fraction", lambda base, new: lambda: None)
+    # A confounded cohort's key, its correlations, is sent back from its worker.
+    real = sensitivity.generate_confounder
+
+    def generate(d, cfg):
+        u, _, corr_y = real(d, cfg)
+        return u, lambda: None, corr_y
+    monkeypatch.setattr(sensitivity, "generate_confounder", generate)
     workers(monkeypatch, 2)
     rc, _, err, _ = run_cli(tmp_path, capsys, "sensitivity", CONFIG, "out")
     assert rc == 2
@@ -361,6 +367,38 @@ def test_import_pins_the_malloc_thresholds_unless_set(imports, threshold, mapped
     out = subprocess.run([sys.executable, "-c", script, str(imports)], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == [str(mapped)]
+
+
+@pytest.mark.skipif(not _glibc_mallinfo2(), reason="needs glibc's mallinfo2")
+@pytest.mark.parametrize("threshold,mapped", [
+    (None, ["True", "False", "False"]),  # the parent's pin, the workers' policy
+    (str(1 << 20), ["True", "True", "True"])])  # a threshold already set is kept
+def test_workers_reuse_their_freed_memory(threshold, mapped):
+    # After a freed 16 MiB array, is a 4 MiB one still a mapped block: in
+    # the parent, then in each of two iter_tasks workers?
+    script = ("import ctypes\n"
+              "import proxyrank.parallel as parallel\n"
+              "import numpy as np\n"
+              "class Info(ctypes.Structure):\n"
+              "    _fields_ = [(f, ctypes.c_size_t) for f in ('arena', 'ordblks', 'smblks',\n"
+              "                'hblks', 'hblkhd', 'usmblks', 'fsmblks', 'uordblks',\n"
+              "                'fordblks', 'keepcost')]\n"
+              "libc = ctypes.CDLL(None)\n"
+              "libc.mallinfo2.restype = Info\n"
+              "def mapped(t):\n"
+              "    big = np.ones(2 << 20)\n"
+              "    del big\n"
+              "    before = libc.mallinfo2().hblkhd\n"
+              "    block = np.ones(1 << 19)\n"
+              "    return libc.mallinfo2().hblkhd - before >= block.nbytes\n"
+              "parallel._max_workers = lambda: 2\n"
+              "print(mapped(0), *parallel.iter_tasks(['task 0', 'task 1'], mapped))\n")
+    env = {k: v for k, v in subprocess_env().items() if k not in parallel._MALLOC_VARS}
+    if threshold is not None:
+        env["MALLOC_MMAP_THRESHOLD_"] = threshold
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.split() == mapped
 
 
 def test_rank_writes_the_same_bytes_without_a_blas_variable(tmp_path):
@@ -501,6 +539,128 @@ def test_iter_tasks_yields_large_results_in_task_order(monkeypatch, time_limit):
     workers(monkeypatch, 3)
     results = list(parallel.iter_tasks([f"task {t}" for t in range(7)], run))
     assert results == [bytes([t]) * (1 << 20) for t in range(7)]
+    assert multiprocessing.active_children() == []
+
+
+def started_tasks(log: Path, count: int) -> list[int]:
+    """The tasks that have logged their start to ``log``, once at least
+    ``count`` have, or after 20 s, and 0.3 s more for any other to start."""
+    deadline = time.monotonic() + 20
+    while (len(log.read_text().split()) if log.exists() else 0) < count:
+        if time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    time.sleep(0.3)
+    return sorted(int(t) for t in log.read_text().split())
+
+
+def test_idle_worker_takes_the_next_task(monkeypatch, tmp_path, time_limit):
+    # While task 0 holds one worker, the other takes tasks 1-4 one by one.
+    log = tmp_path / "started"
+
+    def run(t):
+        with open(log, "a") as fh:
+            fh.write(f"{t}\n")
+        if t == 0:
+            started_tasks(log, 5)
+        return t, os.getpid()
+    workers(monkeypatch, 2)
+    got = list(parallel.iter_tasks([f"task {t}" for t in range(5)], run))
+    assert [t for t, _ in got] == list(range(5))
+    pids = [pid for _, pid in got]
+    assert len(set(pids[1:])) == 1 and pids[0] != pids[1] and os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+def test_no_task_starts_past_the_read_ahead_bound(monkeypatch, tmp_path, time_limit):
+    # Two workers start no task more than 2 x 2 past task 0 while it runs.
+    log = tmp_path / "started"
+
+    def run(t):
+        with open(log, "a") as fh:
+            fh.write(f"{t}\n")
+        return started_tasks(log, 5) if t == 0 else t
+    workers(monkeypatch, 2)
+    got = list(parallel.iter_tasks([f"task {t}" for t in range(10)], run))
+    assert got == [[0, 1, 2, 3, 4], *range(1, 10)]
+    assert multiprocessing.active_children() == []
+
+
+def test_killed_idle_worker_loses_the_task_it_is_sent(monkeypatch, tmp_path, time_limit):
+    # Tasks 1-4 fill the read-ahead bound on the other worker, which then
+    # waits for task 5; task 0 kills it there before it returns.
+    log = tmp_path / "started"
+
+    def run(t):
+        with open(log, "a") as fh:
+            fh.write(f"{t}\n")
+        if t == 0:
+            started_tasks(log, 5)
+            os.kill(int((tmp_path / "pid").read_text()), signal.SIGKILL)
+        else:
+            (tmp_path / "pid").write_text(str(os.getpid()))
+        return t
+    workers(monkeypatch, 2)
+    got = []
+    with pytest.raises(parallel.StageError,
+                       match=r"^the worker died running task 5 \(exit code -9\)$"):
+        for value in parallel.iter_tasks([f"task {t}" for t in range(8)], run):
+            got.append(value)
+    assert got == [0, 1, 2, 3, 4]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_pool_keeps_a_baselines_error(n, monkeypatch, small_sim, time_limit):
+    # 'lr' raises A on its baseline and B on every cohort; 'svr' raises only
+    # on confounded cohort (1, 0). Baselines, placebo and cohorts are one pool.
+    d = small_sim.observed
+    real = sensitivity.analyze_model
+
+    def analyze(prepared, spec, cfg):
+        if spec.label == "lr":
+            raise ModelError("A" if prepared.full is d else "B")
+        if in_confounded_cohort(prepared, 1, 0):
+            raise ModelError("C")
+        return real(prepared, spec, cfg)
+    monkeypatch.setattr(sensitivity, "analyze_model", analyze)
+    workers(monkeypatch, n)
+    specs = [ModelSpec(family="linear_wls", label="lr"),
+             ModelSpec(family="svr_linear", hyperparams={"epochs": 3}, label="svr")]
+    configs = [ConfounderConfig(alpha=1e3, epsilon=1e6), ConfounderConfig(alpha=1e5, epsilon=4e6)]
+    baselines, swept = sensitivity.sensitivity_sweep(
+        d, specs, configs, runs=2, cfg=AnalysisConfig(), placebo_seed=7, seed=5,
+        n_bootstrap=20)
+    assert str(baselines[0]) == "A" and baselines[1].spec.label == "svr"
+    (p0, s0, e0), (p1, s1, e1) = swept
+    assert (p0, s0, str(e0)) == (None, None, "A")
+    assert p1 is not None and s1 is None and str(e1) == "C"
+    assert multiprocessing.active_children() == []
+
+
+def test_public_sweeps_take_given_baselines(monkeypatch, small_sim, tmp_path, time_limit):
+    # Given baselines, only the cohorts are tasks, and a spec whose baseline
+    # is an exception is not analyzed on them and gets that exception back.
+    d = small_sim.observed
+    specs = [ModelSpec(family="linear_wls", label="lr"),
+             ModelSpec(family="svr_linear", hyperparams={"epochs": 3}, label="svr")]
+    configs = [ConfounderConfig(alpha=1e3, epsilon=1e6)]
+    workers(monkeypatch, 2)
+    baselines = list(sensitivity.analyze_baselines(d, specs))
+    failed = [ModelError("given"), baselines[1]]
+
+    def sweeps(given):
+        placebo = sensitivity.placebo_test(d, specs, seed=7, baselines=given, n_bootstrap=20)
+        conf = sensitivity.confounding_overlap(d, specs, configs, runs=2, seed=5,
+                                               baselines=given)
+        return [r if isinstance(r, Exception) else (r.to_dict(), r.levels.tolist())
+                for r in placebo] + conf
+    whole, given = sweeps(None), sweeps(baselines)
+    analyzed = log_pids(monkeypatch, sensitivity.analyze_model, tmp_path / "analyzed")
+    one = sweeps(failed)
+    assert whole == given
+    assert one == [failed[0], given[1], failed[0], given[3]]
+    assert len(analyzed()) == 3  # svr on the placebo cohort and on two confounded ones
     assert multiprocessing.active_children() == []
 
 
