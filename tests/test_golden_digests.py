@@ -14,7 +14,12 @@ commit and says which files moved and why:
     PYTHONPATH=src python tests/test_golden_digests.py
 
 which replaces the entry of this host's fingerprint. Never re-record to make
-a failure pass.
+a failure pass. To see what a change moves before re-recording:
+
+    PYTHONPATH=src python tests/test_golden_digests.py --diff
+
+prints, run by run, each file, stdout, stderr or exit code whose digest
+differs from this host's entry, and writes nothing.
 """
 import hashlib
 import io
@@ -114,22 +119,28 @@ def digests(work: Path, runs: list = RUNS) -> dict:
     return outs
 
 
+def moved(expected: dict, found: dict) -> dict:
+    """Per run of ``expected``, the fields and files whose digest differs in
+    ``found``; a run where nothing moved is left out."""
+    out = {}
+    for run, want in expected.items():
+        got = found[run]
+        names = [field for field in ("exit", "stdout", "stderr") if got[field] != want[field]]
+        names += [name for name in sorted(set(want["files"]) | set(got["files"]))
+                  if want["files"].get(name) != got["files"].get(name)]
+        if names:
+            out[run] = names
+    return out
+
+
 def test_output_bytes_match_the_recorded_digests(tmp_path):
     recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
     key = fingerprint()
     if key not in recorded:
         pytest.skip(f"no digests recorded for {key}")
-    expected, found = recorded[key], digests(tmp_path)
-    moved = []
-    for run, want in expected.items():
-        got = found[run]
-        for field in ("exit", "stdout", "stderr"):
-            if got[field] != want[field]:
-                moved.append(f"{run}: {field}")
-        for name in sorted(set(want["files"]) | set(got["files"])):
-            if want["files"].get(name) != got["files"].get(name):
-                moved.append(f"{run}: {name}")
-    assert not moved, "output bytes differ from the recorded digests: " + ", ".join(moved)
+    diff = moved(recorded[key], digests(tmp_path))
+    assert not diff, "output bytes differ from the recorded digests: " + ", ".join(
+        f"{run}: {name}" for run, names in diff.items() for name in names)
 
 
 def test_in_process_run_matches_the_recorded_digests(monkeypatch, tmp_path):
@@ -150,9 +161,22 @@ def test_an_unrecorded_fingerprint_is_skipped_and_named(monkeypatch, tmp_path):
         test_output_bytes_match_the_recorded_digests(tmp_path)
 
 
-if __name__ == "__main__":  # re-record this host's entry
+if __name__ == "__main__":  # re-record this host's entry, or with --diff show what moved
+    show = sys.argv[1:] == ["--diff"]
+    if sys.argv[1:] and not show:
+        sys.exit(f"usage: {sys.argv[0]} [--diff]")
     recorded = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    key = fingerprint()
+    if show and key not in recorded:
+        sys.exit(f"no digests recorded for {key}")
     with tempfile.TemporaryDirectory() as tmp:
-        recorded[fingerprint()] = digests(Path(tmp))
-    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"recorded {fingerprint()} in {GOLDEN}", file=sys.stderr)
+        found = digests(Path(tmp))
+    if show:
+        diff = moved(recorded[key], found)
+        for run, names in diff.items():
+            print(f"{run}: {', '.join(names)}")
+        print(f"{len(diff)} of {len(found)} runs moved from {key}", file=sys.stderr)
+    else:
+        recorded[key] = found
+        GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"recorded {key} in {GOLDEN}", file=sys.stderr)
