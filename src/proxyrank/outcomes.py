@@ -119,17 +119,11 @@ def _fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
     The outcome is standardized internally so the default step sizes are
     scale-free in y; the design is consumed raw.
 
-    Each step gathers its batch rows once and sums them in order, weighted
-    by ``copysign(w, resid)`` outside the tube and by zero inside it. With
-    positive weights this equals summing only the outside rows weighted by
-    ``w * sign(resid)``: an inside row adds a signed zero, which can flip
-    only the sign of a zero sum, and ``theta`` (never -0.0) absorbs that.
-    ``np.add.reduce`` over axis 0 adds row after row when there are two or
-    more columns; a single column it sums pairwise, where the zero rows
-    would regroup the additions, so a one-column design keeps only its
-    outside rows. A BLAS ``c @ Db`` or an einsum (a fused multiply-add on
-    some builds) would round differently. ``tests/svr_oracle.py`` holds the
-    masked form this must match bit for bit.
+    Each step gathers its batch rows once and weights each by
+    ``copysign(w, resid)`` outside the epsilon tube and by zero inside it, so
+    the data term is one BLAS product ``c @ Db`` over the whole batch.
+    ``tests/svr_oracle.py`` computes the same product on its own gather and
+    must match this bit for bit.
     """
     y_mean, y_scale = float(y.mean()), float(y.std()) or 1.0
     yn = (y - y_mean) / y_scale
@@ -144,19 +138,14 @@ def _fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
         yo, wo = yn[order], wn[order]
         for s in range(0, n, batch_size):
             e = s + batch_size
-            Db = D.take(order[s:e], axis=0)  # a copy, scaled in place below
+            Db = D.take(order[s:e], axis=0)
             t += 1
             resid = yo[s:e] - Db @ theta
             c = np.copysign(wo[s:e], resid)
-            outside = np.abs(resid) > epsilon
-            if p == 1:
-                Db, c = Db[outside], c[outside]
-            else:
-                c *= outside  # zero the rows inside the tube
-            Db *= c[:, None]
+            c *= np.abs(resid) > epsilon  # zero the rows inside the tube
             grad = lam * theta
             grad[0] = 0.0  # intercept unpenalized
-            grad -= np.add.reduce(Db, axis=0) / len(resid)
+            grad -= (c @ Db) / len(resid)
             if grad_clip is not None:
                 norm = math.sqrt(grad @ grad)
                 if norm > grad_clip:

@@ -43,8 +43,7 @@ def fit_svr(D, y, w, epsilon=0.1, C=1.0, lr0=0.1, epochs=30, batch_size=64,
             grad = lam * theta
             grad[0] = 0.0  # intercept unpenalized
             if outside.any():
-                grad -= (Db[outside] *
-                         (wb[outside] * np.sign(resid[outside]))[:, None]).sum(axis=0) / len(b)
+                grad -= np.where(outside, wb * np.sign(resid), 0.0) @ Db / len(b)
             if grad_clip is not None:
                 norm = math.sqrt(grad @ grad)
                 if norm > grad_clip:

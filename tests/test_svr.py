@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import svr_oracle
 from proxyrank import RunConfig, SimConfig, prepare_cohort, simulate_cohort
@@ -88,25 +89,33 @@ class TestEdges:
 
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+weights = st.floats(1e-3, 1e3)
 
 
 @st.composite
 def problems(draw):
-    n = draw(st.integers(1, 90))
-    p = draw(st.integers(1, 6))
-    D = np.array(draw(st.lists(finite, min_size=n * p, max_size=n * p))).reshape(n, p)
-    y = np.array(draw(st.lists(finite, min_size=n, max_size=n)))
-    w = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)))
+    # Up to 300 x 40 cells: hypothesis picks a background value and some
+    # cells of each array, and seeded noise, if drawn, varies the rest.
+    n = draw(st.integers(1, 300))
+    p = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = draw(st.sampled_from([0.0, 1.0]))
+    D = draw(hnp.arrays(np.float64, (n, p), elements=finite, fill=finite))
+    D += noise * draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.uniform(-1.0, 1.0, (n, p))
+    y = draw(hnp.arrays(np.float64, n, elements=finite, fill=finite))
+    y += noise * 1e3 * rng.uniform(-1.0, 1.0, n)
+    w = draw(hnp.arrays(np.float64, n, elements=weights, fill=weights))
+    w *= rng.uniform(1.0, 10.0, n) ** noise
     hyper = {"epsilon": draw(st.sampled_from([0.0, 0.1, 1.0])),
              "C": draw(st.sampled_from([0.01, 1.0, 100.0])),
              "epochs": draw(st.integers(1, 3)),
-             "batch_size": draw(st.integers(1, 70)),
+             "batch_size": draw(st.integers(1, 200)),
              "grad_clip": draw(st.sampled_from([None, 1e-3, 1.0])),
              "seed": draw(st.integers(0, 5))}
     return D, y, w, hyper
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(problems())
 def test_random_designs_match_oracle(problem):
     D, y, w, hyper = problem
