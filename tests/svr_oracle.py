@@ -1,11 +1,12 @@
-"""Reference SVR fitter for the equivalence tests: masked minibatch steps.
+"""Reference SVR fitter for the equivalence tests: a separate minibatch step.
 
-Each step fancy-indexes its batch, keeps the rows outside the epsilon tube
-with a boolean mask and sums ``row * w * sign(resid)`` over those rows only,
-skipping the update when none is outside. This is the subgradient step the
-single-gather step in ``proxyrank.outcomes._fit_svr`` must reproduce
-exactly (same ``theta`` bytes, outcome scale and step count), kept here (not in the
-package) purely as a test oracle.
+Each step fancy-indexes its batch, weights the rows outside the epsilon
+tube by ``w * sign(resid)`` and those inside by zero, and takes the data
+term as one BLAS product over the whole zero-weighted batch, skipping the
+update when no row is outside. ``proxyrank.outcomes._fit_svr`` computes the
+same product on its own gather and must reproduce this exactly (same
+``theta`` bytes, outcome scale and step count). It lives here, not in the
+package, purely as a test oracle.
 """
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
-"""The single-gather SVR step against the frozen masked-step oracle: the same
-``theta`` bytes, outcome scale and step count on every design, weighting and
+"""The SVR step against its oracle, which gathers, weights and steps on its
+own but sums the data term with the same BLAS product: the same ``theta``
+bytes, outcome scale and step count on every design, weighting and
 hyperparameter edge. Equal ``theta`` bytes give an equal loss."""
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestEdges:
         assert_same_fit(D[:n], y[:n], w[:n], batch_size=batch_size, epochs=3)
 
     def test_single_column_design(self, small):
-        # numpy sums one column pairwise, not row after row
+        # a one-column batch is a BLAS product with a single output
         D, y, w = small
         assert_same_fit(D[:, :1], y, w)
         assert_same_fit(D[:, 1:2], y, w, batch_size=16)
